@@ -21,14 +21,8 @@ from .quantities import (
 from .photonsim import (
     DetectorSpec,
     EventStream,
-    IntensityTrace,
     ScenarioConfig,
-    apply_detector,
-    delay_events,
-    generate_arrivals,
-    simulate_field_intensity,
     simulate_ranging_scenario,
-    split_events,
 )
 from .correlator import (
     CorrelationConfig,

@@ -219,17 +219,13 @@ def _fit_from_csv(args):
     if spacing.size and not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise UserError("histogram CSV bins are not uniformly spaced")
     bin_width_s = (spacing[0] if spacing.size else 1.0) * 1e-12
-    doc = _resolve_document(args)
-    settings = presets.fit_from_document(doc)
-    fit = estimator.fit_g2(
-        tau_ps * 1e-12, g2, sigma, bin_width_s,
-        max_iterations=settings.max_iterations, rel_tol=settings.rel_tol,
-    )
-    return fit, tau_ps
+    fit_kwargs = presets.fit_from_document(_resolve_document(args))
+    fit = estimator.fit_g2(tau_ps * 1e-12, g2, sigma, bin_width_s, **fit_kwargs)
+    return fit, tau_ps, g2
 
 
 def cmd_fit(args) -> int:
-    fit, _ = _fit_from_csv(args)
+    fit, _, _ = _fit_from_csv(args)
     record = estimator.fit_to_dict(fit)
     print(estimator.format_record(record))
     if args.out:
@@ -244,7 +240,7 @@ def cmd_fit(args) -> int:
 def cmd_range(args) -> int:
     if args.refractive_index < 1.0:
         raise UserError(f"refractive index must be >= 1, got {args.refractive_index}")
-    fit, _ = _fit_from_csv(args)
+    fit, _, _ = _fit_from_csv(args)
     record = estimator.fit_to_dict(fit)
     if not fit.converged:
         print(estimator.format_record(record))
@@ -276,10 +272,7 @@ def cmd_snr(args) -> int:
         }
         print(estimator.format_record(record))
     else:
-        tau_ps, _, g2, sigma = correlator.read_histogram_csv(args.input)
-        spacing = np.diff(tau_ps)
-        bin_width_s = (spacing[0] if spacing.size else 1.0) * 1e-12
-        fit = estimator.fit_g2(tau_ps * 1e-12, g2, sigma, bin_width_s)
+        fit, tau_ps, g2 = _fit_from_csv(args)
         if not fit.converged:
             raise UserError("fit did not converge; cannot measure SNR")
         report = estimator.snr_measure(tau_ps * 1e-12, g2, fit, args.rate_hz, dt_s)

@@ -4,32 +4,26 @@ The latent source model is a single-mode chaotic field: two independent
 stationary Gauss-Markov quadratures x, y with autocorrelation exp(-|tau|/tau_c),
 giving a normalized intensity I = (x^2 + y^2)/2 with unit mean and intensity
 autocorrelation 1 + exp(-2|tau|/tau_c). Detection is doubly stochastic Poisson
-sampling of that intensity, followed by beam splitting, propagation delay, and
-a detector imperfection pipeline (efficiency, background, dead time, jitter).
+sampling of that intensity, followed by a detector imperfection pipeline
+(background, dead time, jitter).
 
-Two sampling paths produce statistically identical streams:
-
-* the trace path (`simulate_field_intensity` + `generate_arrivals`) materializes
-  the per-step intensity and draws per-step Poisson counts; it is the reference
-  construction and is practical up to ~1e8 steps;
-* the scenario path (`simulate_ranging_scenario`) never materializes the trace.
-  It draws rate-capped candidate events per channel, propagates the quadratures
-  exactly between the occupied field steps, and keeps each candidate with
-  probability I/cap. This is the only practical route for second-scale
-  acquisitions with nanosecond coherence times.
+`simulate_ranging_scenario` is the one sampling path. It never materializes
+the intensity trace: it draws rate-capped candidate events per channel (the
+beamsplitter, path and efficiency losses are folded into each channel's rate),
+propagates the quadratures exactly between the occupied field steps, keeps
+each candidate with probability I/cap, and delays the probe channel by the
+round-trip time. This keeps second-scale acquisitions with nanosecond
+coherence times practical.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .quantities import (
-    DomainError,
     Medium,
     SourceSpec,
     TICKS_PER_SECOND,
@@ -58,11 +52,6 @@ class ConfigurationError(ValueError):
     """Simulation configuration violates a precondition."""
 
 
-class StreamOrigin(str, enum.Enum):
-    SIMULATED = "simulated"
-    LOADED = "loaded"
-
-
 @dataclass(frozen=True)
 class EventStream:
     """Sorted photon-detection timestamps for one channel, in picosecond ticks."""
@@ -70,7 +59,6 @@ class EventStream:
     channel: int
     times: np.ndarray  # int64 ticks, nondecreasing, within [0, duration]
     duration_s: float
-    origin: StreamOrigin = StreamOrigin.SIMULATED
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=np.int64)
@@ -99,43 +87,16 @@ class DetectorSpec:
     jitter_fwhm_s: float = 40e-12
     dead_time_s: float = 50e-9
     dark_rate_hz: float = 100.0
-    saturation_rate_hz: float = 1e7
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigurationError(f"efficiency must be in [0,1], got {self.efficiency}")
-        for name in ("jitter_fwhm_s", "dead_time_s", "dark_rate_hz", "saturation_rate_hz"):
+        for name in ("jitter_fwhm_s", "dead_time_s", "dark_rate_hz"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
 
 
-IDEAL_DETECTOR = DetectorSpec(
-    efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0, saturation_rate_hz=1e7
-)
-
-
-@dataclass(frozen=True)
-class IntensityTrace:
-    """Normalized latent intensity sampled on a uniform step grid (mean ~ 1)."""
-
-    step_s: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if self.step_s <= 0:
-            raise ConfigurationError(f"step must be positive, got {self.step_s}")
-        if samples.size and samples.min() < 0:
-            raise ConfigurationError("intensity samples must be non-negative")
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.samples.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.step_s * self.samples.size
+IDEAL_DETECTOR = DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
 
 
 @dataclass(frozen=True)
@@ -149,9 +110,9 @@ class ScenarioConfig:
     """
 
     source: SourceSpec
-    distance_m: float
     duration_s: float
     seed: int
+    distance_m: float = 0.0
     medium: Medium = VACUUM
     split_probe: float = 0.92
     split_ref: float = 0.04
@@ -288,89 +249,6 @@ def _gauss_markov_scan_pair(
     return x.T.reshape(-1)[:n], y.T.reshape(-1)[:n]
 
 
-def simulate_field_intensity(
-    coherence_time_s: float, step_s: float, n_steps: int, seed
-) -> IntensityTrace:
-    """Latent normalized intensity of the chaotic field on a uniform grid.
-
-    Both quadratures follow the exact discrete update x' = a*x + sqrt(1-a^2)*xi
-    with a = exp(-step/tau_c) from stationary initial draws, so the trace has
-    no discretization error in its autocorrelation at grid lags.
-    """
-    if coherence_time_s <= 0:
-        raise DomainError(f"coherence time must be positive, got {coherence_time_s}")
-    if step_s > coherence_time_s / 50.0:
-        raise ConfigurationError(
-            f"step {step_s} s too coarse for coherence time {coherence_time_s} s"
-        )
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be at least 1")
-    rng = np.random.default_rng(seed)
-    alpha = math.exp(-step_s / coherence_time_s)
-    scale = math.sqrt(-math.expm1(-2.0 * step_s / coherence_time_s))
-    quads = []
-    for _ in range(2):
-        x0 = rng.standard_normal()
-        innovations = scale * rng.standard_normal(n_steps)
-        chain, _ = lfilter([1.0], [1.0, -alpha], innovations, zi=[alpha * x0])
-        quads.append(chain)
-    intensity = 0.5 * (quads[0] ** 2 + quads[1] ** 2)
-    return IntensityTrace(step_s=step_s, samples=intensity)
-
-
-def generate_arrivals(trace: IntensityTrace, mean_rate_hz: float, seed) -> EventStream:
-    """Doubly stochastic Poisson arrivals driven by an intensity trace.
-
-    Per step k the event count is Poisson(mean_rate * I_k * step); events are
-    placed uniformly on the picosecond ticks of their step.
-    """
-    if mean_rate_hz < 0:
-        raise DomainError(f"mean rate must be non-negative, got {mean_rate_hz}")
-    rng = np.random.default_rng(seed)
-    step_ticks = seconds_to_ticks(trace.step_s)
-    counts = rng.poisson(mean_rate_hz * trace.step_s * trace.samples)
-    total = int(counts.sum())
-    steps = np.repeat(np.arange(trace.n_steps, dtype=np.int64), counts)
-    times = steps * step_ticks + rng.integers(0, step_ticks, size=total, dtype=np.int64)
-    times.sort()
-    return EventStream(channel=0, times=times, duration_s=trace.duration_s)
-
-
-def split_events(stream: EventStream, fractions, seed) -> list[EventStream]:
-    """Route each event independently to one output (or discard) by probability."""
-    fractions = list(fractions)
-    if any(f < 0 or f > 1 for f in fractions):
-        raise ConfigurationError(f"fractions must be in [0,1], got {fractions}")
-    if sum(fractions) > 1.0 + 1e-12:
-        raise ConfigurationError(f"fractions sum to {sum(fractions)} > 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(len(stream))
-    edges = np.concatenate(([0.0], np.cumsum(fractions)))
-    route = np.searchsorted(edges, u, side="right") - 1
-    return [
-        EventStream(
-            channel=i,
-            times=stream.times[route == i],
-            duration_s=stream.duration_s,
-            origin=stream.origin,
-        )
-        for i in range(len(fractions))
-    ]
-
-
-def delay_events(stream: EventStream, delay_s: float) -> EventStream:
-    """Shift every timestamp by a non-negative propagation delay."""
-    if delay_s < 0:
-        raise DomainError(f"delay must be non-negative, got {delay_s}")
-    delta = seconds_to_ticks(delay_s)
-    return EventStream(
-        channel=stream.channel,
-        times=shift_ticks(stream.times, delta),
-        duration_s=stream.duration_s + delay_s,
-        origin=stream.origin,
-    )
-
-
 def dead_time_filter(times: np.ndarray, dead_ticks: int) -> np.ndarray:
     """Non-paralyzable dead time: drop events within dead_ticks of the last kept one.
 
@@ -427,25 +305,6 @@ def _detector_noise(
     if times.size:
         times = times[(times >= 0) & (times <= duration_ticks)]
     return times
-
-
-def apply_detector(
-    stream: EventStream,
-    spec: DetectorSpec,
-    ambient_rate_hz: float,
-    duration_s: float,
-    seed,
-) -> EventStream:
-    """Detection pipeline: efficiency thinning, background merge, non-paralyzable
-    dead time, Gaussian timing jitter, then re-sort and clip to [0, duration]."""
-    rng = np.random.default_rng(seed)
-    times = stream.times
-    if spec.efficiency < 1.0:
-        times = times[rng.random(times.size) < spec.efficiency]
-    times = _detector_noise(times, spec, ambient_rate_hz, duration_s, rng)
-    return EventStream(
-        channel=stream.channel, times=times, duration_s=duration_s, origin=stream.origin
-    )
 
 
 def _sample_cox_channels(

@@ -28,39 +28,67 @@ class ConfigError(ValueError):
     """Malformed run configuration document."""
 
 
-_SCENARIO_KEYS = {
-    "wavelength_nm",
-    "coherence_time_ns",
-    "linewidth_hz",
-    "source_rate_hz",
-    "distance_m",
-    "refractive_index",
-    "split_probe",
-    "split_ref",
-    "probe_round_trip_transmission",
-    "ambient_rate_probe_hz",
-    "ambient_rate_ref_hz",
-    "duration_s",
-    "seed",
-    "field_step_ps",
-    "intensity_cap",
-    "detectors",
+def _nano(value) -> float:
+    return float(value) * 1e-9
+
+
+def _pico(value) -> float:
+    return float(value) * 1e-12
+
+
+def _optional_pico(value) -> float | None:
+    return None if value is None else _pico(value)
+
+
+def _as_is(value):
+    return value
+
+
+# Document key -> (constructor keyword, conversion from the document's unit).
+# Keys a document omits are not passed, so the dataclass defaults apply.
+_SOURCE_FIELDS = {
+    "wavelength_nm": ("wavelength_m", _nano),
+    "source_rate_hz": ("photon_rate_hz", float),
+    "coherence_time_ns": ("coherence_time_s", _nano),
+    "linewidth_hz": ("linewidth_hz", float),
 }
-_DETECTOR_KEYS = {
-    "efficiency",
-    "jitter_fwhm_ps",
-    "dead_time_ps",
-    "dark_rate_hz",
-    "saturation_rate_hz",
+_SCENARIO_FIELDS = {
+    "distance_m": ("distance_m", float),
+    "refractive_index": ("medium", lambda value: Medium(float(value))),
+    "split_probe": ("split_probe", float),
+    "split_ref": ("split_ref", float),
+    "probe_round_trip_transmission": ("probe_round_trip_transmission", float),
+    "ambient_rate_probe_hz": ("ambient_rate_probe_hz", float),
+    "ambient_rate_ref_hz": ("ambient_rate_ref_hz", float),
+    "duration_s": ("duration_s", float),
+    "seed": ("seed", int),
+    "field_step_ps": ("field_step_s", _optional_pico),
+    "intensity_cap": ("intensity_cap", float),
 }
+_DETECTOR_FIELDS = {
+    "efficiency": ("efficiency", float),
+    "jitter_fwhm_ps": ("jitter_fwhm_s", _pico),
+    "dead_time_ps": ("dead_time_s", _pico),
+    "dark_rate_hz": ("dark_rate_hz", float),
+}
+_FIT_FIELDS = {
+    "max_iterations": ("max_iterations", int),
+    "rel_tol": ("rel_tol", float),
+}
+_OUTPUT_FIELDS = {
+    "tags_path": ("tags_path", _as_is),
+    "truth_path": ("truth_path", _as_is),
+    "resolution_ps": ("resolution_ps", int),
+}
+
+_SCENARIO_KEYS = set(_SOURCE_FIELDS) | set(_SCENARIO_FIELDS) | {"detectors"}
+_DETECTOR_KEYS = set(_DETECTOR_FIELDS)
 _CORRELATION_KEYS = {"bin_width_ps", "window_ps", "chunk_ticks"}
-_FIT_KEYS = {"max_iterations", "rel_tol"}
-_OUTPUT_KEYS = {"tags_path", "truth_path", "histogram_path", "fit_path", "resolution_ps"}
 _SECTION_KEYS = {
     "scenario": _SCENARIO_KEYS,
     "correlation": _CORRELATION_KEYS,
-    "fit": _FIT_KEYS,
-    "output": _OUTPUT_KEYS,
+    "fit": set(_FIT_FIELDS),
+    "output": set(_OUTPUT_FIELDS),
 }
 
 
@@ -72,17 +100,9 @@ class CorrelationSettings:
 
 
 @dataclass(frozen=True)
-class FitSettings:
-    max_iterations: int = 200
-    rel_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class OutputSettings:
     tags_path: str | None = None
     truth_path: str | None = None
-    histogram_path: str | None = None
-    fit_path: str | None = None
     resolution_ps: int = 1
 
 
@@ -90,6 +110,11 @@ def _check_keys(section: str, mapping: dict, allowed: set) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+
+
+def _keywords(mapping: dict, fields: dict) -> dict:
+    """Constructor keywords for the keys of ``mapping`` that ``fields`` names."""
+    return {name: convert(mapping[key]) for key, (name, convert) in fields.items() if key in mapping}
 
 
 def validate_document(doc: dict) -> None:
@@ -117,43 +142,15 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"scenario is missing required key {key!r}")
     if "coherence_time_ns" not in sc and "linewidth_hz" not in sc:
         raise ConfigError("scenario needs coherence_time_ns or linewidth_hz")
-    source = SourceSpec(
-        wavelength_m=float(sc["wavelength_nm"]) * 1e-9,
-        photon_rate_hz=float(sc["source_rate_hz"]),
-        coherence_time_s=float(sc.get("coherence_time_ns", 0.0)) * 1e-9,
-        linewidth_hz=float(sc.get("linewidth_hz", 0.0)),
-    )
-    detectors = sc.get("detectors", [{}, {}])
-    if len(detectors) != 2:
-        raise ConfigError(f"scenario needs exactly 2 detectors, got {len(detectors)}")
-    defaults = DetectorSpec()
-    specs = [
-        DetectorSpec(
-            efficiency=float(det.get("efficiency", defaults.efficiency)),
-            jitter_fwhm_s=float(det.get("jitter_fwhm_ps", defaults.jitter_fwhm_s * 1e12)) * 1e-12,
-            dead_time_s=float(det.get("dead_time_ps", defaults.dead_time_s * 1e12)) * 1e-12,
-            dark_rate_hz=float(det.get("dark_rate_hz", defaults.dark_rate_hz)),
-            saturation_rate_hz=float(det.get("saturation_rate_hz", defaults.saturation_rate_hz)),
+    kwargs = _keywords(sc, _SCENARIO_FIELDS)
+    if "detectors" in sc:
+        detectors = sc["detectors"]
+        if len(detectors) != 2:
+            raise ConfigError(f"scenario needs exactly 2 detectors, got {len(detectors)}")
+        kwargs["detector_ref"], kwargs["detector_probe"] = (
+            DetectorSpec(**_keywords(det, _DETECTOR_FIELDS)) for det in detectors
         )
-        for det in detectors
-    ]
-    field_step_ps = sc.get("field_step_ps")
-    return ScenarioConfig(
-        source=source,
-        distance_m=float(sc.get("distance_m", 0.0)),
-        duration_s=float(sc["duration_s"]),
-        seed=int(sc["seed"]),
-        medium=Medium(float(sc.get("refractive_index", 1.0))),
-        split_probe=float(sc.get("split_probe", 0.5)),
-        split_ref=float(sc.get("split_ref", 0.5)),
-        probe_round_trip_transmission=float(sc.get("probe_round_trip_transmission", 1.0)),
-        ambient_rate_probe_hz=float(sc.get("ambient_rate_probe_hz", 0.0)),
-        ambient_rate_ref_hz=float(sc.get("ambient_rate_ref_hz", 0.0)),
-        detector_ref=specs[0],
-        detector_probe=specs[1],
-        field_step_s=None if field_step_ps is None else float(field_step_ps) * 1e-12,
-        intensity_cap=float(sc.get("intensity_cap", 12.0)),
-    )
+    return ScenarioConfig(source=SourceSpec(**_keywords(sc, _SOURCE_FIELDS)), **kwargs)
 
 
 def correlation_from_document(doc: dict) -> CorrelationSettings:
@@ -174,23 +171,16 @@ def correlation_from_document(doc: dict) -> CorrelationSettings:
     )
 
 
-def fit_from_document(doc: dict) -> FitSettings:
-    fi = doc.get("fit", {})
-    return FitSettings(
-        max_iterations=int(fi.get("max_iterations", 200)),
-        rel_tol=float(fi.get("rel_tol", 1e-10)),
-    )
+def fit_from_document(doc: dict) -> dict:
+    """Keyword arguments for ``estimator.fit_g2`` from the fit section.
+
+    Omitted keys are left out, so ``fit_g2``'s own defaults apply.
+    """
+    return _keywords(doc.get("fit", {}), _FIT_FIELDS)
 
 
 def output_from_document(doc: dict) -> OutputSettings:
-    out = doc.get("output", {})
-    return OutputSettings(
-        tags_path=out.get("tags_path"),
-        truth_path=out.get("truth_path"),
-        histogram_path=out.get("histogram_path"),
-        fit_path=out.get("fit_path"),
-        resolution_ps=int(out.get("resolution_ps", 1)),
-    )
+    return OutputSettings(**_keywords(doc.get("output", {}), _OUTPUT_FIELDS))
 
 
 def load_preset(name: str) -> dict:

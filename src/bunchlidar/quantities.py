@@ -150,7 +150,6 @@ class SourceSpec:
     photon_rate_hz: float
     linewidth_hz: float = 0.0
     coherence_time_s: float = 0.0
-    wavelength_spread_m: float | None = None
     power_w: float | None = None
 
     def __post_init__(self):

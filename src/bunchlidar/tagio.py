@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .photonsim import EventStream, StreamOrigin
+from .photonsim import EventStream
 
 MAGIC = b"BLTTAG01"
 VERSION = 1
@@ -227,12 +227,7 @@ def read_tags(path):
     ticks = times.astype(np.int64) * resolution_ps
     duration_s = (float(ticks[-1]) if ticks.size else 0.0) / 1e12
     streams = [
-        EventStream(
-            channel=ch,
-            times=ticks[records["channel"] == ch],
-            duration_s=duration_s,
-            origin=StreamOrigin.LOADED,
-        )
+        EventStream(channel=ch, times=ticks[records["channel"] == ch], duration_s=duration_s)
         for ch in range(channel_count)
     ]
     header = {"resolution_ps": resolution_ps, "channel_count": channel_count}
@@ -323,12 +318,7 @@ def read_text_tags(path):
         )
     duration_s = (float(ticks_arr[-1]) if ticks else 0.0) / 1e12
     streams = [
-        EventStream(
-            channel=ch,
-            times=ticks_arr[channels_arr == ch],
-            duration_s=duration_s,
-            origin=StreamOrigin.LOADED,
-        )
+        EventStream(channel=ch, times=ticks_arr[channels_arr == ch], duration_s=duration_s)
         for ch in range(channel_count)
     ]
     return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}

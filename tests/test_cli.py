@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bunchlidar import cli, presets, tagio
+from bunchlidar.photonsim import DetectorSpec, ScenarioConfig
 
 MINI_CONFIG = {
     "scenario": {
@@ -33,6 +39,17 @@ def mini_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def histogram_csv(tmp_path, mini_config, capsys):
+    tags, csv = tmp_path / "t.bin", tmp_path / "h.csv"
+    assert cli.main(["simulate", "--config", mini_config, "--out", str(tags)]) == 0
+    # +-300 ns leaves bins beyond 5 tau_c of the peak for the SNR measurement
+    assert cli.main(["correlate", "--in", str(tags), "--bin-width-ps", "4000",
+                     "--window-ps=-300000:300000", "--out", str(csv)]) == 0
+    capsys.readouterr()
+    return str(csv)
+
+
 class TestConfigHandling:
     def test_all_presets_parse(self):
         for name in presets.PRESET_FILES:
@@ -53,6 +70,40 @@ class TestConfigHandling:
             presets.validate_document({"simulation": {}})
         with pytest.raises(presets.ConfigError):
             presets.validate_document({"scenario": {"detectors": [{"qe": 0.5}, {}]}})
+
+    @pytest.mark.parametrize("section, key", [
+        ("detectors", "saturation_rate_hz"),
+        ("output", "histogram_path"),
+        ("output", "fit_path"),
+    ])
+    def test_removed_keys_rejected(self, section, key):
+        doc = presets.load_preset("short-range")
+        if section == "detectors":
+            doc["scenario"]["detectors"][0][key] = 1.0e7
+        else:
+            doc[section][key] = None
+        with pytest.raises(presets.ConfigError, match=key):
+            presets.validate_document(doc)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        required = {"wavelength_nm": 518.0, "coherence_time_ns": 23.2,
+                    "source_rate_hz": 1e6, "duration_s": 0.1, "seed": 3}
+        config = presets.scenario_from_document({"scenario": required})
+        passed = {"source", "duration_s", "seed"}
+        for field in dataclasses.fields(ScenarioConfig):
+            if field.name not in passed:
+                assert getattr(config, field.name) == field.default, field.name
+        assert config.split_probe == 0.92 and config.split_ref == 0.04
+        assert presets.fit_from_document({}) == {}
+        assert presets.output_from_document({}) == presets.OutputSettings()
+
+    def test_empty_detector_entry_is_default_spec(self):
+        doc = {"scenario": {"wavelength_nm": 518.0, "coherence_time_ns": 1.0,
+                            "source_rate_hz": 1e6, "duration_s": 0.1, "seed": 3,
+                            "detectors": [{}, {"efficiency": 0.25}]}}
+        config = presets.scenario_from_document(doc)
+        assert config.detector_ref == DetectorSpec()
+        assert config.detector_probe == DetectorSpec(efficiency=0.25)
 
     def test_dotted_override(self):
         doc = {"scenario": {"detectors": [{"efficiency": 0.5}, {"efficiency": 0.5}]}}
@@ -225,6 +276,23 @@ class TestSnrCommand:
         assert cli.main(["snr", "--rate-hz", "1e7", "--dt-ms", "1"]) == 1
         capsys.readouterr()
 
+    def test_measure_mode(self, tmp_path, histogram_csv, capsys):
+        out = tmp_path / "snr.json"
+        assert cli.main(["snr", "--in", histogram_csv, "--rate-hz", "1.2e6",
+                         "--dt-ms", "50", "--out", str(out)]) == 0
+        capsys.readouterr()
+        record = json.loads(out.read_text())
+        assert record["measured_snr"] > 0
+
+    def test_measure_mode_rejects_nonuniform_bins(self, tmp_path, capsys):
+        path = tmp_path / "uneven.csv"
+        with open(path, "w", newline="\n") as f:
+            f.write("tau_ps,counts,g2,sigma\n")
+            for i, tau in enumerate((500.0, 1500.0, 3500.0, 4500.0, 5500.0)):
+                f.write(f"{tau!r},100,{1.0 + 0.1 * i!r},{0.01!r}\n")
+        assert cli.main(["snr", "--in", str(path), "--rate-hz", "1e6", "--dt-ms", "1"]) == 1
+        assert "not uniformly spaced" in capsys.readouterr().err
+
 
 class TestConvert:
     def test_round_trip_via_text(self, tmp_path, mini_config, capsys):
@@ -251,3 +319,12 @@ class TestExitCodes:
         assert cli.main(["correlate", "--in", "x", "--bin-width-ps", "10",
                          "--window-ps", "10", "--out", "y"]) == 1
         capsys.readouterr()
+
+
+class TestDependencies:
+    def test_cli_import_pulls_in_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import bunchlidar.cli, sys; assert not any("
+                "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

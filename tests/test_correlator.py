@@ -65,7 +65,6 @@ class TestCrossCorrelate:
         object.__setattr__(bad, "channel", 0)
         object.__setattr__(bad, "times", np.array([5, 1], dtype=np.int64))
         object.__setattr__(bad, "duration_s", 1e-9)
-        object.__setattr__(bad, "origin", "simulated")
         with pytest.raises(co.CorrelationError):
             co.cross_correlate(bad, stream([1]), co.CorrelationConfig(1, 0, 4))
 

@@ -5,49 +5,66 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bunchlidar import photonsim as ps
-from bunchlidar.correlator import (
-    CorrelationConfig,
-    autocorrelate,
-    cross_correlate,
-    merge_histograms,
-    normalize_g2,
-)
+from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
 from bunchlidar.estimator import fit_g2
 from bunchlidar.quantities import DomainError, SourceSpec, TickOverflowError
 
 TAU_C = 23.2e-9
 
 
+def field_intensity(tau_c_steps, n_steps, seed, chunk=1_000_000):
+    """Normalized intensity of the scenario path's field on a uniform step grid.
+
+    Chains ``_gauss_markov_scan_pair`` over chunks through its carried-in
+    state, starting from the stationary distribution.
+    """
+    rng = np.random.default_rng(seed)
+    intensity = np.empty(n_steps)
+    x = y = 0.0
+    for lo in range(0, n_steps, chunk):
+        n = min(chunk, n_steps - lo)
+        lags = np.full(n, 1.0 / tau_c_steps)
+        if lo == 0:
+            lags[0] = np.inf
+        xs, ys = ps._gauss_markov_scan_pair(
+            lags, rng.standard_normal(n), rng.standard_normal(n), x, y
+        )
+        intensity[lo : lo + n] = 0.5 * (xs * xs + ys * ys)
+        x, y = xs[-1], ys[-1]
+    return intensity
+
+
 @pytest.fixture(scope="module")
-def long_trace():
-    return ps.simulate_field_intensity(TAU_C, TAU_C / 100, 10_000_000, seed=20)
+def long_field():
+    return field_intensity(100, 10_000_000, seed=20)
 
 
 class TestFieldIntensity:
-    def test_mean_is_one(self, long_trace):
-        assert abs(long_trace.samples.mean() - 1.0) < 0.01
+    def test_mean_is_one(self, long_field):
+        assert abs(long_field.mean() - 1.0) < 0.01
 
-    def test_variance_is_one(self, long_trace):
+    def test_variance_is_one(self, long_field):
         # complex Gaussian field: <I^2>/<I>^2 = 2, so Var(I) = 1
-        assert abs(long_trace.samples.var() - 1.0) < 0.02
+        assert abs(long_field.var() - 1.0) < 0.02
 
-    def test_autocorrelation_at_coherence_time(self, long_trace):
+    def test_autocorrelation_at_coherence_time(self, long_field):
         lag = 100  # one coherence time at dt = tau_c/100
-        samples = long_trace.samples
-        corr = np.mean(samples[:-lag] * samples[lag:]) / samples.mean() ** 2
+        corr = np.mean(long_field[:-lag] * long_field[lag:]) / long_field.mean() ** 2
         assert abs(corr - (1.0 + math.exp(-2.0))) < 0.02
 
-    def test_samples_non_negative(self, long_trace):
-        assert long_trace.samples.min() >= 0.0
+    def test_samples_non_negative(self, long_field):
+        assert long_field.min() >= 0.0
 
     def test_step_too_coarse_rejected(self):
+        # below 50 ps even the one-tick default field step exceeds tau_c/50
         with pytest.raises(ps.ConfigurationError):
-            ps.simulate_field_intensity(TAU_C, TAU_C / 10, 100, seed=0)
+            ps.ScenarioConfig(
+                source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=1e6, coherence_time_s=10e-12),
+                duration_s=1e-6, seed=0,
+            )
 
     def test_deterministic(self):
-        a = ps.simulate_field_intensity(1e-9, 1e-11, 1000, seed=3)
-        b = ps.simulate_field_intensity(1e-9, 1e-11, 1000, seed=3)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(field_intensity(100, 1000, seed=3), field_intensity(100, 1000, seed=3))
 
 
 class TestGaussMarkovScan:
@@ -75,91 +92,85 @@ class TestGaussMarkovScan:
         assert np.allclose(y, self._sequential(lags, ny, -1.1), atol=1e-9)
 
 
+def cox_arrivals(rates_hz, coherence_time_s, duration_s, seed):
+    """Per-channel signal streams from the scenario path's sampler."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+    return ps._sample_cox_channels(
+        rates_hz,
+        coherence_time_s,
+        max(1, round(coherence_time_s * 1e12 / 100)),
+        round(duration_s * 1e12),
+        ps.DEFAULT_INTENSITY_CAP,
+        *rngs,
+    )
+
+
 class TestGenerateArrivals:
     def test_zero_rate_empty(self):
-        trace = ps.simulate_field_intensity(1e-9, 1e-11, 1000, seed=1)
-        stream = ps.generate_arrivals(trace, 0.0, seed=2)
-        assert len(stream) == 0
+        (times,) = cox_arrivals([0.0], 1e-9, 1e-6, seed=2)
+        assert times.size == 0
 
     def test_homogeneous_counts(self):
-        trace = ps.IntensityTrace(step_s=1e-9, samples=np.ones(1_000_000))
-        rate = 5e6
-        stream = ps.generate_arrivals(trace, rate, seed=7)
-        expected = rate * trace.duration_s
-        assert abs(len(stream) - expected) < 5 * math.sqrt(expected)
+        # Cox counts: Poisson variance plus the thermal excess rate*tau_c
+        rate, duration = 5e6, 0.01
+        (times,) = cox_arrivals([rate], 1e-9, duration, seed=7)
+        expected = rate * duration
+        assert abs(times.size - expected) < 5 * math.sqrt(expected * (1 + rate * 1e-9))
 
-    def test_times_sorted_within_duration(self):
-        trace = ps.simulate_field_intensity(1e-9, 1e-11, 100_000, seed=4)
-        stream = ps.generate_arrivals(trace, 1e8, seed=5)
-        assert np.all(np.diff(stream.times) >= 0)
-        assert stream.times[0] >= 0
-        assert stream.times[-1] <= stream.duration_ticks
+    def test_times_sorted_within_duration(self, monkeypatch):
+        # small blocks: block-local sorted segments must still concatenate sorted
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 1_000)
+        for times in cox_arrivals([1e8, 3e8], 1e-9, 1e-4, seed=5):
+            assert times.size > 0
+            assert np.all(np.diff(times) >= 0)
+            assert times[0] >= 0
+            assert times[-1] < round(1e-4 * 1e12)
 
     def test_negative_rate_rejected(self):
-        trace = ps.IntensityTrace(step_s=1e-9, samples=np.ones(10))
         with pytest.raises(DomainError):
-            ps.generate_arrivals(trace, -1.0, seed=0)
-
-    def test_thermal_stream_matches_bunching_model(self):
-        # rate 1e6/s, tau_c 23.2 ns: the autocorrelation of the arrival stream
-        # fits the bunching model with g2(0) = 2 +/- 0.05. Built from merged
-        # independent trace segments (cross-segment pairs lose a ~1e-4
-        # fraction of the window, far below the statistical tolerance).
-        rate = 1e6
-        step = TAU_C / 50
-        n_steps = 20_000_000
-        config = CorrelationConfig(2_000, 0, 300_000)
-        total = None
-        for segment in range(22):
-            trace = ps.simulate_field_intensity(TAU_C, step, n_steps, seed=600 + segment)
-            stream = ps.generate_arrivals(trace, rate, seed=6600 + segment)
-            hist = autocorrelate(stream, config)
-            total = hist if total is None else merge_histograms(total, hist)
-        curve = normalize_g2(total)
-        fit = fit_g2(curve.tau_ps * 1e-12, curve.g2, curve.sigma, 2e-9)
-        assert fit.converged
-        assert fit.baseline + fit.amplitude == pytest.approx(2.0, abs=0.05)
-        assert fit.coherence_time_s == pytest.approx(TAU_C, rel=0.1)
+            SourceSpec(wavelength_m=518e-9, photon_rate_hz=-1.0, coherence_time_s=1e-9)
 
 
 class TestSplitEvents:
+    """Beam splitting: the scenario routes fixed fractions of the source rate."""
+
+    def _counts(self, split_probe, split_ref, seed):
+        source = SourceSpec(wavelength_m=518e-9, photon_rate_hz=5e6, coherence_time_s=1e-9)
+        config = ps.ScenarioConfig(
+            source=source, duration_s=0.04, seed=seed,
+            split_probe=split_probe, split_ref=split_ref,
+        )
+        ref, probe, truth = ps.simulate_ranging_scenario(config)
+        return len(ref), len(probe), truth
+
     def test_full_fraction_identity(self):
-        stream = ps.EventStream(0, np.arange(0, 10_000, 7, dtype=np.int64), 1e-8)
-        (out,) = ps.split_events(stream, [1.0], seed=1)
-        assert np.array_equal(out.times, stream.times)
+        n_ref, n_probe, truth = self._counts(1.0, 0.0, seed=1)
+        assert n_ref == 0
+        assert truth["signal_rate_probe_hz"] == 5e6
+        assert n_probe > 0
 
     def test_asymmetric_92_4(self):
-        n = 200_000
-        stream = ps.EventStream(0, np.sort(np.random.default_rng(0).integers(0, 10**9, n)), 1e-3)
-        probe, ref = ps.split_events(stream, [0.92, 0.04], seed=2)
-        for fraction, out in ((0.92, probe), (0.04, ref)):
-            sigma = math.sqrt(n * fraction * (1 - fraction))
-            assert abs(len(out) - fraction * n) < 5 * sigma
-
-    def test_outputs_subset_and_sorted(self):
-        stream = ps.EventStream(0, np.sort(np.random.default_rng(3).integers(0, 10**6, 5000)), 1e-6)
-        outs = ps.split_events(stream, [0.3, 0.3, 0.3], seed=4)
-        merged = np.concatenate([o.times for o in outs])
-        assert len(merged) <= len(stream)
-        for out in outs:
-            assert np.all(np.diff(out.times) >= 0)
-            assert np.all(np.isin(out.times, stream.times))
+        n_ref, n_probe, _ = self._counts(0.92, 0.04, seed=2)
+        for fraction, count in ((0.92, n_probe), (0.04, n_ref)):
+            rate = 5e6 * fraction
+            expected = rate * 0.04
+            # Cox counts: Poisson variance plus the thermal excess rate*tau_c
+            sigma = math.sqrt(expected * (1 + rate * 1e-9))
+            assert abs(count - expected) < 5 * sigma
 
     def test_oversubscribed_fractions_rejected(self):
-        stream = ps.EventStream(0, np.array([1], dtype=np.int64), 1e-9)
         with pytest.raises(ps.ConfigurationError):
-            ps.split_events(stream, [0.7, 0.6], seed=0)
+            self._counts(1.5, 0.0, seed=0)
 
     def test_bunching_survives_balanced_split(self):
-        # Bernoulli thinning preserves thermal statistics: each arm of a 50:50
+        # Bernoulli routing preserves thermal statistics: each arm of a 50:50
         # split still shows g2(0) = 2 against the other.
         source = SourceSpec(wavelength_m=518e-9, photon_rate_hz=2.4e6, coherence_time_s=TAU_C)
         config = ps.ScenarioConfig(
             source=source, distance_m=0.0, duration_s=0.35, seed=77,
-            split_probe=1.0, split_ref=0.0,
+            split_probe=0.5, split_ref=0.5,
         )
-        _, probe, _ = ps.simulate_ranging_scenario(config)
-        arm_a, arm_b = ps.split_events(probe, [0.5, 0.5], seed=78)
+        arm_a, arm_b, _ = ps.simulate_ranging_scenario(config)
         hist = cross_correlate(arm_a, arm_b, CorrelationConfig(2_000, -150_000, 150_000))
         curve = normalize_g2(hist)
         fit = fit_g2(curve.tau_ps * 1e-12, curve.g2, curve.sigma, 2e-9)
@@ -167,30 +178,45 @@ class TestSplitEvents:
 
 
 class TestDelayEvents:
+    """Propagation delay: the probe arm is the zero-distance probe shifted by 2*d*n/c."""
+
+    DURATION_S = 2e-5
+
+    def _probe(self, distance_m):
+        source = SourceSpec(wavelength_m=518e-9, photon_rate_hz=1e8, coherence_time_s=1e-9)
+        config = ps.ScenarioConfig(
+            source=source, duration_s=self.DURATION_S, seed=4, distance_m=distance_m,
+            split_probe=0.5, split_ref=0.5,
+        )
+        _, probe, truth = ps.simulate_ranging_scenario(config)
+        return probe.times, truth["delay_ticks"]
+
+    def _assert_shifted(self, distance_m, delay_ticks):
+        undelayed, _ = self._probe(0.0)
+        delayed, ticks = self._probe(distance_m)
+        assert ticks == delay_ticks
+        shifted = undelayed + delay_ticks
+        assert np.array_equal(delayed, shifted[shifted <= round(self.DURATION_S * 1e12)])
+        assert delayed.size > 0
+
     def test_zero_delay_identity(self):
-        stream = ps.EventStream(0, np.array([5, 10], dtype=np.int64), 1e-9)
-        out = ps.delay_events(stream, 0.0)
-        assert np.array_equal(out.times, stream.times)
+        # a round trip under half a tick rounds to no shift at all
+        self._assert_shifted(0.4e-12 * 299792458.0 / 2, 0)
 
     def test_nanosecond_shift(self):
-        stream = ps.EventStream(0, np.array([10_000, 20_000], dtype=np.int64), 1e-7)
-        out = ps.delay_events(stream, 5e-9)
-        assert out.times.tolist() == [15_000, 25_000]
+        self._assert_shifted(5e-9 * 299792458.0 / 2, 5_000)
 
     def test_long_range_shift(self):
-        stream = ps.EventStream(0, np.array([0], dtype=np.int64), 1e-9)
-        out = ps.delay_events(stream, 6439.7e-9)
-        assert out.times[0] == 6_439_700
+        self._assert_shifted(6439.7e-9 * 299792458.0 / 2, 6_439_700)
 
     def test_negative_delay_rejected(self):
-        stream = ps.EventStream(0, np.array([0], dtype=np.int64), 1e-9)
-        with pytest.raises(DomainError):
-            ps.delay_events(stream, -1e-12)
+        with pytest.raises(ps.ConfigurationError):
+            self._probe(-1e-3)
 
     def test_overflow_raises(self):
-        stream = ps.EventStream(0, np.array([2**62], dtype=np.int64), 6e6)
+        # a round trip beyond the 64-bit tick range raises instead of wrapping
         with pytest.raises(TickOverflowError):
-            ps.delay_events(stream, 6e6)
+            self._probe(2e15)
 
 
 class TestDeadTime:
@@ -223,43 +249,39 @@ class TestDeadTime:
 
 
 class TestApplyDetector:
-    def _stream(self, n=100_000, duration=1e-3, seed=0):
-        times = np.sort(np.random.default_rng(seed).integers(0, int(duration * 1e12), n))
-        return ps.EventStream(0, times.astype(np.int64), duration)
+    """The detector chain after thinning: background, dead time, jitter, clip."""
+
+    def _times(self, n=100_000, duration=1e-3, seed=0):
+        return np.sort(np.random.default_rng(seed).integers(0, int(duration * 1e12), n))
+
+    def _detect(self, times, spec, ambient_rate_hz, duration, seed):
+        return ps._detector_noise(
+            times, spec, ambient_rate_hz, duration, np.random.default_rng(seed)
+        )
 
     def test_ideal_detector_is_identity(self):
-        stream = self._stream()
-        ideal = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
-        out = ps.apply_detector(stream, ideal, 0.0, stream.duration_s, seed=1)
-        assert np.array_equal(out.times, stream.times)
-
-    def test_half_efficiency(self):
-        stream = self._stream()
-        spec = ps.DetectorSpec(efficiency=0.5, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
-        out = ps.apply_detector(stream, spec, 0.0, stream.duration_s, seed=2)
-        sigma = math.sqrt(len(stream) * 0.25)
-        assert abs(len(out) - 0.5 * len(stream)) < 5 * sigma
+        times = self._times()
+        out = self._detect(times, ps.IDEAL_DETECTOR, 0.0, 1e-3, seed=1)
+        assert np.array_equal(out, times)
 
     def test_background_rate_added(self):
-        stream = ps.EventStream(0, np.empty(0, dtype=np.int64), 1e-2)
         spec = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=100.0)
-        out = ps.apply_detector(stream, spec, 1e6, stream.duration_s, seed=3)
+        out = self._detect(np.empty(0, dtype=np.int64), spec, 1e6, 1e-2, seed=3)
         expected = (1e6 + 100.0) * 0.01
-        assert abs(len(out) - expected) < 5 * math.sqrt(expected)
+        assert abs(out.size - expected) < 5 * math.sqrt(expected)
 
     def test_jitter_keeps_times_in_bounds(self):
-        stream = self._stream(n=20_000, duration=1e-6, seed=4)
+        times = self._times(n=20_000, duration=1e-6, seed=4)
         spec = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=40e-12, dead_time_s=0.0, dark_rate_hz=0.0)
-        out = ps.apply_detector(stream, spec, 0.0, stream.duration_s, seed=5)
-        assert np.all(np.diff(out.times) >= 0)
-        assert out.times[0] >= 0 and out.times[-1] <= out.duration_ticks
+        out = self._detect(times, spec, 0.0, 1e-6, seed=5)
+        assert np.all(np.diff(out) >= 0)
+        assert out[0] >= 0 and out[-1] <= round(1e-6 * 1e12)
 
     def test_jitter_spread_matches_fwhm(self):
         times = np.full(200_000, 500_000, dtype=np.int64)
-        stream = ps.EventStream(0, times, 1e-6)
         spec = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=40e-12, dead_time_s=0.0, dark_rate_hz=0.0)
-        out = ps.apply_detector(stream, spec, 0.0, stream.duration_s, seed=6)
-        sigma_ps = np.std(out.times.astype(np.float64) - 500_000)
+        out = self._detect(times, spec, 0.0, 1e-6, seed=6)
+        sigma_ps = np.std(out.astype(np.float64) - 500_000)
         assert sigma_ps == pytest.approx(40.0 / (2 * math.sqrt(2 * math.log(2))), rel=0.02)
 
 

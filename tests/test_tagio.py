@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bunchlidar import tagio
 from bunchlidar.correlator import CorrelationConfig, cross_correlate
-from bunchlidar.photonsim import EventStream, StreamOrigin
+from bunchlidar.photonsim import EventStream
 
 
 def make_streams(times_by_channel, duration_s=None):
@@ -48,7 +48,6 @@ class TestBinaryRoundTrip:
         assert time_field == 1
         streams, _ = tagio.read_tags(path)
         assert streams[0].times.tolist() == [2000]
-        assert streams[0].origin is StreamOrigin.LOADED
 
     @given(stream_pairs())
     @settings(max_examples=50, deadline=None)
