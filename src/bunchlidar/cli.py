@@ -21,7 +21,7 @@ import numpy as np
 
 from . import correlator, estimator, presets, tagio
 from .photonsim import ConfigurationError, simulate_ranging_scenario
-from .quantities import DomainError, Medium
+from .quantities import DomainError, Medium, TickOverflowError
 
 PROG = "bunchlidar"
 
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UserError, presets.ConfigError, ConfigurationError, DomainError,
             correlator.CorrelationError, tagio.TagFileError, estimator.FitError,
-            FileNotFoundError, ValueError) as exc:
+            TickOverflowError, FileNotFoundError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

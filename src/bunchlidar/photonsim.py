@@ -8,12 +8,14 @@ sampling of that intensity, followed by a detector imperfection pipeline
 (background, dead time, jitter).
 
 `simulate_ranging_scenario` is the one sampling path. It never materializes
-the intensity trace: it draws rate-capped candidate events per channel (the
-beamsplitter, path and efficiency losses are folded into each channel's rate),
-propagates the quadratures exactly between the occupied field steps, keeps
-each candidate with probability I/cap, and delays the probe channel by the
-round-trip time. This keeps second-scale acquisitions with nanosecond
-coherence times practical.
+the intensity trace: it draws one time-ordered stream of rate-capped
+candidate events for all channels (the beamsplitter, path and efficiency
+losses are folded into each channel's rate), propagates the quadratures
+exactly from one candidate time to the next, keeps each candidate with
+probability I/cap at its own time, routes the kept events to the channels
+by rate share, and delays the probe channel by the round-trip time. The
+field is sampled only where candidates fall, so second-scale acquisitions
+with nanosecond (or picosecond) coherence times stay practical.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class ScenarioConfig:
     ambient_rate_ref_hz: float = 0.0
     detector_ref: DetectorSpec = IDEAL_DETECTOR
     detector_probe: DetectorSpec = IDEAL_DETECTOR
-    field_step_s: float | None = None
     intensity_cap: float = DEFAULT_INTENSITY_CAP
 
     def __post_init__(self):
@@ -139,22 +140,6 @@ class ScenarioConfig:
             raise ConfigurationError("ambient rates must be non-negative")
         if self.intensity_cap < 4.0:
             raise ConfigurationError("intensity cap below 4 visibly distorts bunching")
-        self.field_step_ticks()  # validate eagerly
-
-    def field_step_ticks(self) -> int:
-        tau_c_ps = self.source.coherence_time_s * TICKS_PER_SECOND
-        if self.field_step_s is None:
-            step = max(1, round(tau_c_ps / 100.0))
-        else:
-            step = seconds_to_ticks(self.field_step_s)
-        if step < 1:
-            raise ConfigurationError("field step must be at least one tick (1 ps)")
-        if step > tau_c_ps / 50.0:
-            raise ConfigurationError(
-                f"field step {step} ps too coarse for coherence time {tau_c_ps} ps "
-                "(must not exceed tau_c/50)"
-            )
-        return step
 
 
 _SCAN_COLUMNS = 64
@@ -310,7 +295,6 @@ def _detector_noise(
 def _sample_cox_channels(
     rates_hz,
     coherence_time_s: float,
-    step_ticks: int,
     duration_ticks: int,
     cap: float,
     rng_candidates: np.random.Generator,
@@ -319,72 +303,46 @@ def _sample_cox_channels(
 ) -> list[np.ndarray]:
     """Sample per-channel doubly stochastic streams sharing one latent field.
 
-    Equivalent in distribution to thinning a common source stream: conditioned
-    on the intensity path, split outputs are independent Poisson processes with
-    the per-channel rates, so each channel is sampled against the shared field.
-    Candidates arrive homogeneously at cap*rate and are kept with probability
-    I_step/cap, which reproduces the per-step Poisson construction exactly for
-    intensities below the cap.
+    Conditioned on the intensity path, the channels are independent Poisson
+    processes with the per-channel rates, i.e. one Poisson process at the
+    summed rate whose events are routed to channel i with probability
+    rate_i/sum(rates). That merged stream is sampled by thinning (Lewis &
+    Shedler): candidates arrive homogeneously at cap*sum(rates) on integer
+    ticks, drawn and sorted per block, the quadratures are propagated with
+    the exact Gauss-Markov update to each candidate's own time (Gillespie),
+    and a candidate is kept with probability I(t)/cap, which is exact for
+    intensities below the cap. Kept events are then routed by rate share.
     """
-    tau_c_ticks = coherence_time_s * TICKS_PER_SECOND
-    step_lag = step_ticks / tau_c_ticks
     n_channels = len(rates_hz)
-    accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
     total_rate = sum(rates_hz)
     if duration_ticks <= 0 or total_rate <= 0:
         return [np.empty(0, dtype=np.int64) for _ in range(n_channels)]
+    tau_c_ticks = coherence_time_s * TICKS_PER_SECOND
+    # a uniform u routes to the number of bounds at or below it
+    bounds = np.cumsum(rates_hz)[:-1] / total_rate
     expected = cap * total_rate * duration_ticks / TICKS_PER_SECOND
     n_blocks = max(1, math.ceil(expected / _CANDIDATE_BLOCK))
     block_ticks = -(-duration_ticks // n_blocks)  # ceil division
-    block_ticks = -(-block_ticks // step_ticks) * step_ticks  # align to step grid
-    # candidates sort once per block on (time << bits | channel) packed keys
-    bits = max(1, (n_channels - 1).bit_length())
-    if duration_ticks >> (62 - bits):
-        raise ConfigurationError("duration too long for packed candidate keys")
-    channel_mask = (1 << bits) - 1
+    accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
     carry_x = carry_y = 0.0
-    carry_step = None
-    lo = 0
-    while lo < duration_ticks:
+    carry_time = None
+    for lo in range(0, duration_ticks, block_ticks):
         hi = min(lo + block_ticks, duration_ticks)
-        block_seconds = (hi - lo) / TICKS_PER_SECOND
-        cand_keys = []
-        for ch, rate in enumerate(rates_hz):
-            n = rng_candidates.poisson(cap * rate * block_seconds) if rate > 0 else 0
-            draws = rng_candidates.integers(lo, hi, size=n, dtype=np.int64)
-            cand_keys.append((draws << bits) | ch)
-        keys = np.concatenate(cand_keys)
-        if keys.size:
-            keys.sort()
-            times = keys >> bits
-            channels = keys & channel_mask
-            steps = times // step_ticks
-            fresh = np.empty(steps.size, dtype=bool)
-            fresh[0] = True
-            np.not_equal(steps[1:], steps[:-1], out=fresh[1:])
-            occupied = steps[fresh]
-            lags = np.empty(occupied.size, dtype=np.float64)
-            if carry_step is None:
-                lags[0] = np.inf
-            else:
-                lags[0] = (occupied[0] - carry_step) * step_lag
-            np.multiply(np.diff(occupied), step_lag, out=lags[1:], casting="unsafe")
-            x, y = _gauss_markov_scan_pair(
-                lags,
-                rng_field.standard_normal(occupied.size),
-                rng_field.standard_normal(occupied.size),
-                carry_x,
-                carry_y,
-            )
-            intensity = 0.5 * (x * x + y * y)
-            carry_x, carry_y, carry_step = x[-1], y[-1], int(occupied[-1])
-            step_index = np.cumsum(fresh) - 1
-            keep = rng_accept.random(times.size) * cap < intensity[step_index]
-            kept_times = times[keep]
-            kept_channels = channels[keep]
-            for ch in range(n_channels):
-                accepted[ch].append(kept_times[kept_channels == ch])
-        lo = hi
+        n = rng_candidates.poisson(cap * total_rate * (hi - lo) / TICKS_PER_SECOND)
+        if n == 0:
+            continue
+        times = np.sort(rng_candidates.integers(lo, hi, size=n, dtype=np.int64))
+        lags = np.empty(n, dtype=np.float64)
+        lags[0] = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
+        np.divide(np.diff(times), tau_c_ticks, out=lags[1:])
+        x, y = _gauss_markov_scan_pair(
+            lags, rng_field.standard_normal(n), rng_field.standard_normal(n), carry_x, carry_y
+        )
+        carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
+        kept = times[rng_accept.random(n) * cap < 0.5 * (x * x + y * y)]
+        channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
+        for ch in range(n_channels):
+            accepted[ch].append(kept[channels == ch])
     # block-local sorted segments concatenate into globally sorted streams
     return [
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in accepted
@@ -403,7 +361,6 @@ def simulate_ranging_scenario(config: ScenarioConfig):
     holds every ground-truth parameter needed to check recovered quantities.
     """
     src = config.source
-    step_ticks = config.field_step_ticks()
     duration_ticks = seconds_to_ticks(config.duration_s)
     delay_s = delay_from_range(config.distance_m, config.medium)
     delay_ticks = seconds_to_ticks(delay_s)
@@ -421,7 +378,6 @@ def simulate_ranging_scenario(config: ScenarioConfig):
     signal_ref, signal_probe = _sample_cox_channels(
         [rate_ref, rate_probe],
         src.coherence_time_s,
-        step_ticks,
         duration_ticks,
         config.intensity_cap,
         rng_candidates=np.random.default_rng(seeds[0]),
@@ -455,7 +411,6 @@ def simulate_ranging_scenario(config: ScenarioConfig):
         "seed": config.seed,
         "duration_s": config.duration_s,
         "coherence_time_s": src.coherence_time_s,
-        "field_step_ps": step_ticks,
         "intensity_cap": config.intensity_cap,
         "distance_m": config.distance_m,
         "refractive_index": config.medium.refractive_index,

@@ -36,12 +36,18 @@ def _pico(value) -> float:
     return float(value) * 1e-12
 
 
-def _optional_pico(value) -> float | None:
-    return None if value is None else _pico(value)
-
-
 def _as_is(value):
     return value
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+def _window(value) -> tuple[int, int]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError("must be [min, max]")
+    return int(value[0]), int(value[1])
 
 
 # Document key -> (constructor keyword, conversion from the document's unit).
@@ -62,7 +68,6 @@ _SCENARIO_FIELDS = {
     "ambient_rate_ref_hz": ("ambient_rate_ref_hz", float),
     "duration_s": ("duration_s", float),
     "seed": ("seed", int),
-    "field_step_ps": ("field_step_s", _optional_pico),
     "intensity_cap": ("intensity_cap", float),
 }
 _DETECTOR_FIELDS = {
@@ -70,6 +75,11 @@ _DETECTOR_FIELDS = {
     "jitter_fwhm_ps": ("jitter_fwhm_s", _pico),
     "dead_time_ps": ("dead_time_s", _pico),
     "dark_rate_hz": ("dark_rate_hz", float),
+}
+_CORRELATION_FIELDS = {
+    "bin_width_ps": ("bin_width_ps", int),
+    "window_ps": ("window_ps", _window),
+    "chunk_ticks": ("chunk_ticks", _optional_int),
 }
 _FIT_FIELDS = {
     "max_iterations": ("max_iterations", int),
@@ -83,10 +93,9 @@ _OUTPUT_FIELDS = {
 
 _SCENARIO_KEYS = set(_SOURCE_FIELDS) | set(_SCENARIO_FIELDS) | {"detectors"}
 _DETECTOR_KEYS = set(_DETECTOR_FIELDS)
-_CORRELATION_KEYS = {"bin_width_ps", "window_ps", "chunk_ticks"}
 _SECTION_KEYS = {
     "scenario": _SCENARIO_KEYS,
-    "correlation": _CORRELATION_KEYS,
+    "correlation": set(_CORRELATION_FIELDS),
     "fit": set(_FIT_FIELDS),
     "output": set(_OUTPUT_FIELDS),
 }
@@ -114,7 +123,14 @@ def _check_keys(section: str, mapping: dict, allowed: set) -> None:
 
 def _keywords(mapping: dict, fields: dict) -> dict:
     """Constructor keywords for the keys of ``mapping`` that ``fields`` names."""
-    return {name: convert(mapping[key]) for key, (name, convert) in fields.items() if key in mapping}
+    keywords = {}
+    for key, (name, convert) in fields.items():
+        if key in mapping:
+            try:
+                keywords[name] = convert(mapping[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value {mapping[key]!r} for {key!r}: {exc}") from None
+    return keywords
 
 
 def validate_document(doc: dict) -> None:
@@ -127,7 +143,10 @@ def validate_document(doc: dict) -> None:
             if not isinstance(doc[section], dict):
                 raise ConfigError(f"section {section!r} must be an object")
             _check_keys(section, doc[section], keys)
-    for i, det in enumerate(doc.get("scenario", {}).get("detectors", [])):
+    detectors = doc.get("scenario", {}).get("detectors", [])
+    if not isinstance(detectors, list):
+        raise ConfigError(f"scenario key 'detectors' must be a list, got {detectors!r}")
+    for i, det in enumerate(detectors):
         if not isinstance(det, dict):
             raise ConfigError(f"detector {i} must be an object")
         _check_keys(f"detectors[{i}]", det, _DETECTOR_KEYS)
@@ -160,15 +179,7 @@ def correlation_from_document(doc: dict) -> CorrelationSettings:
     for key in ("bin_width_ps", "window_ps"):
         if key not in co:
             raise ConfigError(f"correlation is missing required key {key!r}")
-    window = co["window_ps"]
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError(f"window_ps must be [min, max], got {window!r}")
-    chunk = co.get("chunk_ticks")
-    return CorrelationSettings(
-        bin_width_ps=int(co["bin_width_ps"]),
-        window_ps=(int(window[0]), int(window[1])),
-        chunk_ticks=None if chunk is None else int(chunk),
-    )
+    return CorrelationSettings(**_keywords(co, _CORRELATION_FIELDS))
 
 
 def fit_from_document(doc: dict) -> dict:

@@ -237,10 +237,6 @@ def read_tags(path):
 def write_text_tags(streams, resolution_ps: int, path) -> None:
     """Write the newline-delimited debug twin: ``ticks_ps,channel`` rows."""
     resolution_ps = _check_resolution(resolution_ps)
-    if not 1 <= len(streams) <= MAX_CHANNELS:
-        raise TagFileError(
-            f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"
-        )
     ticks, channels = _merge_streams(streams)
     with open(path, "w", newline="\n") as f:
         f.write(f"# resolution_ps={resolution_ps}\n")

@@ -75,6 +75,7 @@ class TestConfigHandling:
         ("detectors", "saturation_rate_hz"),
         ("output", "histogram_path"),
         ("output", "fit_path"),
+        ("scenario", "field_step_ps"),
     ])
     def test_removed_keys_rejected(self, section, key):
         doc = presets.load_preset("short-range")
@@ -84,6 +85,15 @@ class TestConfigHandling:
             doc[section][key] = None
         with pytest.raises(presets.ConfigError, match=key):
             presets.validate_document(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bin_width_ps", [1]), ("window_ps", 10), ("window_ps", ["a", 1]), ("chunk_ticks", {}),
+    ])
+    def test_bad_correlation_value_names_key(self, key, value):
+        doc = presets.load_preset("short-range")
+        doc["correlation"][key] = value
+        with pytest.raises(presets.ConfigError, match=key):
+            presets.correlation_from_document(doc)
 
     def test_omitted_keys_take_dataclass_defaults(self):
         required = {"wavelength_nm": 518.0, "coherence_time_ns": 23.2,
@@ -314,6 +324,24 @@ class TestExitCodes:
     def test_missing_file_is_user_error(self, capsys):
         assert cli.main(["fit", "--in", "/nonexistent/h.csv"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("assignment, key", [
+        ("scenario.detectors=5", "detectors"),
+        ("scenario.source_rate_hz=[1]", "source_rate_hz"),
+        ("scenario.field_step_ps=null", "field_step_ps"),
+    ])
+    def test_bad_config_value_is_user_error(self, tmp_path, assignment, key, capsys):
+        code = cli.main(["simulate", "--preset", "short-range", "--set", assignment,
+                         "--out", str(tmp_path / "x.bin")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--distance-m", "2e15"), ("--duration-s", "1e8")])
+    def test_tick_overflow_is_user_error(self, tmp_path, mini_config, flag, value, capsys):
+        code = cli.main(["simulate", "--config", mini_config, flag, value,
+                         "--out", str(tmp_path / "x.bin")])
+        assert code == 1
+        assert "64-bit" in capsys.readouterr().err
 
     def test_bad_window_format(self, tmp_path, mini_config, capsys):
         assert cli.main(["correlate", "--in", "x", "--bin-width-ps", "10",

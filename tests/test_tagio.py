@@ -94,8 +94,11 @@ class TestBinaryRoundTrip:
         assert streams[0].times.tolist() == [2000, 4000]
 
     def test_three_channels_rejected(self, tmp_path):
+        streams = make_streams([[1], [2], [3]])
         with pytest.raises(tagio.TagFileError):
-            tagio.write_tags(make_streams([[1], [2], [3]]), 1, tmp_path / "x.bin")
+            tagio.write_tags(streams, 1, tmp_path / "x.bin")
+        with pytest.raises(tagio.TagFileError):
+            tagio.write_text_tags(streams, 1, tmp_path / "x.txt")
 
     def test_unsupported_resolution_rejected(self, tmp_path):
         with pytest.raises(tagio.TagFileError):
