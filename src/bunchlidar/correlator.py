@@ -260,15 +260,24 @@ def write_histogram_csv(h: CorrelationHistogram, path) -> None:
 
 def read_histogram_csv(path):
     """Read a histogram CSV back as (tau_ps, counts, g2, sigma) arrays."""
+    rows = []
     with open(path, "r", newline="") as f:
         header = f.readline().strip()
         if header != "tau_ps,counts,g2,sigma":
             raise CorrelationError(f"unexpected CSV header: {header!r}")
-        rows = [line.strip().split(",") for line in f if line.strip()]
+        for line_no, line in enumerate(f, start=2):
+            fields = line.split(",")
+            if len(fields) != 4:
+                if not line.strip():
+                    continue
+                raise CorrelationError(
+                    f"histogram CSV line {line_no}: expected 4 fields, got {len(fields)}"
+                )
+            try:
+                rows.append((float(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])))
+            except ValueError as exc:
+                raise CorrelationError(f"histogram CSV line {line_no}: {exc}") from None
     if not rows:
         raise CorrelationError("histogram CSV contains no bins")
-    tau = np.array([float(r[0]) for r in rows])
-    counts = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    g2 = np.array([float(r[2]) for r in rows])
-    sigma = np.array([float(r[3]) for r in rows])
-    return tau, counts, g2, sigma
+    tau, counts, g2, sigma = zip(*rows)
+    return np.array(tau), np.array(counts, dtype=np.int64), np.array(g2), np.array(sigma)

@@ -15,12 +15,15 @@ exactly from one candidate time to the next, keeps each candidate with
 probability I/cap at its own time, routes the kept events to the channels
 by rate share, and delays the probe channel by the round-trip time. The
 field is sampled only where candidates fall, so second-scale acquisitions
-with nanosecond (or picosecond) coherence times stay practical.
+with nanosecond (or picosecond) coherence times stay practical. The sampler
+shares each block's work with one helper thread; the streams it returns do
+not depend on that (see `_gauss_markov_scan_pair`).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,10 @@ class ScenarioConfig:
 
 _SCAN_COLUMNS = 64
 
+# Rows of _SCAN_COLUMNS candidates per scan tile: a tile's transposed work
+# arrays stay in a core's cache while the row recursion sweeps them.
+_TILE_ROWS = 1024
+
 
 def _affine_scan(gain: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray):
     """Inclusive scan over affine maps x -> gain*x + offset, two offset tracks.
@@ -166,72 +173,200 @@ def _affine_scan(gain: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray):
         shift *= 2
 
 
-def _gauss_markov_scan_pair(
-    lags: np.ndarray,
-    noise_x: np.ndarray,
-    noise_y: np.ndarray,
-    carry_x: float,
-    carry_y: float,
-):
+class _TileScratch:
+    """One thread's cache-sized scratch arrays for a tile of the scan."""
+
+    def __init__(self, tile_rows: int):
+        size = tile_rows * _SCAN_COLUMNS
+        self.lags = np.empty(size)
+        self.a = np.empty(size)
+        self.tmp = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+        self.xy = np.empty(2 * size)
+        self.step = np.empty(2 * tile_rows)
+
+
+class _BlockWork:
+    """Work buffers of one candidate block and the one helper thread.
+
+    A sampler call opens one of these and reuses it for every block: the
+    block-sized buffers grow when a block needs more room and are never
+    allocated again otherwise. ``x``/``y`` take the noise in and the chains
+    out, ``u`` the acceptance uniforms, ``keep`` the thinning verdicts.
+    The helper thread is shut down (joined) when the ``with`` block exits.
+    """
+
+    def __init__(self):
+        self.tile_rows = _TILE_ROWS
+        self.capacity = 0
+        self._scratch = (_TileScratch(self.tile_rows), _TileScratch(self.tile_rows))
+        self.helper = ThreadPoolExecutor(max_workers=1)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.helper.shutdown(wait=True)
+
+    def reserve(self, n: int) -> None:
+        """Make room for a block of ``n`` samples padded to whole rows."""
+        size = -(-n // _SCAN_COLUMNS) * _SCAN_COLUMNS
+        if size <= self.capacity:
+            return
+        # grow geometrically: Poisson block sizes set a new maximum now and then
+        size = max(size, self.capacity + self.capacity // 8)
+        self.capacity = size
+        rows = size // _SCAN_COLUMNS
+        self.lags, self.x, self.y, self.u, self.prefix = (np.empty(size) for _ in range(5))
+        self.keep = np.empty(size, dtype=bool)
+        self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = (
+            np.empty(rows) for _ in range(5)
+        )
+
+    def each_tile(self, rows: int, fn, *args) -> None:
+        """Run ``fn(self, scratch, r0, r1, *args)`` over the tiles of ``rows``.
+
+        This thread takes the first half of the tiles, the helper the rest;
+        each writes only its own rows, with its own scratch.
+        """
+        starts = range(0, rows, self.tile_rows)
+        cut = (len(starts) + 1) // 2
+
+        def run(part, scratch):
+            for r0 in part:
+                fn(self, scratch, r0, min(r0 + self.tile_rows, rows), *args)
+
+        helped = None
+        if cut < len(starts):
+            helped = self.helper.submit(run, starts[cut:], self._scratch[1])
+        try:
+            run(starts[:cut], self._scratch[0])
+        finally:
+            if helped is not None:
+                helped.result()
+
+
+def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
+    """Pass 1 on rows r0..r1: row-local chains, decay prefixes, row-end states."""
+    cols = _SCAN_COLUMNS
+    t = r1 - r0
+    span = slice(r0 * cols, r1 * cols)
+    lags = work.lags[span].reshape(t, cols)
+    # transposed (cols, t) copies keep each column's step contiguous; x and y
+    # are interleaved so one multiply-add per column serves both chains
+    lags_t = scratch.lags[: cols * t].reshape(cols, t)
+    a = scratch.a[: cols * t].reshape(cols, t)
+    scale = scratch.tmp[: cols * t].reshape(cols, t)
+    mask = scratch.mask[: cols * t].reshape(cols, t)
+    xy = scratch.xy[: 2 * cols * t].reshape(cols, 2, t)
+    np.copyto(lags_t, lags.T)
+    np.negative(lags_t, out=a)
+    np.exp(a, out=a)
+    np.greater_equal(lags_t, _RESTART_LAG, out=mask)
+    a[mask] = 0.0
+    np.multiply(lags_t, -2.0, out=scale)
+    np.expm1(scale, out=scale)
+    np.negative(scale, out=scale)
+    np.sqrt(scale, out=scale)
+    noise_x = work.x[span].reshape(t, cols)
+    noise_y = work.y[span].reshape(t, cols)
+    np.copyto(xy[:, 0], noise_x.T)
+    np.copyto(xy[:, 1], noise_y.T)
+    xy *= scale[:, None, :]
+    # within-row decay products in log space, flushed to zero past the
+    # restart threshold: never touches subnormal arithmetic
+    decay = scratch.tmp[: t * cols].reshape(t, cols)
+    mask = scratch.mask[: t * cols].reshape(t, cols)
+    prefix = work.prefix[span].reshape(t, cols)
+    np.cumsum(lags, axis=1, out=decay)
+    np.negative(decay, out=prefix)
+    np.exp(prefix, out=prefix)
+    np.greater(decay, _RESTART_LAG, out=mask)
+    prefix[mask] = 0.0
+    step = scratch.step[: 2 * t].reshape(2, t)
+    for k in range(1, cols):
+        np.multiply(a[k], xy[k - 1], out=step)
+        xy[k] += step
+    np.copyto(noise_x, xy[:, 0].T)
+    np.copyto(noise_y, xy[:, 1].T)
+    work.gain[r0:r1] = prefix[:, -1]
+    work.end_x[r0:r1] = xy[-1, 0]
+    work.end_y[r0:r1] = xy[-1, 1]
+
+
+def _finish_tile_rows(
+    work: _BlockWork, scratch: _TileScratch, r0: int, r1: int, cap: float
+) -> None:
+    """Pass 2 on rows r0..r1: add each row's entry state, then thin at u*cap < I."""
+    cols = _SCAN_COLUMNS
+    t = r1 - r0
+    span = slice(r0 * cols, r1 * cols)
+    x = work.x[span].reshape(t, cols)
+    y = work.y[span].reshape(t, cols)
+    prefix = work.prefix[span].reshape(t, cols)
+    tmp = scratch.tmp[: t * cols].reshape(t, cols)
+    y_squared = scratch.lags[: t * cols].reshape(t, cols)
+    np.multiply(prefix, work.entry_x[r0:r1, None], out=tmp)
+    x += tmp
+    np.multiply(prefix, work.entry_y[r0:r1, None], out=tmp)
+    y += tmp
+    intensity = tmp
+    np.multiply(x, x, out=intensity)
+    np.multiply(y, y, out=y_squared)
+    intensity += y_squared
+    intensity *= 0.5
+    u = work.u[span].reshape(t, cols)
+    u *= cap
+    np.less(u, intensity, out=work.keep[span].reshape(t, cols))
+
+
+def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: float, cap: float):
     """Sample two stationary unit-variance Gauss-Markov chains at shared lags.
 
+    On entry ``work.lags[:n]`` holds the lags, ``work.x[:n]``/``work.y[:n]``
+    standard normal noise and ``work.u[:n]`` uniforms (n >= 1, reserved).
     ``lags[i]`` is the time since sample i-1 in units of the correlation time;
     ``lags[0]`` is measured from the carried-in state (pass ``np.inf`` to start
     from the stationary distribution). Each step applies the exact update
-    x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lags[i]).
+    x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lags[i]). On return
+    ``work.x[:n]``/``work.y[:n]`` hold the chains and ``work.keep[:n]`` the
+    thinning verdicts u*cap < (x^2 + y^2)/2; the returned views are
+    overwritten by the next call.
 
-    Vectorized as a blocked scan: a sequential sweep across 64 columns handles
-    rows of 64 consecutive steps in parallel, and an affine scan stitches the
-    row boundary states, so total work is ~4 multiply-adds per sample.
+    Vectorized as a blocked scan over rows of 64 consecutive samples, so
+    total work is ~4 multiply-adds per sample. The rows are cut into tiles of
+    ``_TILE_ROWS``. Pass 1 runs per tile: a sequential sweep across the 64
+    columns of a transposed copy of the tile solves every row from a zero
+    entry state, and the tile records each row's end state and its decay
+    product. The affine scan then stitches the row-end states of the whole
+    block into each row's entry state, and pass 2 runs per tile again,
+    adding prefix*entry and thinning. The tiles of each pass are split
+    between this thread and the helper; they write disjoint rows, and every
+    element goes through the same operations in the same order whichever
+    thread or tile computes it, so the output does not depend on the
+    scheduling or the thread count. The transcendental ufuncs (exp, expm1,
+    sqrt) see only C-contiguous arrays, as in the full-block scan this
+    replaced, so each element takes the same vector loop as before.
     """
-    n = lags.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty.copy()
     cols = _SCAN_COLUMNS
     rows = -(-n // cols)
-    pad = rows * cols - n
-    if pad:
-        lags = np.concatenate([lags, np.full(pad, np.inf)])
-        noise_x = np.concatenate([noise_x, np.zeros(pad)])
-        noise_y = np.concatenate([noise_y, np.zeros(pad)])
-    a = np.exp(-lags)
-    a[lags >= _RESTART_LAG] = 0.0
-    scale = np.sqrt(-np.expm1(-2.0 * lags))
-    wx = scale * noise_x
-    wy = scale * noise_y
-    # within-chunk decay products in log space, flushed to zero past the
-    # restart threshold: never touches subnormal arithmetic
-    decay = np.cumsum(lags.reshape(rows, cols), axis=1)
-    # transposed (cols, rows) layout keeps the per-column recursion contiguous
-    a = np.ascontiguousarray(a.reshape(rows, cols).T)
-    x = np.ascontiguousarray(wx.reshape(rows, cols).T)
-    y = np.ascontiguousarray(wy.reshape(rows, cols).T)
-    decay = np.ascontiguousarray(decay.T)
-    prefix = np.exp(-decay)
-    prefix[decay > _RESTART_LAG] = 0.0
-    tmp = np.empty(rows)
-    for k in range(1, cols):
-        ak = a[k]
-        np.multiply(ak, x[k - 1], out=tmp)
-        x[k] += tmp
-        np.multiply(ak, y[k - 1], out=tmp)
-        y[k] += tmp
-    # stitch rows: entry state of chunk r is the composed map of chunks 0..r-1
+    pad = slice(n, rows * cols)
+    work.lags[pad] = np.inf
+    work.x[pad] = 0.0
+    work.y[pad] = 0.0
+    work.u[pad] = 0.0
+    work.each_tile(rows, _scan_tile_rows)
+    # stitch rows: entry state of row r is the composed map of rows 0..r-1
     # applied to the carry
-    gain = prefix[-1].copy()
-    end_x = x[-1].copy()
-    end_y = y[-1].copy()
+    gain, end_x, end_y = work.gain[:rows], work.end_x[:rows], work.end_y[:rows]
     _affine_scan(gain, end_x, end_y)
-    entry_x = np.empty(rows)
-    entry_y = np.empty(rows)
+    entry_x, entry_y = work.entry_x[:rows], work.entry_y[:rows]
     entry_x[0] = carry_x
     entry_y[0] = carry_y
     entry_x[1:] = gain[:-1] * carry_x + end_x[:-1]
     entry_y[1:] = gain[:-1] * carry_y + end_y[:-1]
-    x += prefix * entry_x[None, :]
-    y += prefix * entry_y[None, :]
-    return x.T.reshape(-1)[:n], y.T.reshape(-1)[:n]
+    work.each_tile(rows, _finish_tile_rows, cap)
+    return work.x[:n], work.y[:n]
 
 
 def dead_time_filter(times: np.ndarray, dead_ticks: int) -> np.ndarray:
@@ -292,6 +427,12 @@ def _detector_noise(
     return times
 
 
+def _draw_field_noise(work: _BlockWork, n: int, rng_field) -> None:
+    """Fill a block's field noise (the same draws as two size=n calls)."""
+    rng_field.standard_normal(out=work.x[:n])
+    rng_field.standard_normal(out=work.y[:n])
+
+
 def _sample_cox_channels(
     rates_hz,
     coherence_time_s: float,
@@ -326,23 +467,29 @@ def _sample_cox_channels(
     accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
     carry_x = carry_y = 0.0
     carry_time = None
-    for lo in range(0, duration_ticks, block_ticks):
-        hi = min(lo + block_ticks, duration_ticks)
-        n = rng_candidates.poisson(cap * total_rate * (hi - lo) / TICKS_PER_SECOND)
-        if n == 0:
-            continue
-        times = np.sort(rng_candidates.integers(lo, hi, size=n, dtype=np.int64))
-        lags = np.empty(n, dtype=np.float64)
-        lags[0] = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
-        np.divide(np.diff(times), tau_c_ticks, out=lags[1:])
-        x, y = _gauss_markov_scan_pair(
-            lags, rng_field.standard_normal(n), rng_field.standard_normal(n), carry_x, carry_y
-        )
-        carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
-        kept = times[rng_accept.random(n) * cap < 0.5 * (x * x + y * y)]
-        channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
-        for ch in range(n_channels):
-            accepted[ch].append(kept[channels == ch])
+    with _BlockWork() as work:
+        for lo in range(0, duration_ticks, block_ticks):
+            hi = min(lo + block_ticks, duration_ticks)
+            n = rng_candidates.poisson(cap * total_rate * (hi - lo) / TICKS_PER_SECOND)
+            if n == 0:
+                continue
+            work.reserve(n)
+            # the helper draws the field noise meanwhile
+            noise = work.helper.submit(_draw_field_noise, work, n, rng_field)
+            times = rng_candidates.integers(lo, hi, size=n, dtype=np.int64)
+            times.sort()
+            lags = work.lags[:n]
+            lags[0] = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
+            np.subtract(times[1:], times[:-1], out=lags[1:])
+            lags[1:] /= tau_c_ticks
+            rng_accept.random(out=work.u[:n])
+            noise.result()
+            x, y = _gauss_markov_scan_pair(work, n, carry_x, carry_y, cap)
+            carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
+            kept = times[work.keep[:n]]
+            channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
+            for ch in range(n_channels):
+                accepted[ch].append(kept[channels == ch])
     # block-local sorted segments concatenate into globally sorted streams
     return [
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in accepted

@@ -274,6 +274,21 @@ class TestCorrelateFitRange:
         assert cli.main(["fit", "--in", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row, expected", [
+        ("2500.0,100,1.0", "line 4: expected 4 fields, got 3"),
+        ("2500.0,100,1.0,0.01,7", "line 4: expected 4 fields, got 5"),
+        ("2500.0,many,1.0,0.01", "line 4"),
+        ("2500.0,100,1.0,tiny", "line 4"),
+    ])
+    def test_malformed_csv_row_names_line(self, tmp_path, capsys, bad_row, expected):
+        path = tmp_path / "bad.csv"
+        rows = ["tau_ps,counts,g2,sigma", "500.0,100,1.0,0.01", "1500.0,100,1.0,0.01",
+                bad_row, "3500.0,100,1.0,0.01"]
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["fit", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert expected in err and "Traceback" not in err
+
 
 class TestSnrCommand:
     def test_predict_mode(self, capsys):

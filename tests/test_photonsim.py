@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,25 +15,36 @@ from bunchlidar.quantities import DomainError, SourceSpec, TickOverflowError
 TAU_C = 23.2e-9
 
 
+def scan_block(work, lags, noise_x, noise_y, carry_x, carry_y, uniforms=None):
+    """Run the block kernel on one block in ``work``; returns views of x, y, keep."""
+    n = lags.size
+    work.reserve(n)
+    work.lags[:n] = lags
+    work.x[:n] = noise_x
+    work.y[:n] = noise_y
+    work.u[:n] = 0.0 if uniforms is None else uniforms
+    x, y = ps._gauss_markov_scan_pair(work, n, carry_x, carry_y, ps.DEFAULT_INTENSITY_CAP)
+    return x, y, work.keep[:n]
+
+
 def field_intensity(tau_c_steps, n_steps, seed, chunk=1_000_000):
     """Normalized intensity of the scenario path's field on a uniform step grid.
 
-    Chains ``_gauss_markov_scan_pair`` over chunks through its carried-in
-    state, starting from the stationary distribution.
+    Chains the block kernel over chunks through its carried-in state,
+    starting from the stationary distribution.
     """
     rng = np.random.default_rng(seed)
     intensity = np.empty(n_steps)
     x = y = 0.0
-    for lo in range(0, n_steps, chunk):
-        n = min(chunk, n_steps - lo)
-        lags = np.full(n, 1.0 / tau_c_steps)
-        if lo == 0:
-            lags[0] = np.inf
-        xs, ys = ps._gauss_markov_scan_pair(
-            lags, rng.standard_normal(n), rng.standard_normal(n), x, y
-        )
-        intensity[lo : lo + n] = 0.5 * (xs * xs + ys * ys)
-        x, y = xs[-1], ys[-1]
+    with ps._BlockWork() as work:
+        for lo in range(0, n_steps, chunk):
+            n = min(chunk, n_steps - lo)
+            lags = np.full(n, 1.0 / tau_c_steps)
+            if lo == 0:
+                lags[0] = np.inf
+            xs, ys, _ = scan_block(work, lags, rng.standard_normal(n), rng.standard_normal(n), x, y)
+            intensity[lo : lo + n] = 0.5 * (xs * xs + ys * ys)
+            x, y = xs[-1], ys[-1]
     return intensity
 
 
@@ -81,20 +95,63 @@ class TestGaussMarkovScan:
             out[i] = state
         return out
 
-    @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_sequential_recursion(self, n, seed):
+    @staticmethod
+    def _random_block(n, seed):
         rng = np.random.default_rng(seed)
         lags = rng.exponential(rng.uniform(0.05, 30.0), n)
         # candidates that share a tick give zero lags
         lags[rng.random(n) < 0.2] = 0.0
         if rng.random() < 0.5:
             lags[0] = np.inf
-        nx = rng.standard_normal(n)
-        ny = rng.standard_normal(n)
-        x, y = ps._gauss_markov_scan_pair(lags.copy(), nx.copy(), ny.copy(), 0.4, -1.1)
+        return lags, rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
+
+    def _check(self, work, n, seed):
+        lags, nx, ny, u = self._random_block(n, seed)
+        x, y, keep = scan_block(work, lags, nx, ny, 0.4, -1.1, uniforms=u)
         assert np.allclose(x, self._sequential(lags, nx, 0.4), atol=1e-9)
         assert np.allclose(y, self._sequential(lags, ny, -1.1), atol=1e-9)
+        assert np.array_equal(keep, u * ps.DEFAULT_INTENSITY_CAP < 0.5 * (x * x + y * y))
+
+    @given(st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sequential_recursion(self, n, seed):
+        with ps._BlockWork() as work:
+            self._check(work, n, seed)
+
+    @pytest.mark.parametrize("tile_rows", [1, 2, 3])
+    def test_tiles_and_thread_split(self, monkeypatch, tile_rows):
+        # tiny tiles: blocks of up to 16 rows cross many tile boundaries and
+        # the split between the two threads, with partial last rows; one
+        # workspace serves blocks larger and smaller than those before
+        monkeypatch.setattr(ps, "_TILE_ROWS", tile_rows)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            with ps._BlockWork() as work:
+                for seed, n in enumerate([1, 64, 65, 130, 1000, 200, 577, 999, 3]):
+                    self._check(work, n, seed)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_golden_field_bytes(self, monkeypatch):
+        # the chains bit for bit, so a change to the kernel's arithmetic shows
+        # even where it flips no thinning verdict; the digest is that of the
+        # full-block scan this kernel replaced
+        monkeypatch.setattr(ps, "_TILE_ROWS", 2)
+        digest = hashlib.sha256()
+        with ps._BlockWork() as work:
+            for n, seed, mean_lag in [(1000, 31, 0.003), (777, 32, 2.0)]:
+                rng = np.random.default_rng(seed)
+                lags = rng.exponential(mean_lag, n)
+                lags[rng.random(n) < 0.2] = 0.0
+                lags[0] = np.inf
+                nx, ny = rng.standard_normal(n), rng.standard_normal(n)
+                x, y, _ = scan_block(work, lags, nx, ny, 0.4, -1.1)
+                digest.update(x.tobytes())
+                digest.update(y.tobytes())
+        assert digest.hexdigest() == (
+            "c816d478aac549fecd8fae51b5b665462e37e6ceec9614fe9a158bc000d8870d"
+        )
 
 
 def cox_arrivals(rates_hz, coherence_time_s, duration_s, seed):
@@ -140,6 +197,22 @@ class TestGenerateArrivals:
             assert times[0] >= 0 and times[-1] < duration_ticks
             # a float draw at this span would land on multiples of 2**10
             assert np.any(times % 1024 != 0)
+
+    def test_golden_bytes(self, monkeypatch):
+        # several blocks, a buffer growth and many tiles per block; the
+        # digests are those of the full-block scan this kernel replaced, so
+        # a change that alters the random stream must update them on purpose
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
+        monkeypatch.setattr(ps, "_TILE_ROWS", 2)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
+        streams = ps._sample_cox_channels(
+            [3e6, 6e7], 5e-9, 50_000_000, ps.DEFAULT_INTENSITY_CAP, *rngs
+        )
+        assert [s.size for s in streams] == [144, 2965]
+        assert [hashlib.sha256(s.tobytes()).hexdigest() for s in streams] == [
+            "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
+            "3a5625d5615ca82ef357bffbc1764e59b1169d09d681835be8ce12fd828fbfcf",
+        ]
 
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
@@ -319,6 +392,11 @@ class TestScenario:
         assert np.array_equal(ref1.times, ref2.times)
         assert np.array_equal(probe1.times, probe2.times)
         assert truth1 == truth2
+
+    def test_no_helper_thread_left_running(self):
+        before = threading.active_count()
+        ps.simulate_ranging_scenario(self._config(duration_s=0.01))
+        assert threading.active_count() == before
 
     def test_zero_duration(self):
         ref, probe, _ = ps.simulate_ranging_scenario(self._config(duration_s=0.0))
