@@ -27,7 +27,6 @@ from .photonsim import (
 from .correlator import (
     CorrelationConfig,
     CorrelationHistogram,
-    autocorrelate,
     cross_correlate,
     cross_correlate_bruteforce,
     merge_histograms,

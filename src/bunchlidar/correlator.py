@@ -99,7 +99,6 @@ def _sweep_counts(
     a: np.ndarray,
     b: np.ndarray,
     config: CorrelationConfig,
-    exclude_same_index: bool,
 ) -> np.ndarray:
     """Vectorized two-cursor sweep; exact integer binning of in-window pairs."""
     counts = np.zeros(config.n_bins, dtype=np.int64)
@@ -107,9 +106,6 @@ def _sweep_counts(
         return counts
     lo = np.searchsorted(b, a + config.tau_min_ticks, side="left")
     hi = np.searchsorted(b, a + config.tau_max_ticks, side="left")
-    if exclude_same_index:
-        lo = np.maximum(lo, np.arange(1, a.size + 1))
-        hi = np.maximum(hi, lo)
     per_event = hi - lo
     boundaries = np.cumsum(per_event)
     total = int(boundaries[-1])
@@ -152,7 +148,7 @@ def cross_correlate(
     duration = max(a.duration_ticks, b.duration_ticks)
     counts = np.zeros(config.n_bins, dtype=np.int64)
     if chunk_ticks is None:
-        counts = _sweep_counts(a.times, b.times, config, exclude_same_index=False)
+        counts = _sweep_counts(a.times, b.times, config)
     else:
         if chunk_ticks <= 0:
             raise CorrelationError(f"chunk size must be positive, got {chunk_ticks}")
@@ -164,25 +160,10 @@ def cross_correlate(
             a_slice = a.times[start:stop]
             b_lo = np.searchsorted(b.times, edge + config.tau_min_ticks)
             b_hi = np.searchsorted(b.times, edge + chunk_ticks + config.tau_max_ticks)
-            counts += _sweep_counts(
-                a_slice, b.times[b_lo:b_hi], config, exclude_same_index=False
-            )
+            counts += _sweep_counts(a_slice, b.times[b_lo:b_hi], config)
             start = int(stop)
     return CorrelationHistogram(
         config=config, counts=counts, n_a=len(a), n_b=len(b), duration_ticks=duration
-    )
-
-
-def autocorrelate(a: EventStream, config: CorrelationConfig) -> CorrelationHistogram:
-    """Histogram t_a[j] - t_a[i] over strictly j > i pairs (no self-pairs).
-
-    Distinct simultaneous events still count; intended for windows starting
-    at lag >= 0 since j > i never yields a negative difference.
-    """
-    _check_sorted(a.times, "a")
-    counts = _sweep_counts(a.times, a.times, config, exclude_same_index=True)
-    return CorrelationHistogram(
-        config=config, counts=counts, n_a=len(a), n_b=len(a), duration_ticks=a.duration_ticks
     )
 
 
@@ -190,7 +171,6 @@ def cross_correlate_bruteforce(
     a_times: np.ndarray,
     b_times: np.ndarray,
     config: CorrelationConfig,
-    exclude_same_index: bool = False,
 ) -> np.ndarray:
     """Defining O(N_a * N_b) reference: every pair checked against the window."""
     counts = np.zeros(config.n_bins, dtype=np.int64)
@@ -203,10 +183,6 @@ def cross_correlate_bruteforce(
         chunk = a_times[start : start + rows_per_chunk]
         diffs = b_times[None, :] - chunk[:, None]
         mask = (diffs >= config.tau_min_ticks) & (diffs < config.tau_max_ticks)
-        if exclude_same_index:
-            j = np.arange(b_times.size)[None, :]
-            i = np.arange(start, start + chunk.size)[:, None]
-            mask &= j > i
         k = (diffs[mask] - config.tau_min_ticks) // config.bin_width_ticks
         counts += np.bincount(k, minlength=config.n_bins)
     return counts

@@ -33,6 +33,7 @@ from .quantities import (
     SourceSpec,
     TICKS_PER_SECOND,
     VACUUM,
+    _TICK_MAX,
     delay_from_range,
     seconds_to_ticks,
     shift_ticks,
@@ -372,33 +373,29 @@ def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: f
 def dead_time_filter(times: np.ndarray, dead_ticks: int) -> np.ndarray:
     """Non-paralyzable dead time: drop events within dead_ticks of the last kept one.
 
-    Iterative fixpoint: each pass drops the first too-close event of every run,
-    whose predecessor is provably kept; converges to the sequential-scan result.
+    ``times`` are sorted non-negative ticks. The kept events are the orbit of
+    event 0 under next(i), the first event at least dead_ticks after event i
+    (Mueller, NIM 112, 47 (1973)). The orbit is found by pointer doubling
+    (Wyllie list ranking): after k rounds the kept set holds the first 2^k
+    orbit steps and the jump table maps each event 2^k steps ahead. As
+    next(i) > i, the orbit is complete within log2(n) + 1 rounds: one binary
+    search per event plus one table gather per round: O(n log n) time for
+    any sorted input, O(n) memory.
     """
-    if dead_ticks <= 0 or times.size == 0:
+    n = times.size
+    if dead_ticks <= 0 or n == 0:
         return times
-    kept = times
-    while True:
-        close = np.empty(kept.size, dtype=bool)
-        close[0] = False
-        np.less(np.diff(kept), dead_ticks, out=close[1:])
-        if not close.any():
-            return kept
-        first_of_run = close & ~np.concatenate(([False], close[:-1]))
-        kept = kept[~first_of_run]
-
-
-def dead_time_filter_sequential(times: np.ndarray, dead_ticks: int) -> np.ndarray:
-    """Reference event-by-event dead-time scan (test oracle for the vectorized filter)."""
-    if dead_ticks <= 0 or times.size == 0:
-        return times
-    out = []
-    last = None
-    for t in times.tolist():
-        if last is None or t - last >= dead_ticks:
-            out.append(t)
-            last = t
-    return np.asarray(out, dtype=np.int64)
+    # t + dead_ticks passes the top of int64 only for events with no event
+    # that far after them, so that tail jumps straight to n
+    tail = int(np.searchsorted(times, _TICK_MAX - dead_ticks, side="right"))
+    jump = np.empty(n + 1, dtype=np.intp)
+    jump[:tail] = np.searchsorted(times, times[:tail] + dead_ticks, side="left")
+    jump[tail:] = n
+    orbit = np.zeros(1, dtype=np.intp)
+    while jump[0] != n:
+        orbit = np.concatenate((orbit, jump[orbit]))
+        jump = jump[jump]
+    return times[orbit[orbit < n]]
 
 
 def _detector_noise(

@@ -92,15 +92,6 @@ def linewidth_from_wavelength_spread(wavelength_m: float, wavelength_spread_m: f
     return SPEED_OF_LIGHT * wavelength_spread_m / wavelength_m**2
 
 
-def wavelength_spread_from_linewidth(wavelength_m: float, linewidth_hz: float) -> float:
-    """Wavelength spread lambda^2*df/c in meters (inverse of the above)."""
-    if wavelength_m <= 0:
-        raise DomainError(f"wavelength must be positive, got {wavelength_m}")
-    if linewidth_hz < 0:
-        raise DomainError(f"linewidth must be non-negative, got {linewidth_hz}")
-    return linewidth_hz * wavelength_m**2 / SPEED_OF_LIGHT
-
-
 def photon_rate_from_power(power_w: float, wavelength_m: float) -> float:
     """Photon flux P*lambda/(h*c) in events per second."""
     if wavelength_m <= 0:

@@ -118,27 +118,6 @@ class TestCrossCorrelate:
         assert np.array_equal(forward, backward[::-1])
 
 
-class TestAutocorrelate:
-    def test_excludes_self_pairs_keeps_simultaneous(self):
-        a = stream([100, 100, 200])
-        config = co.CorrelationConfig(50, 0, 200)
-        hist = co.autocorrelate(a, config)
-        # pairs (j>i): (100,100) at 0, (100,200) twice at 100
-        assert hist.counts.tolist() == [1, 0, 2, 0]
-
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_oracle_equality(self, seed):
-        rng = np.random.default_rng(seed)
-        a, _ = random_pair(rng, max_events=600)
-        width = int(rng.integers(1, 40))
-        n_bins = int(rng.integers(1, 40))
-        config = co.CorrelationConfig(width, 0, width * n_bins)
-        got = co.autocorrelate(stream(a), config).counts
-        want = co.cross_correlate_bruteforce(a, a, config, exclude_same_index=True)
-        assert np.array_equal(got, want)
-
-
 class TestMerge:
     def _hist(self, counts, n_a=10, n_b=20, duration=10**9):
         config = co.CorrelationConfig(10, 0, 10 * len(counts))

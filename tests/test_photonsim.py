@@ -2,10 +2,11 @@ import hashlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bunchlidar import photonsim as ps
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
@@ -307,17 +308,59 @@ class TestDelayEvents:
             self._probe(2e15)
 
 
+def dead_time_filter_sequential(times, dead_ticks):
+    """Event-by-event dead-time scan on Python ints: the oracle for dead_time_filter."""
+    if dead_ticks <= 0 or times.size == 0:
+        return times
+    out = []
+    last = None
+    for t in times.tolist():
+        if last is None or t - last >= dead_ticks:
+            out.append(t)
+            last = t
+    return np.asarray(out, dtype=np.int64)
+
+
 class TestDeadTime:
     @given(
-        st.lists(st.integers(min_value=0, max_value=5000), min_size=0, max_size=300),
-        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3_000),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from([1, 2, 7, 50, 200, "span"]),
+        st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_fixpoint_matches_sequential(self, raw_times, dead):
-        times = np.sort(np.asarray(raw_times, dtype=np.int64))
+    @example(seed=1, n=3_000, mean_gap=10, dead="span", at_top=True)
+    @example(seed=2, n=2_000, mean_gap=0, dead=1, at_top=False)
+    @example(seed=3, n=3_000, mean_gap=20, dead=200, at_top=True)
+    @settings(max_examples=150, deadline=None)
+    def test_doubling_matches_sequential(self, seed, n, mean_gap, dead, at_top):
+        # gaps of 0 give duplicate ticks; with 2 * mean_gap < dead the whole
+        # stream is one close run; at_top puts the last tick within dead of
+        # the top of int64, where t + dead would wrap
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.integers(0, 2 * mean_gap + 1, n), dtype=np.int64)
+        if dead == "span":
+            span = int(times[-1] - times[0]) if n else 0
+            dead = max(1, span + int(rng.integers(0, 2)))
+        if at_top and n:
+            times += (2**63 - 1) - times[-1] - int(rng.integers(0, dead))
         got = ps.dead_time_filter(times, dead)
-        want = ps.dead_time_filter_sequential(times, dead)
+        want = dead_time_filter_sequential(times, dead)
+        assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+    def test_burst_is_fast(self):
+        # 200k events at 1e9/s into 50 ns: one close run the length of the
+        # stream, where a filter quadratic in the run length takes minutes
+        rng = np.random.default_rng(5)
+        times = np.sort(rng.integers(0, 200_000_000, 200_000)).astype(np.int64)
+        dead = 50_000
+        assert int(np.diff(times).max()) < dead
+        start = time.perf_counter()
+        got = ps.dead_time_filter(times, dead)
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(got, dead_time_filter_sequential(times, dead))
+        assert elapsed < 2.0
 
     def test_known_chain(self):
         # c recovers because b was dropped, d then falls inside c's dead time
