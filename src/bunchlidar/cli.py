@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UserError, presets.ConfigError, ConfigurationError, DomainError,
             correlator.CorrelationError, tagio.TagFileError, estimator.FitError,
-            TickOverflowError, FileNotFoundError, ValueError) as exc:
+            TickOverflowError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -181,7 +181,6 @@ def fit_g2(
     g2,
     sigma,
     bin_width_s: float,
-    initial: FitResult | None = None,
     max_iterations: int = 200,
     rel_tol: float = 1e-10,
 ) -> FitResult:
@@ -202,8 +201,7 @@ def fit_g2(
     if bin_width_s <= 0:
         raise FitError(f"bin width must be positive, got {bin_width_s}")
 
-    if initial is None:
-        initial = initial_guess(tau_s, g2, bin_width_s)
+    initial = initial_guess(tau_s, g2, bin_width_s)
     theta = np.array(
         [initial.baseline, initial.amplitude, initial.delay_s, initial.coherence_time_s]
     )

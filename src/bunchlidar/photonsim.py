@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,29 +60,38 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class EventStream:
-    """Sorted photon-detection timestamps for one channel, in picosecond ticks."""
+    """Sorted photon-detection timestamps for one channel, in picosecond ticks.
+
+    The one owner of the stream invariants, kept for its lifetime by a
+    read-only ``times`` view (the caller's array stays writable). Without
+    ``duration_s`` the duration is the last event time, exact in ticks.
+    """
 
     channel: int
-    times: np.ndarray  # int64 ticks, nondecreasing, within [0, duration]
-    duration_s: float
+    times: np.ndarray  # int64 ticks, nondecreasing, within [0, duration_ticks]
+    duration_s: float | None = None
+    duration_ticks: int = field(init=False)
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.int64)
+        times = np.ascontiguousarray(self.times, dtype=np.int64).view()
+        times.flags.writeable = False
         object.__setattr__(self, "times", times)
-        if self.duration_s < 0:
+        if self.duration_s is None:
+            duration_ticks = int(times[-1]) if times.size else 0
+            object.__setattr__(self, "duration_s", duration_ticks / TICKS_PER_SECOND)
+        elif self.duration_s < 0:
             raise ConfigurationError(f"duration must be non-negative, got {self.duration_s}")
+        else:
+            duration_ticks = seconds_to_ticks(self.duration_s)
+        object.__setattr__(self, "duration_ticks", duration_ticks)
         if times.size:
-            if np.any(np.diff(times) < 0):
+            if np.any(times[1:] < times[:-1]):
                 raise ConfigurationError("event times must be nondecreasing")
-            if times[0] < 0 or times[-1] > seconds_to_ticks(self.duration_s):
+            if times[0] < 0 or times[-1] > duration_ticks:
                 raise ConfigurationError("event times must lie within [0, duration]")
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    @property
-    def duration_ticks(self) -> int:
-        return seconds_to_ticks(self.duration_s)
 
 
 @dataclass(frozen=True)

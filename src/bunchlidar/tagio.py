@@ -97,6 +97,12 @@ def _merge_streams(streams):
     return ticks[order], channels[order]
 
 
+def _split_channels(ticks, channels, resolution_ps, channel_count):
+    """(streams, header) of checked records; each stream's duration is its last tick."""
+    streams = [EventStream(ch, ticks[channels == ch]) for ch in range(channel_count)]
+    return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
+
+
 def _check_resolution(resolution_ps: int) -> int:
     resolution_ps = int(resolution_ps)
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
@@ -118,8 +124,6 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
     ticks, channels = _merge_streams(streams)
-    if np.any(ticks < 0):
-        raise TagFileError("negative event times are not representable")
     remainder = ticks % resolution_ps
     inexact = remainder != 0
     if inexact.any():
@@ -157,9 +161,9 @@ def read_tags(path):
 
     Returns (streams, header) where streams are per-channel sorted
     ``EventStream`` objects in picosecond ticks (time * resolution_ps) and
-    header is a dict with ``resolution_ps`` and ``channel_count``. The stream
-    duration is estimated as the latest event time (files do not carry the
-    acquisition duration).
+    header is a dict with ``resolution_ps`` and ``channel_count``. Each
+    stream's duration is its latest event time, exactly (files do not carry
+    the acquisition duration).
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -213,25 +217,18 @@ def read_tags(path):
             offset=HEADER_SIZE + RECORD_SIZE * first + 10,
         )
     times = records["time"]
-    if times.size and np.any(np.diff(times.astype(np.int64)) < 0):
-        first = int(np.argmax(np.diff(times.astype(np.int64)) < 0)) + 1
-        raise TimeOrderError(
-            "record times regress", offset=HEADER_SIZE + RECORD_SIZE * first
-        )
+    ticks = times.astype(np.int64)
+    regress = np.diff(ticks) < 0
+    if regress.any():
+        first = int(np.argmax(regress)) + 1
+        raise TimeOrderError("record times regress", offset=HEADER_SIZE + RECORD_SIZE * first)
     if times.size and int(times.max()) * resolution_ps > _TICK_MAX:
         raise RecordFieldError(
             "event time overflows 64-bit picosecond ticks",
             offset=HEADER_SIZE + RECORD_SIZE * int(np.argmax(times)),
         )
-
-    ticks = times.astype(np.int64) * resolution_ps
-    duration_s = (float(ticks[-1]) if ticks.size else 0.0) / 1e12
-    streams = [
-        EventStream(channel=ch, times=ticks[records["channel"] == ch], duration_s=duration_s)
-        for ch in range(channel_count)
-    ]
-    header = {"resolution_ps": resolution_ps, "channel_count": channel_count}
-    return streams, header
+    ticks *= resolution_ps
+    return _split_channels(ticks, records["channel"], resolution_ps, channel_count)
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
@@ -312,9 +309,4 @@ def read_text_tags(path):
         raise TextFormatError(
             f"channel {int(channels_arr.max())} exceeds declared channel count {channel_count}"
         )
-    duration_s = (float(ticks_arr[-1]) if ticks else 0.0) / 1e12
-    streams = [
-        EventStream(channel=ch, times=ticks_arr[channels_arr == ch], duration_s=duration_s)
-        for ch in range(channel_count)
-    ]
-    return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
+    return _split_channels(ticks_arr, channels_arr, resolution_ps, channel_count)

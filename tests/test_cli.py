@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bunchlidar import cli, presets, tagio
+from bunchlidar import cli, correlator, presets, tagio
 from bunchlidar.photonsim import DetectorSpec, ScenarioConfig
 
 MINI_CONFIG = {
@@ -320,6 +320,25 @@ class TestSnrCommand:
 
 
 class TestConvert:
+    @pytest.mark.parametrize("last", [2**53 + 1, 2**62 + 1, 2**63 - 2])
+    def test_full_tick_range_round_trip_and_correlate(self, tmp_path, last, capsys):
+        text, binary = tmp_path / "t.txt", tmp_path / "t.bin"
+        text_back, binary_back = tmp_path / "back.txt", tmp_path / "back.bin"
+        text.write_text(f"# resolution_ps=1\n# channels=2\n0,0\n1,1\n{last - 3},0\n"
+                        f"{last - 1},1\n{last},0\n")
+        assert cli.main(["convert", "--in", str(text), "--out", str(binary), "--to", "binary"]) == 0
+        assert cli.main(["convert", "--in", str(binary), "--out", str(text_back), "--to", "text"]) == 0
+        assert text_back.read_text() == text.read_text()
+        assert cli.main(["convert", "--in", str(text_back), "--out", str(binary_back),
+                         "--to", "binary"]) == 0
+        assert binary_back.read_bytes() == binary.read_bytes()
+        csv = tmp_path / "h.csv"
+        assert cli.main(["correlate", "--in", str(binary), "--bin-width-ps", "1",
+                         "--window-ps=-4:4", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        _, counts, _, _ = correlator.read_histogram_csv(csv)
+        assert counts.tolist() == [0, 0, 0, 1, 0, 1, 1, 0]
+
     def test_round_trip_via_text(self, tmp_path, mini_config, capsys):
         binary = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(binary)])
@@ -336,9 +355,15 @@ class TestExitCodes:
         assert cli.main(["simulate", "--frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_missing_file_is_user_error(self, capsys):
-        assert cli.main(["fit", "--in", "/nonexistent/h.csv"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--in", "/nonexistent/h.csv"],
+        ["fit", "--in", "{dir}"],
+        ["correlate", "--in", "{dir}", "--bin-width-ps", "10", "--window-ps=-10:10", "--out", "x"],
+        ["simulate", "--preset", "short-range", "--duration-s", "1e-6", "--out", "{dir}"],
+    ], ids=["missing", "directory-fit", "directory-correlate", "directory-simulate"])
+    def test_missing_file_is_user_error(self, tmp_path, argv, capsys):
+        assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("assignment, key", [
         ("scenario.detectors=5", "detectors"),

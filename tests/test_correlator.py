@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bunchlidar import correlator as co
-from bunchlidar.photonsim import EventStream
+from bunchlidar.photonsim import ConfigurationError, EventStream
 
 
 def stream(times, duration_s=None, channel=0):
@@ -61,12 +61,19 @@ class TestCrossCorrelate:
         assert np.array_equal(hist.counts, expected)
 
     def test_unsorted_rejected(self):
-        bad = EventStream.__new__(EventStream)
-        object.__setattr__(bad, "channel", 0)
-        object.__setattr__(bad, "times", np.array([5, 1], dtype=np.int64))
-        object.__setattr__(bad, "duration_s", 1e-9)
-        with pytest.raises(co.CorrelationError):
-            co.cross_correlate(bad, stream([1]), co.CorrelationConfig(1, 0, 4))
+        # the stream owns the order invariant; the correlator relies on it
+        with pytest.raises(ConfigurationError):
+            EventStream(0, np.array([5, 1], dtype=np.int64), 1e-9)
+
+    @pytest.mark.parametrize("last", [2**62 + 1, 2**63 - 2, 2**63 - 1])
+    def test_window_past_tick_max_matches_bruteforce(self, last):
+        # a + tau_max passes 2^63 - 1 here; the search must not wrap
+        a = np.array([0, last - 3, last - 1, last], dtype=np.int64)
+        b = np.array([1, last - 2, last - 1, last], dtype=np.int64)
+        config = co.CorrelationConfig(1, -4, 4)
+        hist = co.cross_correlate(EventStream(0, a), EventStream(1, b), config)
+        assert np.array_equal(hist.counts, co.cross_correlate_bruteforce(a, b, config))
+        assert hist.duration_ticks == last
 
     def test_poisson_coincidence_rate(self):
         rng = np.random.default_rng(8)

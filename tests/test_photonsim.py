@@ -503,6 +503,58 @@ class TestScenario:
         assert fit.baseline + fit.amplitude == pytest.approx(2.0, abs=0.05)
         assert fit.coherence_time_s == pytest.approx(1e-9, rel=0.05)
 
+    def test_multi_seed_mean_matches_truth(self):
+        # one fixed seed passes a ~1 s.e. band only by luck; the mean over K
+        # seeds of a short 1 ns run must sit within 3 s.e. of the truth
+        truth = np.array([2.0, 1e-9])  # g2(0), tau_c
+        samples = []
+        for seed in range(12):
+            config = self._config(
+                source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=4.4e7, coherence_time_s=1e-9),
+                duration_s=0.004, seed=seed,
+            )
+            ref, probe, _ = ps.simulate_ranging_scenario(config)
+            curve = normalize_g2(cross_correlate(ref, probe, CorrelationConfig(40, -8_000, 8_000)))
+            fit = fit_g2(curve.tau_ps * 1e-12, curve.g2, curve.sigma, 40e-12)
+            samples.append((fit.baseline + fit.amplitude, fit.coherence_time_s))
+        samples = np.array(samples)
+        mean = samples.mean(axis=0)
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+        assert np.all(stderr < 0.05 * truth), stderr  # resolves a 15% bias
+        assert np.all(np.abs(mean - truth) <= 3 * stderr), (mean, stderr)
+
     def test_split_sum_enforced(self):
         with pytest.raises(ps.ConfigurationError):
             self._config(split_probe=0.7, split_ref=0.4)
+
+
+class TestEventStream:
+    def test_times_read_only_caller_array_writable(self):
+        caller = np.array([1, 5, 9], dtype=np.int64)
+        stream = ps.EventStream(0, caller, 1e-9)
+        with pytest.raises(ValueError):
+            stream.times[0] = 7
+        caller[0] = 2  # the caller's own array is not frozen
+        assert caller.flags.writeable
+
+    @pytest.mark.parametrize("last", [0, 2**53 + 1, 2**63 - 1])
+    def test_omitted_duration_is_last_tick_exactly(self, last):
+        stream = ps.EventStream(1, np.array([0, last], dtype=np.int64))
+        assert stream.duration_ticks == last
+        assert stream.duration_s == last / 10**12
+        empty = ps.EventStream(1, np.empty(0, dtype=np.int64))
+        assert (empty.duration_ticks, empty.duration_s) == (0, 0.0)
+
+    def test_positional_duration_in_seconds(self):
+        stream = ps.EventStream(0, np.array([3, 340_000_000_000]), 0.34)
+        assert (stream.duration_s, stream.duration_ticks) == (0.34, 340_000_000_000)
+
+    @pytest.mark.parametrize("times, duration_s", [
+        ([-1, 3], None),
+        ([1, 2_000], 1e-9),
+        ([1], -1.0),
+    ])
+    def test_range_invariants_rejected(self, times, duration_s):
+        # order is covered by test_correlator's test_unsorted_rejected
+        with pytest.raises(ps.ConfigurationError):
+            ps.EventStream(0, np.array(times, dtype=np.int64), duration_s)

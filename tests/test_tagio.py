@@ -105,6 +105,17 @@ class TestBinaryRoundTrip:
             tagio.write_tags(make_streams([[1]]), 3, tmp_path / "x.bin")
 
 
+@pytest.mark.parametrize("last", [2**53 + 1, 2**62 + 1, 2**63 - 2])
+def test_full_tick_range_reads_back_exactly(tmp_path, last):
+    times = [[0, last - 3, last], [1, last - 1]]
+    streams = [EventStream(ch, np.array(t, dtype=np.int64)) for ch, t in enumerate(times)]
+    tagio.write_tags(streams, 1, tmp_path / "t.bin")
+    tagio.write_text_tags(streams, 1, tmp_path / "t.txt")
+    for loaded, _ in (tagio.read_tags(tmp_path / "t.bin"), tagio.read_text_tags(tmp_path / "t.txt")):
+        assert [s.times.tolist() for s in loaded] == times
+        assert [s.duration_ticks for s in loaded] == [last, last - 1]
+
+
 class TestHeaderValidation:
     def _write_reference(self, tmp_path, resolution=1, channels=2):
         path = tmp_path / "ref.bin"
