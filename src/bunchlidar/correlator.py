@@ -2,10 +2,13 @@
 
 Semantics: counts[k] is the number of ordered pairs (i, j) with
 tau_min + k*w <= t_b[j] - t_a[i] < tau_min + (k+1)*w, over all pairs (not
-nearest-neighbor). The production path is a two-cursor sweep over the sorted
-streams, O(N_a + N_b + P) in the number of in-window pairs P; the brute-force
-O(N_a * N_b) implementation in this module is the defining reference and the
-sweep must match it bin for bin, exactly.
+nearest-neighbor). The production path is an offset-major sweep over the
+sorted streams: two binary searches give each event of a its run of partners
+in b, then pass d gathers the d-th partner of every run still live. It takes
+O(N_a log N_b + P) time in the number of in-window pairs P, and O(N_a) memory
+plus a fixed lag buffer, whatever P. The brute-force O(N_a * N_b)
+implementation in this module is the defining reference and the sweep must
+match it bin for bin, exactly.
 
 All arithmetic is on integer picosecond ticks, so results are exact and
 chunked or merged accumulation is bit-identical to a single pass.
@@ -18,9 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .photonsim import EventStream
+from .quantities import _TICK_MAX
 
 _MAX_BINS = 2**24
-_PAIR_CHUNK = 8_000_000  # max in-flight pair rows per vectorized block
+_PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
+# Below this many live rows the sweep may copy each remaining run as a slice.
+_SWEEP_MIN_ROWS = 4096
+# Lags binned per bincount call, at least (the buffer also holds n_bins and one pass).
+_SWEEP_BUFFER = 1 << 19
 
 
 class CorrelationError(ValueError):
@@ -97,39 +105,77 @@ def _search_shifted(b: np.ndarray, a: np.ndarray, delta: int) -> np.ndarray:
     return np.searchsorted(b, a + delta)
 
 
+def _count_below(times: np.ndarray, limit: int) -> int:
+    """``searchsorted(times, limit)`` for any Python int; limits saturate at the tick range."""
+    if limit > _TICK_MAX:
+        return times.size
+    return int(np.searchsorted(times, max(limit, 0)))
+
+
 def _sweep_counts(
     a: np.ndarray,
     b: np.ndarray,
     config: CorrelationConfig,
 ) -> np.ndarray:
-    """Vectorized two-cursor sweep; exact integer binning of in-window pairs."""
-    counts = np.zeros(config.n_bins, dtype=np.int64)
+    """Offset-major sweep; exact integer binning of in-window pairs.
+
+    Row i (an event of a with pairs) owns the run b[j_i:stop_i]. Pass d takes
+    the d-th element of every live row with one gather, in time order, and
+    drops the rows whose run has ended. Once fewer than ``_SWEEP_MIN_ROWS``
+    rows are live and some run is longer than the live row count, each
+    remaining run is copied as one slice. Lags (minus tau_min) collect in one
+    int64 buffer that is binned only when full.
+    """
+    n_bins, width = config.n_bins, config.bin_width_ticks
+    counts = np.zeros(n_bins, dtype=np.int64)
     if a.size == 0 or b.size == 0:
         return counts
     lo = _search_shifted(b, a, config.tau_min_ticks)
     hi = _search_shifted(b, a, config.tau_max_ticks)
-    per_event = hi - lo
-    boundaries = np.cumsum(per_event)
-    total = int(boundaries[-1])
-    start = 0
-    while start < total:
-        stop = min(start + _PAIR_CHUNK, total)
-        first = int(np.searchsorted(boundaries, start, side="right"))
-        last = int(np.searchsorted(boundaries, stop, side="left"))
-        rows = slice(first, last + 1)
-        row_lo = lo[rows].copy()
-        row_hi = hi[rows].copy()
-        # clip the partially covered first/last rows to the [start, stop) pair range
-        row_start = boundaries[rows] - per_event[rows]
-        np.maximum(row_lo, row_lo + (start - row_start), out=row_lo)
-        np.minimum(row_hi, row_lo + (stop - np.maximum(row_start, start)), out=row_hi)
-        m = row_hi - row_lo
-        offsets = np.cumsum(m) - m
-        flat = np.arange(int(m.sum()), dtype=np.int64) - np.repeat(offsets, m) + np.repeat(row_lo, m)
-        diffs = b[flat] - np.repeat(a[rows], m)
-        k = (diffs - config.tau_min_ticks) // config.bin_width_ticks
-        counts += np.bincount(k, minlength=config.n_bins)
-        start = stop
+    rows = np.flatnonzero(hi > lo)
+    # b[j] >= a + tau_min on every live row, so base cannot wrap
+    j, stop, base = lo[rows], hi[rows], a[rows] + config.tau_min_ticks
+    del lo, hi, rows
+    pairs = int((stop - j).sum())
+    buf = np.empty(min(pairs, max(_SWEEP_BUFFER, n_bins, j.size)), dtype=np.int64)
+    fill = 0
+
+    def flush():
+        nonlocal counts, fill
+        lags = buf[:fill]
+        lags //= width
+        counts += np.bincount(lags, minlength=n_bins)
+        fill = 0
+
+    def put(n, write):
+        """Append n lags in pieces; ``write(out, s, e)`` fills lags [s, e) into out."""
+        nonlocal fill
+        done = 0
+        while done < n:
+            m = min(n - done, buf.size - fill)
+            write(buf[fill : fill + m], done, done + m)
+            fill += m
+            done += m
+            if fill == buf.size:
+                flush()
+
+    def gather(out, s, e):
+        np.take(b, j[s:e], out=out)
+        np.subtract(out, base[s:e], out=out)
+
+    # a pass is one Python step for all live rows, a slice one step per row:
+    # below _SWEEP_MIN_ROWS rows, pass on only while no run outlasts the rows
+    while j.size >= _SWEEP_MIN_ROWS or 0 < (stop - j).max(initial=0) <= j.size:
+        put(j.size, gather)
+        j += 1
+        live = j < stop
+        if not live.all():
+            j, stop, base = j[live], stop[live], base[live]
+    for first, last, origin in zip(j.tolist(), stop.tolist(), base.tolist()):
+        run = b[first:last]
+        put(run.size, lambda out, s, e: np.subtract(run[s:e], origin, out=out))
+    if fill:
+        flush()
     return counts
 
 
@@ -156,12 +202,11 @@ def cross_correlate(
         while start < a.times.size:
             # jump straight to the chunk holding the next unprocessed a event
             edge = (int(a.times[start]) // chunk_ticks) * chunk_ticks
-            stop = np.searchsorted(a.times, edge + chunk_ticks)
-            a_slice = a.times[start:stop]
-            b_lo = np.searchsorted(b.times, edge + config.tau_min_ticks)
-            b_hi = np.searchsorted(b.times, edge + chunk_ticks + config.tau_max_ticks)
-            counts += _sweep_counts(a_slice, b.times[b_lo:b_hi], config)
-            start = int(stop)
+            stop = _count_below(a.times, edge + chunk_ticks)
+            b_lo = _count_below(b.times, edge + config.tau_min_ticks)
+            b_hi = _count_below(b.times, edge + chunk_ticks + config.tau_max_ticks)
+            counts += _sweep_counts(a.times[start:stop], b.times[b_lo:b_hi], config)
+            start = stop
     return CorrelationHistogram(
         config=config, counts=counts, n_a=len(a), n_b=len(b), duration_ticks=duration
     )

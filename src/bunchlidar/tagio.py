@@ -44,6 +44,7 @@ SUPPORTED_RESOLUTIONS = frozenset(
 )
 MAX_CHANNELS = 2
 _FLAG_ROUNDED = 0x01
+_FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all but flag bit 0
 _TICK_MAX = 2**63 - 1
 
 
@@ -194,7 +195,29 @@ def read_tags(path):
             offset=HEADER_SIZE + len(body) - len(body) % RECORD_SIZE,
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    # Bytes 8..15 of a record as one little-endian word: channel in bits 0-7,
+    # flags in 8-15, padding above. Masking out the one legal flag bit leaves
+    # a value below channel_count exactly when all three fields are valid.
+    fields = np.frombuffer(body, dtype="<u8")[1::2]
+    if ((fields & _FIELDS_MASK) >= channel_count).any():
+        _raise_record_field_error(records, channel_count)
+    times = records["time"]
+    ticks = times.astype(np.int64)
+    regress = np.diff(ticks) < 0
+    if regress.any():
+        first = int(np.argmax(regress)) + 1
+        raise TimeOrderError("record times regress", offset=HEADER_SIZE + RECORD_SIZE * first)
+    if times.size and int(times.max()) * resolution_ps > _TICK_MAX:
+        raise RecordFieldError(
+            "event time overflows 64-bit picosecond ticks",
+            offset=HEADER_SIZE + RECORD_SIZE * int(np.argmax(times)),
+        )
+    ticks *= resolution_ps
+    return _split_channels(ticks, records["channel"], resolution_ps, channel_count)
 
+
+def _raise_record_field_error(records, channel_count: int):
+    """Raise the first bad channel, else the first bad flags, else the first bad padding."""
     bad_channel = records["channel"] >= channel_count
     if bad_channel.any():
         first = int(np.argmax(bad_channel))
@@ -209,26 +232,11 @@ def read_tags(path):
             f"record flags 0x{int(records['flags'][first]):02x} has reserved bits set",
             offset=HEADER_SIZE + RECORD_SIZE * first + 9,
         )
-    bad_padding = records["padding"].any(axis=1) if records.size else np.empty(0, bool)
-    if records.size and bad_padding.any():
-        first = int(np.argmax(bad_padding))
-        raise RecordFieldError(
-            "record padding bytes are not zero",
-            offset=HEADER_SIZE + RECORD_SIZE * first + 10,
-        )
-    times = records["time"]
-    ticks = times.astype(np.int64)
-    regress = np.diff(ticks) < 0
-    if regress.any():
-        first = int(np.argmax(regress)) + 1
-        raise TimeOrderError("record times regress", offset=HEADER_SIZE + RECORD_SIZE * first)
-    if times.size and int(times.max()) * resolution_ps > _TICK_MAX:
-        raise RecordFieldError(
-            "event time overflows 64-bit picosecond ticks",
-            offset=HEADER_SIZE + RECORD_SIZE * int(np.argmax(times)),
-        )
-    ticks *= resolution_ps
-    return _split_channels(ticks, records["channel"], resolution_ps, channel_count)
+    first = int(np.argmax(records["padding"].any(axis=1)))
+    raise RecordFieldError(
+        "record padding bytes are not zero",
+        offset=HEADER_SIZE + RECORD_SIZE * first + 10,
+    )
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
@@ -291,6 +299,8 @@ def read_text_tags(path):
             raise TextFormatError(f"line {lineno}: non-integer field in {line!r}") from None
         if t < 0:
             raise TextFormatError(f"line {lineno}: negative time {t}")
+        if t > _TICK_MAX:
+            raise TextFormatError(f"line {lineno}: time {t} overflows 64-bit picosecond ticks")
         if not 0 <= ch < MAX_CHANNELS:
             raise TextFormatError(f"line {lineno}: channel {ch} outside 0..{MAX_CHANNELS - 1}")
         if ticks and t < ticks[-1]:

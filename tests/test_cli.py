@@ -383,6 +383,15 @@ class TestExitCodes:
         assert code == 1
         assert "64-bit" in capsys.readouterr().err
 
+    def test_text_tick_overflow_is_user_error(self, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("# resolution_ps=1\n0,0\n9223372036854775808,0\n")
+        assert cli.main(["convert", "--in", str(text), "--out", str(tmp_path / "t.bin"),
+                         "--to", "binary"]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert "Traceback" not in err
+
     def test_bad_window_format(self, tmp_path, mini_config, capsys):
         assert cli.main(["correlate", "--in", "x", "--bin-width-ps", "10",
                          "--window-ps", "10", "--out", "y"]) == 1

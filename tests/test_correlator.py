@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +101,66 @@ class TestCrossCorrelate:
         got = co.cross_correlate(stream(a), stream(b), config).counts
         want = co.cross_correlate_bruteforce(a, b, config)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("min_rows", [1, 2, 7])
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_equality_offset_passes(self, min_rows, seed):
+        # a tiny row threshold and a buffer floor of 1 force the offset passes,
+        # compaction, mid-sweep flushes and tail runs split across flushes
+        # on inputs this small
+        rng = np.random.default_rng(seed)
+        a, b = random_pair(rng)
+        config = random_config(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
+            mp.setattr(co, "_SWEEP_BUFFER", 1)
+            got = co.cross_correlate(stream(a), stream(b), config).counts
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
+    def test_tail_runs_split_across_flushes(self, monkeypatch):
+        # two rows with 70-pair runs go to the slice tail, and a 7-lag buffer
+        # (n_bins) splits each run over ten flushes
+        monkeypatch.setattr(co, "_SWEEP_BUFFER", 1)
+        a, b = np.array([0, 3]), np.arange(200)
+        config = co.CorrelationConfig(10, 0, 70)
+        got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
+    def test_burst_is_fast(self):
+        # one reference event against 1M probe events in a 2^24-bin window:
+        # one row whose run goes to the slice tail
+        rng = np.random.default_rng(6)
+        config = co.CorrelationConfig(1, 0, 2**24)
+        a = np.array([0], dtype=np.int64)
+        b = np.sort(rng.integers(0, 2**24, 1_000_000)).astype(np.int64)
+        start = time.perf_counter()
+        got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+        assert elapsed < 2.0
+
+    def test_chunk_edge_past_tick_max_returns(self):
+        # edge + chunk_ticks passes 2^63 - 1 here; run in a child process so a
+        # chunk loop that never advances is killed instead of hanging the suite
+        code = (
+            "import json, time\n"
+            "from bunchlidar.correlator import CorrelationConfig, cross_correlate\n"
+            "from bunchlidar.photonsim import EventStream\n"
+            "start = time.perf_counter()\n"
+            "h = cross_correlate(EventStream(0, [2**63 - 10]), EventStream(1, [2**63 - 5]),\n"
+            "                    CorrelationConfig(1, -8, 8), chunk_ticks=2**62)\n"
+            "print(json.dumps([time.perf_counter() - start, h.counts.tolist()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(co.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30, check=True)
+        elapsed, counts = json.loads(done.stdout)
+        want = co.cross_correlate_bruteforce(
+            np.array([2**63 - 10]), np.array([2**63 - 5]), co.CorrelationConfig(1, -8, 8)
+        )
+        assert counts == want.tolist()
+        assert elapsed < 2.0
 
     @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=200_000))
     @settings(max_examples=40, deadline=None)

@@ -181,6 +181,41 @@ class TestHeaderValidation:
         with pytest.raises(tagio.RecordFieldError):
             tagio.read_tags(path)
 
+    @pytest.mark.parametrize("edits, offset", [
+        # bad padding in record 0, bad channel in record 3: channel is checked first
+        ({12: 1, 3 * 16 + 8: 7}, 3 * 16 + 8),
+        # bad flags and bad padding in record 1: flags are checked first
+        ({16 + 9: 0x80, 16 + 10: 1}, 16 + 9),
+    ], ids=["channel-before-earlier-padding", "flags-before-padding"])
+    def test_record_error_order(self, tmp_path, edits, offset):
+        path = self._write_reference(tmp_path)
+        raw = bytearray(path.read_bytes())
+        for index, value in edits.items():
+            raw[tagio.HEADER_SIZE + index] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(tagio.RecordFieldError) as err:
+            tagio.read_tags(path)
+        assert err.value.offset == tagio.HEADER_SIZE + offset
+
+    def test_every_record_field_byte_value(self, tmp_path):
+        # each value of each of bytes 8..15 of a record: valid only for channel
+        # 0..1, flags 0..1 and zero padding, else an error at the field's offset
+        pristine = self._write_reference(tmp_path).read_bytes()
+        path = tmp_path / "x.bin"
+        record = tagio.HEADER_SIZE + 2 * 16
+        for byte in range(8, 16):
+            field_offset = min(byte, 10)
+            for value in range(256):
+                raw = bytearray(pristine)
+                raw[record + byte] = value
+                path.write_bytes(bytes(raw))
+                if value < 2 and byte < 10 or value == 0:
+                    tagio.read_tags(path)
+                    continue
+                with pytest.raises(tagio.RecordFieldError) as err:
+                    tagio.read_tags(path)
+                assert err.value.offset == record + field_offset
+
 
 class TestTextFormat:
     def test_simple_line(self, tmp_path):
