@@ -5,8 +5,10 @@ For each preset at its own seed, and for the scenario of each benchmark
 workload (the argv of perfbench/workloads.py replicated here, benchmark seed
 1, first op), runs simulate -> correlate -> range through ``cli.main`` and
 prints the digest of the tag file, the histogram CSV and the ``range --out``
-JSON. A change meant to keep the bytes prints the same table before and
-after; run it against another checkout by pointing PYTHONPATH at its src.
+JSON. One more row writes the replay-wide scenario at 25 ps, so the tag
+writer's rounding path is pinned too. A change meant to keep the bytes
+prints the same table before and after; run it against another checkout by
+pointing PYTHONPATH at its src.
 
 Usage: PYTHONPATH=src python scripts/digests.py [NAME ...]
 """
@@ -53,8 +55,10 @@ def _workload_runs(directory):
     config = os.path.join(directory, "replay.json")
     with open(config, "w") as f:
         json.dump({"scenario": _REPLAY_SCENARIO}, f)
-    yield ("wl-replay-wide", ["--config", config, "--seed", "1"],
-           ["--bin-width-ps", "12000", "--window-ps=-600000:600000"])
+    replay = ["--bin-width-ps", "12000", "--window-ps=-600000:600000"]
+    yield "wl-replay-wide", ["--config", config, "--seed", "1"], replay
+    # every other row writes at 1 ps; this one rounds and sets the rounded flag
+    yield "wl-replay-wide-25ps", ["--config", config, "--seed", "1", "--resolution-ps", "25"], replay
 
 
 def _sha256(path):

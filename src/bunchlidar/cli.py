@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width-ps", type=int, default=None, help="histogram bin width in picoseconds")
     p.add_argument("--window-ps", metavar="MIN:MAX", default=None,
                    help="half-open lag window in picoseconds, e.g. --window-ps=-10000:10000")
-    p.add_argument("--chunk-ticks", type=int, default=None,
-                   help="process stream a in time chunks of this many picoseconds "
-                        "(bit-identical result for any value)")
     p.add_argument("--out", metavar="PATH", required=True, help="output histogram CSV path")
     p.set_defaults(func=cmd_correlate)
 
@@ -194,18 +191,16 @@ def cmd_correlate(args) -> int:
         raise UserError("no events in input file")
     bin_width = args.bin_width_ps
     window = _parse_window(args.window_ps) if args.window_ps else None
-    chunk = args.chunk_ticks
     if "correlation" in doc:
         settings = presets.correlation_from_document(doc)
         bin_width = bin_width if bin_width is not None else settings.bin_width_ps
         window = window if window is not None else settings.window_ps
-        chunk = chunk if chunk is not None else settings.chunk_ticks
     if bin_width is None or window is None:
         raise UserError("need --bin-width-ps and --window-ps (or a correlation config section)")
     config = correlator.CorrelationConfig(
         bin_width_ticks=bin_width, tau_min_ticks=window[0], tau_max_ticks=window[1]
     )
-    hist = correlator.cross_correlate(a, b, config, chunk_ticks=chunk)
+    hist = correlator.cross_correlate(a, b, config)
     correlator.write_histogram_csv(hist, args.out)
     print(f"events: {hist.n_a} x {hist.n_b}; acquisition {hist.duration_s} s; "
           f"{int(hist.counts.sum())} pairs in [{window[0]}, {window[1]}) ps")

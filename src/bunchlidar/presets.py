@@ -40,10 +40,6 @@ def _as_is(value):
     return value
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
 def _window(value) -> tuple[int, int]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError("must be [min, max]")
@@ -79,7 +75,6 @@ _DETECTOR_FIELDS = {
 _CORRELATION_FIELDS = {
     "bin_width_ps": ("bin_width_ps", int),
     "window_ps": ("window_ps", _window),
-    "chunk_ticks": ("chunk_ticks", _optional_int),
 }
 _FIT_FIELDS = {
     "max_iterations": ("max_iterations", int),
@@ -105,7 +100,6 @@ _SECTION_KEYS = {
 class CorrelationSettings:
     bin_width_ps: int
     window_ps: tuple[int, int]
-    chunk_ticks: int | None = None
 
 
 @dataclass(frozen=True)

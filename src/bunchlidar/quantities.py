@@ -32,10 +32,10 @@ class TickOverflowError(OverflowError):
 
 def seconds_to_ticks(t_s: float) -> int:
     """Convert seconds to the nearest integer picosecond tick."""
-    ticks = round(t_s * TICKS_PER_SECOND)
-    if not _TICK_MIN <= ticks <= _TICK_MAX:
+    ticks = t_s * TICKS_PER_SECOND
+    if not _TICK_MIN <= ticks <= _TICK_MAX:  # also false for NaN
         raise TickOverflowError(f"{t_s} s does not fit in 64-bit picosecond ticks")
-    return int(ticks)
+    return int(round(ticks))
 
 
 def ticks_to_seconds(ticks):

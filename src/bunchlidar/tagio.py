@@ -13,6 +13,8 @@ Binary layout (little-endian throughout):
         offset +8: channel, u8
         offset +9: flags, u8 (bit 0: time was rounded at write; others zero)
         offset +10: padding, 6 zero bytes
+    so a record is two little-endian u64 words: the time, then
+    ``channel | flags << 8`` with the padding above bit 16.
 
 The version-1 profile is deliberately strict so that any single corrupted
 header bit is detected: resolution_ps must be 1, 2, or 25 times a power of
@@ -29,15 +31,12 @@ from __future__ import annotations
 import numpy as np
 
 from .photonsim import EventStream
+from .quantities import _TICK_MAX
 
 MAGIC = b"BLTTAG01"
 VERSION = 1
 HEADER_SIZE = 32
 RECORD_SIZE = 16
-
-_RECORD_DTYPE = np.dtype(
-    [("time", "<u8"), ("channel", "u1"), ("flags", "u1"), ("padding", "u1", (6,))]
-)
 
 SUPPORTED_RESOLUTIONS = frozenset(
     m * 10**k for m in (1, 2, 25) for k in range(0, 13)
@@ -45,7 +44,6 @@ SUPPORTED_RESOLUTIONS = frozenset(
 MAX_CHANNELS = 2
 _FLAG_ROUNDED = 0x01
 _FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all but flag bit 0
-_TICK_MAX = 2**63 - 1
 
 
 class TagFileError(ValueError):
@@ -77,25 +75,20 @@ class TimeOrderError(TagFileError):
 
 
 class UnrepresentableTimeError(TagFileError):
-    """A tick is not an exact multiple of the resolution in exact mode."""
+    """A time off the resolution grid in exact mode, or past 2**63 - 1 ps once rounded."""
 
 
 class TextFormatError(TagFileError):
     """Malformed text tag file; message names the line number."""
 
 
-def _merge_streams(streams):
-    """Flatten streams into (ticks, channels) in global time order, channel tiebreak."""
-    if not 1 <= len(streams) <= MAX_CHANNELS:
-        raise TagFileError(
-            f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"
-        )
-    ticks = np.concatenate([s.times for s in streams]) if streams else np.empty(0, np.int64)
-    channels = np.concatenate(
-        [np.full(len(s), i, dtype=np.uint8) for i, s in enumerate(streams)]
-    )
-    order = np.lexsort((channels, ticks))
-    return ticks[order], channels[order]
+def _merge_order(times):
+    """(times, channels, order) for one sorted time array per channel: the
+    concatenated times and channels, and the permutation that puts them in
+    global time order with ties by channel ascending."""
+    channels = np.concatenate([np.full(t.size, i, dtype=np.uint8) for i, t in enumerate(times)])
+    times = np.concatenate(times)
+    return times, channels, np.lexsort((channels, times))
 
 
 def _split_channels(ticks, channels, resolution_ps, channel_count):
@@ -104,12 +97,16 @@ def _split_channels(ticks, channels, resolution_ps, channel_count):
     return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
 
 
-def _check_resolution(resolution_ps: int) -> int:
+def _check_header(streams, resolution_ps: int) -> int:
     resolution_ps = int(resolution_ps)
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
         raise TagFileError(
             f"unsupported resolution {resolution_ps} ps "
             "(must be 1, 2, or 25 times a power of ten)"
+        )
+    if not 1 <= len(streams) <= MAX_CHANNELS:
+        raise TagFileError(
+            f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"
         )
     return resolution_ps
 
@@ -118,34 +115,39 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
     """Write streams to a single binary tag file at the given tick size.
 
     ``rounding='exact'`` refuses times that are not exact multiples of the
-    resolution; ``rounding='round'`` rounds to nearest and sets flag bit 0 on
-    each affected record.
+    resolution; ``rounding='round'`` rounds half up and sets flag bit 0 on
+    each affected record. A time whose rounded tick count times the
+    resolution exceeds 2**63 - 1 ps is refused in either mode.
     """
-    resolution_ps = _check_resolution(resolution_ps)
+    resolution_ps = _check_header(streams, resolution_ps)
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
-    ticks, channels = _merge_streams(streams)
-    remainder = ticks % resolution_ps
-    inexact = remainder != 0
-    if inexact.any():
-        if rounding == "exact":
-            first = int(np.argmax(inexact))
-            raise UnrepresentableTimeError(
-                f"time {int(ticks[first])} ps is not a multiple of {resolution_ps} ps "
-                "(use rounding='round')"
-            )
-        quantized = (ticks + resolution_ps // 2) // resolution_ps
-    else:
-        quantized = ticks // resolution_ps
-
-    records = np.zeros(ticks.size, dtype=_RECORD_DTYPE)
-    records["time"] = quantized.astype(np.uint64)
-    records["channel"] = channels
-    if inexact.any():
-        records["flags"][inexact] = _FLAG_ROUNDED
-        # re-impose global order: rounding can reorder events closer than one tick
-        order = np.lexsort((records["channel"], records["time"]))
-        records = records[order]
+    times, fields, off_grid = [], [], []
+    for channel, stream in enumerate(streams):
+        time, remainder = np.divmod(stream.times, resolution_ps)
+        inexact = remainder != 0
+        if inexact.any():  # the stream is sorted, so this is its smallest off-grid tick
+            off_grid.append(int(stream.times[np.argmax(inexact)]))
+        # half up without forming ticks + resolution // 2, which could wrap
+        time += 2 * remainder >= resolution_ps
+        times.append(time)
+        fields.append((inexact * np.uint16(_FLAG_ROUNDED)) << 8 | channel)  # flags << 8 | channel
+    if off_grid and rounding == "exact":
+        raise UnrepresentableTimeError(
+            f"time {min(off_grid)} ps is not a multiple of {resolution_ps} ps "
+            "(use rounding='round')"
+        )
+    # rounding is monotone, so each stream stays sorted: its last time is its
+    # largest, and one sort of the rounded times gives the global order
+    largest = max((int(t[-1]) for t in times if t.size), default=0)
+    if largest > _TICK_MAX // resolution_ps:
+        raise UnrepresentableTimeError(
+            f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
+        )
+    times, _, order = _merge_order(times)
+    records = np.empty((times.size, 2), dtype="<u8")
+    records[:, 0] = times[order]
+    records[:, 1] = np.concatenate(fields)[order]
 
     header = bytearray(HEADER_SIZE)
     header[0:8] = MAGIC
@@ -153,8 +155,8 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
     header[12:20] = resolution_ps.to_bytes(8, "little")
     header[20:22] = len(streams).to_bytes(2, "little")
     with open(path, "wb") as f:
-        f.write(bytes(header))
-        f.write(records.tobytes())
+        f.write(header)
+        f.write(records)
 
 
 def read_tags(path):
@@ -188,20 +190,18 @@ def read_tags(path):
         bad = next(i for i, byte in enumerate(reserved) if byte)
         raise HeaderFieldError("nonzero reserved byte", offset=22 + bad)
 
-    body = data[HEADER_SIZE:]
-    if len(body) % RECORD_SIZE != 0:
+    trailing = (len(data) - HEADER_SIZE) % RECORD_SIZE
+    if trailing:
         raise TruncatedRecordError(
-            f"trailing {len(body) % RECORD_SIZE} bytes are not a full record",
-            offset=HEADER_SIZE + len(body) - len(body) % RECORD_SIZE,
+            f"trailing {trailing} bytes are not a full record", offset=len(data) - trailing
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    # Bytes 8..15 of a record as one little-endian word: channel in bits 0-7,
-    # flags in 8-15, padding above. Masking out the one legal flag bit leaves
-    # a value below channel_count exactly when all three fields are valid.
-    fields = np.frombuffer(body, dtype="<u8")[1::2]
+    records = np.frombuffer(data, dtype="<u8", offset=HEADER_SIZE).reshape(-1, 2)
+    # Masking out the one legal flag bit leaves a value below channel_count
+    # exactly when channel, flags and padding are all valid.
+    fields = records[:, 1]
     if ((fields & _FIELDS_MASK) >= channel_count).any():
-        _raise_record_field_error(records, channel_count)
-    times = records["time"]
+        _raise_record_field_error(fields, channel_count)
+    times = records[:, 0]
     ticks = times.astype(np.int64)
     regress = np.diff(ticks) < 0
     if regress.any():
@@ -213,26 +213,28 @@ def read_tags(path):
             offset=HEADER_SIZE + RECORD_SIZE * int(np.argmax(times)),
         )
     ticks *= resolution_ps
-    return _split_channels(ticks, records["channel"], resolution_ps, channel_count)
+    return _split_channels(ticks, fields & 0xFF, resolution_ps, channel_count)
 
 
-def _raise_record_field_error(records, channel_count: int):
+def _raise_record_field_error(fields, channel_count: int):
     """Raise the first bad channel, else the first bad flags, else the first bad padding."""
-    bad_channel = records["channel"] >= channel_count
+    channels = fields & 0xFF
+    bad_channel = channels >= channel_count
     if bad_channel.any():
         first = int(np.argmax(bad_channel))
         raise RecordFieldError(
-            f"record channel {int(records['channel'][first])} >= channel count {channel_count}",
+            f"record channel {int(channels[first])} >= channel count {channel_count}",
             offset=HEADER_SIZE + RECORD_SIZE * first + 8,
         )
-    bad_flags = (records["flags"] & np.uint8(0xFF ^ _FLAG_ROUNDED)) != 0
+    flags = fields >> 8 & 0xFF
+    bad_flags = (flags & (0xFF ^ _FLAG_ROUNDED)) != 0
     if bad_flags.any():
         first = int(np.argmax(bad_flags))
         raise RecordFieldError(
-            f"record flags 0x{int(records['flags'][first]):02x} has reserved bits set",
+            f"record flags 0x{int(flags[first]):02x} has reserved bits set",
             offset=HEADER_SIZE + RECORD_SIZE * first + 9,
         )
-    first = int(np.argmax(records["padding"].any(axis=1)))
+    first = int(np.argmax(fields >> 16 != 0))
     raise RecordFieldError(
         "record padding bytes are not zero",
         offset=HEADER_SIZE + RECORD_SIZE * first + 10,
@@ -241,12 +243,12 @@ def _raise_record_field_error(records, channel_count: int):
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
     """Write the newline-delimited debug twin: ``ticks_ps,channel`` rows."""
-    resolution_ps = _check_resolution(resolution_ps)
-    ticks, channels = _merge_streams(streams)
+    resolution_ps = _check_header(streams, resolution_ps)
+    ticks, channels, order = _merge_order([s.times for s in streams])
     with open(path, "w", newline="\n") as f:
         f.write(f"# resolution_ps={resolution_ps}\n")
         f.write(f"# channels={len(streams)}\n")
-        for t, ch in zip(ticks.tolist(), channels.tolist()):
+        for t, ch in zip(ticks[order].tolist(), channels[order].tolist()):
             f.write(f"{t},{ch}\n")
 
 

@@ -31,6 +31,77 @@ def stream_pairs(draw):
     return resolution, [[t * resolution for t in t0], [t * resolution for t in t1]]
 
 
+_RECORD_DTYPE = np.dtype(
+    [("time", "<u8"), ("channel", "u1"), ("flags", "u1"), ("padding", "u1", (6,))]
+)
+
+
+def encode_tags_reference(streams, resolution_ps, rounding):
+    """Reference encoder: one structured record per event, merged, rounded,
+    then sorted again; returns the file's bytes.
+
+    ``ticks + resolution_ps // 2`` wraps within one step of 2**63, so callers
+    keep times well below that.
+    """
+    ticks = np.concatenate([s.times for s in streams])
+    channels = np.concatenate([np.full(len(s), i, dtype=np.uint8) for i, s in enumerate(streams)])
+    order = np.lexsort((channels, ticks))
+    ticks, channels = ticks[order], channels[order]
+    inexact = ticks % resolution_ps != 0
+    if inexact.any() and rounding == "exact":
+        raise tagio.UnrepresentableTimeError(
+            f"time {int(ticks[np.argmax(inexact)])} ps is not a multiple of {resolution_ps} ps "
+            "(use rounding='round')"
+        )
+    records = np.zeros(ticks.size, dtype=_RECORD_DTYPE)
+    records["time"] = (ticks + resolution_ps // 2) // resolution_ps
+    records["channel"] = channels
+    records["flags"][inexact] = 1
+    records = records[np.lexsort((records["channel"], records["time"]))]
+    header = bytearray(tagio.HEADER_SIZE)
+    header[0:8] = tagio.MAGIC
+    header[8:12] = tagio.VERSION.to_bytes(4, "little")
+    header[12:20] = resolution_ps.to_bytes(8, "little")
+    header[20:22] = len(streams).to_bytes(2, "little")
+    return bytes(header) + records.tobytes()
+
+
+@st.composite
+def encoder_cases(draw):
+    """Streams of 1 or 2 channels whose ticks crowd within a few resolution
+    steps, with cross-channel ties; ``on_grid`` cases let exact mode write."""
+    resolution = draw(st.sampled_from([1, 2, 25, 2000]))
+    rounding = draw(st.sampled_from(["exact", "round"]))
+    on_grid = draw(st.booleans())
+    step = resolution if on_grid else 1
+    tick = st.integers(min_value=0, max_value=40 * resolution // step).map(lambda k: k * step)
+    times = [sorted(draw(st.lists(tick, max_size=60))) for _ in range(draw(st.integers(1, 2)))]
+    if len(times) == 2 and times[0]:
+        times[1] = sorted(times[1] + draw(st.lists(st.sampled_from(times[0]), max_size=5)))
+    return resolution, rounding, [EventStream(ch, t) for ch, t in enumerate(times)]
+
+
+class TestEncoderMatchesReference:
+    @given(encoder_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_or_error_match(self, case):
+        import tempfile, os
+
+        resolution, rounding, streams = case
+        try:
+            expected = encode_tags_reference(streams, resolution, rounding)
+        except tagio.TagFileError as exc:
+            with pytest.raises(type(exc)) as err:
+                tagio.write_tags(streams, resolution, os.devnull, rounding=rounding)
+            assert str(err.value) == str(exc)
+            return
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.bin")
+            tagio.write_tags(streams, resolution, path, rounding=rounding)
+            with open(path, "rb") as f:
+                assert f.read() == expected
+
+
 class TestBinaryRoundTrip:
     def test_empty_streams_header_only(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -92,6 +163,26 @@ class TestBinaryRoundTrip:
         assert flags == [1, 0]
         streams, _ = tagio.read_tags(path)
         assert streams[0].times.tolist() == [2000, 4000]
+
+    @pytest.mark.parametrize("resolution, tick, expected", [
+        (2, 2**63 - 1, None),
+        (2, 2**63 - 3, 2**63 - 2),
+        (2000, (2**63 - 1) // 2000 * 2000 + 1000, None),
+        (2000, (2**63 - 1) // 2000 * 2000 + 999, (2**63 - 1) // 2000 * 2000),
+        (25, 2**63 - 1, (2**63 - 1) // 25 * 25),
+    ])
+    def test_round_mode_near_tick_max(self, tmp_path, resolution, tick, expected):
+        # a time that rounds past 2**63 - 1 ps is refused, not wrapped into a
+        # file that read_tags rejects
+        path = tmp_path / "t.bin"
+        streams = [EventStream(0, [tick])]
+        if expected is None:
+            with pytest.raises(tagio.UnrepresentableTimeError):
+                tagio.write_tags(streams, resolution, path, rounding="round")
+            assert not path.exists()
+        else:
+            tagio.write_tags(streams, resolution, path, rounding="round")
+            assert tagio.read_tags(path)[0][0].times.tolist() == [expected]
 
     def test_three_channels_rejected(self, tmp_path):
         streams = make_streams([[1], [2], [3]])
