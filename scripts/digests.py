@@ -5,10 +5,10 @@ For each preset at its own seed, and for the scenario of each benchmark
 workload (the argv of perfbench/workloads.py replicated here, benchmark seed
 1, first op), runs simulate -> correlate -> range through ``cli.main`` and
 prints the digest of the tag file, the histogram CSV and the ``range --out``
-JSON. One more row writes the replay-wide scenario at 25 ps, so the tag
-writer's rounding path is pinned too. A change meant to keep the bytes
-prints the same table before and after; run it against another checkout by
-pointing PYTHONPATH at its src.
+JSON. Two more rows write the replay-wide scenario at 25 ps and as text, so
+the tag writer's rounding path and the text writer are pinned too. A change
+meant to keep the bytes prints the same table before and after; run it
+against another checkout by pointing PYTHONPATH at its src.
 
 Usage: PYTHONPATH=src python scripts/digests.py [NAME ...]
 """
@@ -59,6 +59,8 @@ def _workload_runs(directory):
     yield "wl-replay-wide", ["--config", config, "--seed", "1"], replay
     # every other row writes at 1 ps; this one rounds and sets the rounded flag
     yield "wl-replay-wide-25ps", ["--config", config, "--seed", "1", "--resolution-ps", "25"], replay
+    # the same file through the text writer
+    yield "wl-replay-wide-text", ["--config", config, "--seed", "1", "--text"], replay
 
 
 def _sha256(path):

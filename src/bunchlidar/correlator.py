@@ -54,6 +54,8 @@ class CorrelationConfig:
             )
         if span // self.bin_width_ticks > _MAX_BINS:
             raise CorrelationError(f"more than {_MAX_BINS} bins requested")
+        if max(-self.tau_min_ticks, self.tau_max_ticks, span) > _TICK_MAX:  # lags are int64
+            raise CorrelationError("window bounds and span must fit 64-bit picosecond ticks")
 
     @property
     def n_bins(self) -> int:
@@ -189,24 +191,24 @@ def cross_correlate(
 
     ``chunk_ticks`` partitions stream a by time and accumulates per-partition
     histograms; the result is bit-identical for any chunk size because each
-    pair belongs to exactly one partition of its a event.
+    pair belongs to exactly one partition of its a event. Without it, all of
+    a is one partition.
     """
-    duration = max(a.duration_ticks, b.duration_ticks)
-    counts = np.zeros(config.n_bins, dtype=np.int64)
     if chunk_ticks is None:
-        counts = _sweep_counts(a.times, b.times, config)
-    else:
-        if chunk_ticks <= 0:
-            raise CorrelationError(f"chunk size must be positive, got {chunk_ticks}")
-        start = 0
-        while start < a.times.size:
-            # jump straight to the chunk holding the next unprocessed a event
-            edge = (int(a.times[start]) // chunk_ticks) * chunk_ticks
-            stop = _count_below(a.times, edge + chunk_ticks)
-            b_lo = _count_below(b.times, edge + config.tau_min_ticks)
-            b_hi = _count_below(b.times, edge + chunk_ticks + config.tau_max_ticks)
-            counts += _sweep_counts(a.times[start:stop], b.times[b_lo:b_hi], config)
-            start = stop
+        chunk_ticks = _TICK_MAX + 1  # one partition: every tick lies below it
+    elif chunk_ticks <= 0:
+        raise CorrelationError(f"chunk size must be positive, got {chunk_ticks}")
+    counts = np.zeros(config.n_bins, dtype=np.int64)
+    start = 0
+    while start < a.times.size:
+        # jump straight to the chunk holding the next unprocessed a event
+        edge = (int(a.times[start]) // chunk_ticks) * chunk_ticks
+        stop = _count_below(a.times, edge + chunk_ticks)
+        b_lo = _count_below(b.times, edge + config.tau_min_ticks)
+        b_hi = _count_below(b.times, edge + chunk_ticks + config.tau_max_ticks)
+        counts += _sweep_counts(a.times[start:stop], b.times[b_lo:b_hi], config)
+        start = stop
+    duration = max(a.duration_ticks, b.duration_ticks)
     return CorrelationHistogram(
         config=config, counts=counts, n_a=len(a), n_b=len(b), duration_ticks=duration
     )

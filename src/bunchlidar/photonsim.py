@@ -147,6 +147,8 @@ class ScenarioConfig:
             raise ConfigurationError("split fractions must sum to at most 1")
         if self.duration_s < 0:
             raise ConfigurationError("duration must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.distance_m < 0:
             raise ConfigurationError("distance must be non-negative")
         if self.ambient_rate_probe_hz < 0 or self.ambient_rate_ref_hz < 0:

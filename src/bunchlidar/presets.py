@@ -40,10 +40,17 @@ def _as_is(value):
     return value
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing booleans and numbers with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _window(value) -> tuple[int, int]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ValueError("must be [min, max]")
-    return int(value[0]), int(value[1])
+    return _integer(value[0]), _integer(value[1])
 
 
 # Document key -> (constructor keyword, conversion from the document's unit).
@@ -63,7 +70,7 @@ _SCENARIO_FIELDS = {
     "ambient_rate_probe_hz": ("ambient_rate_probe_hz", float),
     "ambient_rate_ref_hz": ("ambient_rate_ref_hz", float),
     "duration_s": ("duration_s", float),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
     "intensity_cap": ("intensity_cap", float),
 }
 _DETECTOR_FIELDS = {
@@ -73,17 +80,17 @@ _DETECTOR_FIELDS = {
     "dark_rate_hz": ("dark_rate_hz", float),
 }
 _CORRELATION_FIELDS = {
-    "bin_width_ps": ("bin_width_ps", int),
+    "bin_width_ps": ("bin_width_ps", _integer),
     "window_ps": ("window_ps", _window),
 }
 _FIT_FIELDS = {
-    "max_iterations": ("max_iterations", int),
+    "max_iterations": ("max_iterations", _integer),
     "rel_tol": ("rel_tol", float),
 }
 _OUTPUT_FIELDS = {
     "tags_path": ("tags_path", _as_is),
     "truth_path": ("truth_path", _as_is),
-    "resolution_ps": ("resolution_ps", int),
+    "resolution_ps": ("resolution_ps", _integer),
 }
 
 _SCENARIO_KEYS = set(_SOURCE_FIELDS) | set(_SCENARIO_FIELDS) | {"detectors"}

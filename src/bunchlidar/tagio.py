@@ -23,10 +23,13 @@ multiples), and channel_count must be 1 or 2 (this is a two-detector
 instrument format). Every reserved byte must be zero.
 
 The text twin is line-oriented: a ``# resolution_ps=N`` header followed by
-``ticks_ps,channel`` rows in the same global order, lossless both ways.
+``ticks_ps,channel`` rows of the records the binary writer's round mode makes,
+lossless both ways for times on the resolution grid (text has no flag column).
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -35,12 +38,11 @@ from .quantities import _TICK_MAX
 
 MAGIC = b"BLTTAG01"
 VERSION = 1
-HEADER_SIZE = 32
+_HEADER = struct.Struct("<8sIQH10s")  # magic, version, resolution_ps, channel_count, reserved
+HEADER_SIZE = _HEADER.size
 RECORD_SIZE = 16
 
-SUPPORTED_RESOLUTIONS = frozenset(
-    m * 10**k for m in (1, 2, 25) for k in range(0, 13)
-)
+SUPPORTED_RESOLUTIONS = frozenset(m * 10**k for m in (1, 2, 25) for k in range(13))
 MAX_CHANNELS = 2
 _FLAG_ROUNDED = 0x01
 _FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all but flag bit 0
@@ -82,22 +84,15 @@ class TextFormatError(TagFileError):
     """Malformed text tag file; message names the line number."""
 
 
-def _merge_order(times):
-    """(times, channels, order) for one sorted time array per channel: the
-    concatenated times and channels, and the permutation that puts them in
-    global time order with ties by channel ascending."""
-    channels = np.concatenate([np.full(t.size, i, dtype=np.uint8) for i, t in enumerate(times)])
-    times = np.concatenate(times)
-    return times, channels, np.lexsort((channels, times))
-
-
 def _split_channels(ticks, channels, resolution_ps, channel_count):
     """(streams, header) of checked records; each stream's duration is its last tick."""
     streams = [EventStream(ch, ticks[channels == ch]) for ch in range(channel_count)]
     return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
 
 
-def _check_header(streams, resolution_ps: int) -> int:
+def _encode(streams, resolution_ps, rounding: str):
+    """(resolution_ps, records) for ``write_tags``' arguments: the checked
+    resolution and an ``(n, 2)`` ``<u8`` array of records in file order."""
     resolution_ps = int(resolution_ps)
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
         raise TagFileError(
@@ -108,18 +103,6 @@ def _check_header(streams, resolution_ps: int) -> int:
         raise TagFileError(
             f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"
         )
-    return resolution_ps
-
-
-def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> None:
-    """Write streams to a single binary tag file at the given tick size.
-
-    ``rounding='exact'`` refuses times that are not exact multiples of the
-    resolution; ``rounding='round'`` rounds half up and sets flag bit 0 on
-    each affected record. A time whose rounded tick count times the
-    resolution exceeds 2**63 - 1 ps is refused in either mode.
-    """
-    resolution_ps = _check_header(streams, resolution_ps)
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
     times, fields, off_grid = [], [], []
@@ -144,18 +127,25 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
         raise UnrepresentableTimeError(
             f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
         )
-    times, _, order = _merge_order(times)
+    times, fields = np.concatenate(times), np.concatenate(fields)
+    order = np.lexsort((fields & 0xFF, times))  # ties by channel ascending
     records = np.empty((times.size, 2), dtype="<u8")
     records[:, 0] = times[order]
-    records[:, 1] = np.concatenate(fields)[order]
+    records[:, 1] = fields[order]
+    return resolution_ps, records
 
-    header = bytearray(HEADER_SIZE)
-    header[0:8] = MAGIC
-    header[8:12] = VERSION.to_bytes(4, "little")
-    header[12:20] = resolution_ps.to_bytes(8, "little")
-    header[20:22] = len(streams).to_bytes(2, "little")
+
+def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> None:
+    """Write streams to a single binary tag file at the given tick size.
+
+    ``rounding='exact'`` refuses times that are not exact multiples of the
+    resolution; ``rounding='round'`` rounds half up and sets flag bit 0 on
+    each affected record. A time whose rounded tick count times the
+    resolution exceeds 2**63 - 1 ps is refused in either mode.
+    """
+    resolution_ps, records = _encode(streams, resolution_ps, rounding)
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(_HEADER.pack(MAGIC, VERSION, resolution_ps, len(streams), b""))
         f.write(records)
 
 
@@ -170,24 +160,21 @@ def read_tags(path):
     """
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 8 or data[0:8] != MAGIC:
+    if not data.startswith(MAGIC):
         raise BadMagicError("bad magic", offset=0)
     if len(data) < HEADER_SIZE:
         raise TruncatedRecordError(
             f"header needs {HEADER_SIZE} bytes, file has {len(data)}", offset=len(data)
         )
-    version = int.from_bytes(data[8:12], "little")
+    _, version, resolution_ps, channel_count, reserved = _HEADER.unpack_from(data)
     if version != VERSION:
         raise HeaderFieldError(f"unsupported version {version}", offset=8)
-    resolution_ps = int.from_bytes(data[12:20], "little")
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
         raise HeaderFieldError(f"unsupported resolution {resolution_ps} ps", offset=12)
-    channel_count = int.from_bytes(data[20:22], "little")
     if not 1 <= channel_count <= MAX_CHANNELS:
         raise HeaderFieldError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}", offset=20)
-    reserved = data[22:32]
     if any(reserved):
-        bad = next(i for i, byte in enumerate(reserved) if byte)
+        bad = len(reserved) - len(reserved.lstrip(b"\0"))
         raise HeaderFieldError("nonzero reserved byte", offset=22 + bad)
 
     trailing = (len(data) - HEADER_SIZE) % RECORD_SIZE
@@ -242,14 +229,18 @@ def _raise_record_field_error(fields, channel_count: int):
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
-    """Write the newline-delimited debug twin: ``ticks_ps,channel`` rows."""
-    resolution_ps = _check_header(streams, resolution_ps)
-    ticks, channels, order = _merge_order([s.times for s in streams])
+    """Write the newline-delimited debug twin: ``ticks_ps,channel`` rows.
+
+    The rows are the records ``write_tags`` would write in round mode; text
+    has no flag column, so a rounded time is not marked.
+    """
+    resolution_ps, records = _encode(streams, resolution_ps, "round")
+    ticks = (records[:, 0] * np.uint64(resolution_ps)).tolist()
+    channels = (records[:, 1] & 0xFF).tolist()
     with open(path, "w", newline="\n") as f:
         f.write(f"# resolution_ps={resolution_ps}\n")
         f.write(f"# channels={len(streams)}\n")
-        for t, ch in zip(ticks[order].tolist(), channels[order].tolist()):
-            f.write(f"{t},{ch}\n")
+        f.writelines(f"{t},{ch}\n" for t, ch in zip(ticks, channels))
 
 
 def read_text_tags(path):
@@ -266,9 +257,8 @@ def read_text_tags(path):
         if not line.startswith("#"):
             break
         body_start += 1
-        stripped = line.lstrip("#").strip()
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
+        key, eq, value = line.lstrip("#").partition("=")
+        if eq:
             meta[key.strip()] = value.strip()
     if "resolution_ps" not in meta:
         raise TextFormatError("line 1: missing '# resolution_ps=N' header")
@@ -286,8 +276,7 @@ def read_text_tags(path):
             raise TextFormatError(f"bad channels header {meta['channels']!r}") from None
         if not 1 <= declared_channels <= MAX_CHANNELS:
             raise TextFormatError(f"channels {declared_channels} outside 1..{MAX_CHANNELS}")
-    ticks = []
-    channels = []
+    ticks, channels = [], []
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line.strip():
             continue
@@ -313,12 +302,11 @@ def read_text_tags(path):
             )
         ticks.append(t)
         channels.append(ch)
-    ticks_arr = np.asarray(ticks, dtype=np.int64)
-    channels_arr = np.asarray(channels, dtype=np.uint8)
-    inferred = max(int(channels_arr.max()) + 1, 1) if ticks else 1
+    inferred = max(channels, default=0) + 1
     channel_count = declared_channels if declared_channels is not None else inferred
-    if ticks and inferred > channel_count:
+    if inferred > channel_count:
         raise TextFormatError(
-            f"channel {int(channels_arr.max())} exceeds declared channel count {channel_count}"
+            f"channel {inferred - 1} exceeds declared channel count {channel_count}"
         )
-    return _split_channels(ticks_arr, channels_arr, resolution_ps, channel_count)
+    ticks, channels = np.asarray(ticks, dtype=np.int64), np.asarray(channels, dtype=np.uint8)
+    return _split_channels(ticks, channels, resolution_ps, channel_count)

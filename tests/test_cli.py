@@ -96,6 +96,27 @@ class TestConfigHandling:
         with pytest.raises(presets.ConfigError, match=key):
             presets.correlation_from_document(doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "seed", 1.5), ("scenario", "seed", True),
+        ("correlation", "bin_width_ps", 1000.7), ("correlation", "bin_width_ps", True),
+        ("correlation", "window_ps", [-100.5, 100]), ("correlation", "window_ps", [False, 100]),
+        ("fit", "max_iterations", 20.5), ("fit", "max_iterations", True),
+        ("output", "resolution_ps", True), ("output", "resolution_ps", 2.5),
+    ])
+    def test_bad_integer_value_names_key(self, section, key, value):
+        doc = presets.load_preset("short-range")
+        doc.setdefault(section, {})[key] = value
+        build = {"scenario": presets.scenario_from_document,
+                 "correlation": presets.correlation_from_document,
+                 "fit": presets.fit_from_document,
+                 "output": presets.output_from_document}[section]
+        with pytest.raises(presets.ConfigError, match=key):
+            build(doc)
+
+    def test_integral_float_is_an_integer(self):
+        doc = {"correlation": {"bin_width_ps": 40.0, "window_ps": [-80.0, 80]}}
+        assert presets.correlation_from_document(doc) == presets.CorrelationSettings(40, (-80, 80))
+
     def test_omitted_keys_take_dataclass_defaults(self):
         required = {"wavelength_nm": 518.0, "coherence_time_ns": 23.2,
                     "source_rate_hz": 1e6, "duration_s": 0.1, "seed": 3}
@@ -332,6 +353,21 @@ class TestConvert:
         _, counts, _, _ = correlator.read_histogram_csv(csv)
         assert counts.tolist() == [0, 0, 0, 1, 0, 1, 1, 0]
 
+    def test_simulated_text_off_grid_correlates_like_binary(self, tmp_path, mini_config, capsys):
+        # at 25 ps the simulated times are off the grid; the text writer
+        # rounds them as the binary writer does, so correlate reads both alike
+        csvs = []
+        for fmt in ("binary", "text"):
+            tags, csv = tmp_path / f"t.{fmt}", tmp_path / f"{fmt}.csv"
+            flags = ["--text"] if fmt == "text" else []
+            assert cli.main(["simulate", "--config", mini_config, "--resolution-ps", "25",
+                             *flags, "--out", str(tags)]) == 0
+            assert cli.main(["correlate", "--config", mini_config, "--in", str(tags),
+                             "--out", str(csv)]) == 0
+            csvs.append(csv.read_bytes())
+        capsys.readouterr()
+        assert csvs[0] == csvs[1]
+
     def test_round_trip_via_text(self, tmp_path, mini_config, capsys):
         binary = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(binary)])
@@ -368,6 +404,31 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x.bin")])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "scenario.seed=1.5"], "seed"),
+        (["--set", "scenario.seed=true"], "seed"),
+        (["--set", "output.resolution_ps=true"], "resolution_ps"),
+        (["--seed", "-1"], "seed must be non-negative"),
+    ])
+    def test_bad_integer_is_user_error(self, tmp_path, mini_config, argv, message, capsys):
+        code = cli.main(["simulate", "--config", mini_config, *argv,
+                         "--out", str(tmp_path / "x.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_window_beyond_tick_range_is_user_error(self, tmp_path, capsys):
+        tags = tmp_path / "t.txt"
+        tags.write_text("# resolution_ps=1\n# channels=2\n0,0\n1,1\n")
+        code = cli.main(["correlate", "--in", str(tags), "--bin-width-ps", "10000000000000",
+                         "--window-ps=-100000000000000000000:0", "--out", str(tmp_path / "h.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "64-bit" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--distance-m", "2e15"), ("--duration-s", "1e8"), ("--duration-s", "inf"),

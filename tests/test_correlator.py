@@ -55,6 +55,22 @@ class TestConfigValidation:
         with pytest.raises(co.CorrelationError):
             co.CorrelationConfig(1, 0, 2**24 + 1)
 
+    @pytest.mark.parametrize("width, tau_min, tau_max", [
+        (10**13, -10**20, 0),
+        (2**40, -(2**63), 0),
+        (2**40, 0, 2**63),
+        # each bound fits, but a lag past tau_min would not
+        (2**40, -(2**62), 2**62 + 2**61),
+    ])
+    def test_window_beyond_tick_range_rejected(self, width, tau_min, tau_max):
+        with pytest.raises(co.CorrelationError, match="64-bit"):
+            co.CorrelationConfig(width, tau_min, tau_max)
+
+    def test_window_at_tick_range_accepted(self):
+        tick_max = 2**63 - 1
+        assert co.CorrelationConfig(1, -tick_max, -tick_max + 2**20).n_bins == 2**20
+        assert co.CorrelationConfig(1, tick_max - 1, tick_max).n_bins == 1
+
 
 class TestCrossCorrelate:
     def test_hand_enumerated(self):

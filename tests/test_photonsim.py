@@ -527,6 +527,10 @@ class TestScenario:
         with pytest.raises(ps.ConfigurationError):
             self._config(split_probe=0.7, split_ref=0.4)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ps.ConfigurationError, match="seed"):
+            self._config(seed=-1)
+
 
 class TestEventStream:
     def test_times_read_only_caller_array_writable(self):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,7 +140,7 @@ class TestBinaryRoundTrip:
             # a second write of the loaded streams is byte-identical
             path2 = os.path.join(d, "t2.bin")
             tagio.write_tags(back, resolution, path2)
-            assert open(path, "rb").read() == open(path2, "rb").read()
+            assert Path(path).read_bytes() == Path(path2).read_bytes()
 
     def test_large_simulated_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -351,7 +353,7 @@ class TestTextFormat:
             tagio.write_text_tags(loaded, header["resolution_ps"], text)
             reloaded, header2 = tagio.read_text_tags(text)
             tagio.write_tags(reloaded, header2["resolution_ps"], binary2)
-            assert open(binary1, "rb").read() == open(binary2, "rb").read()
+            assert Path(binary1).read_bytes() == Path(binary2).read_bytes()
 
 
 class TestQuantizationCommutesWithBinning:
