@@ -13,7 +13,6 @@ from .quantities import (
     coherence_time_from_linewidth,
     delay_from_range,
     g2_model,
-    linewidth_from_coherence_time,
     linewidth_from_wavelength_spread,
     photon_rate_from_power,
     range_from_delay,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import correlator, estimator, presets, tagio
 from .photonsim import ConfigurationError, simulate_ranging_scenario
-from .quantities import DomainError, Medium, TickOverflowError
+from .quantities import DomainError, TickOverflowError
 
 PROG = "bunchlidar"
 
@@ -35,14 +35,31 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _parse_window(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise UserError(f"window must be 'MIN:MAX' in ps, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return [int(parts[0]), int(parts[1])]
     except ValueError:
         raise UserError(f"window bounds must be integers in ps, got {text!r}") from None
+
+
+# Value flags that alias one document key each. They are applied after --preset,
+# --config and --set, so every setting gets its value in the run document.
+_ALIASES = {
+    "--seed": "scenario.seed",
+    "--duration-s": "scenario.duration_s",
+    "--distance-m": "scenario.distance_m",
+    "--refractive-index": "scenario.refractive_index",
+    "--resolution-ps": "output.resolution_ps",
+    "--bin-width-ps": "correlation.bin_width_ps",
+    "--window-ps": "correlation.window_ps",
+}
+
+
+def _add_alias(p: argparse.ArgumentParser, flag: str, text: str, **kwargs) -> None:
+    p.add_argument(flag, default=None, help=f"{text}; sets {_ALIASES[flag]}", **kwargs)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -64,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Simulate a ranging scenario and write timestamps plus "
                                    "a ground-truth JSON sidecar.")
     _add_config_flags(p)
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (dimensionless integer)")
+    _add_alias(p, "--seed", "RNG seed (dimensionless integer)", type=int)
     p.add_argument("--seed-from-entropy", action="store_true",
-                   help="draw the seed from OS entropy instead (breaks reproducibility)")
-    p.add_argument("--duration-s", type=float, default=None, help="acquisition duration in seconds")
-    p.add_argument("--distance-m", type=float, default=None, help="target distance in meters")
+                   help="draw scenario.seed from OS entropy instead (breaks reproducibility)")
+    _add_alias(p, "--duration-s", "acquisition duration in seconds", type=float)
+    _add_alias(p, "--distance-m", "target distance in meters", type=float)
     p.add_argument("--out", metavar="PATH", default=None, help="output tag file path")
     p.add_argument("--truth-out", metavar="PATH", default=None,
                    help="ground-truth JSON path (default: OUT + '.truth.json')")
-    p.add_argument("--resolution-ps", type=int, default=None,
-                   help="tag file tick size in picoseconds (1, 2 or 25 times a power of ten)")
+    _add_alias(p, "--resolution-ps",
+               "tag file tick size in picoseconds (1, 2 or 25 times a power of ten)", type=int)
     p.add_argument("--text", action="store_true", help="write the text tag format instead of binary")
     p.set_defaults(func=cmd_simulate)
 
@@ -83,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--in", dest="input", metavar="PATH", required=True,
                    help="input tag file (binary or text, sniffed by magic bytes)")
-    p.add_argument("--bin-width-ps", type=int, default=None, help="histogram bin width in picoseconds")
-    p.add_argument("--window-ps", metavar="MIN:MAX", default=None,
-                   help="half-open lag window in picoseconds, e.g. --window-ps=-10000:10000")
+    _add_alias(p, "--bin-width-ps", "histogram bin width in picoseconds", type=int)
+    _add_alias(p, "--window-ps", "half-open lag window in picoseconds, e.g. "
+               "--window-ps=-10000:10000", metavar="MIN:MAX", type=_parse_window)
     p.add_argument("--out", metavar="PATH", required=True, help="output histogram CSV path")
     p.set_defaults(func=cmd_correlate)
 
@@ -100,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Fit the bunching peak and convert the delay to meters.")
     _add_config_flags(p)
     p.add_argument("--in", dest="input", metavar="PATH", required=True, help="histogram CSV path")
-    p.add_argument("--refractive-index", type=float, default=1.0,
-                   help="medium refractive index (dimensionless, >= 1)")
+    _add_alias(p, "--refractive-index", "medium refractive index (dimensionless, >= 1; 1 if unset)",
+               type=float)
     p.add_argument("--out", metavar="PATH", default=None, help="result JSON path")
     p.set_defaults(func=cmd_range)
 
@@ -138,6 +155,12 @@ def _resolve_document(args) -> dict:
         doc = presets.merge_documents(doc, presets.load_config_file(args.config))
     for assignment in getattr(args, "set", []):
         presets.apply_dotted_override(doc, assignment)
+    if getattr(args, "seed_from_entropy", False):
+        args.seed = secrets.randbits(63)
+    for flag, path in _ALIASES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            presets.set_path(doc, path, value)
     presets.validate_document(doc)
     return doc
 
@@ -152,75 +175,54 @@ def _read_any_tags(path):
 
 def cmd_simulate(args) -> int:
     doc = _resolve_document(args)
-    scenario_doc = doc.setdefault("scenario", {})
-    if args.seed_from_entropy:
-        scenario_doc["seed"] = secrets.randbits(63)
-    elif args.seed is not None:
-        scenario_doc["seed"] = args.seed
-    if args.duration_s is not None:
-        scenario_doc["duration_s"] = args.duration_s
-    if args.distance_m is not None:
-        scenario_doc["distance_m"] = args.distance_m
     scenario = presets.scenario_from_document(doc)
     output = presets.output_from_document(doc)
     tags_path = args.out or output.tags_path
     if tags_path is None:
         raise UserError("no output path: pass --out or set output.tags_path")
     truth_path = args.truth_out or output.truth_path or f"{tags_path}.truth.json"
-    resolution = args.resolution_ps if args.resolution_ps is not None else output.resolution_ps
 
     reference, probe, truth = simulate_ranging_scenario(scenario)
     if args.text:
-        tagio.write_text_tags([reference, probe], resolution, tags_path)
+        tagio.write_text_tags([reference, probe], output.resolution_ps, tags_path)
     else:
-        tagio.write_tags([reference, probe], resolution, tags_path, rounding="round")
+        tagio.write_tags([reference, probe], output.resolution_ps, tags_path, rounding="round")
     estimator.dump_json({"truth": truth, "configuration": doc}, truth_path)
     print(f"simulated {len(reference)} reference + {len(probe)} probe events "
           f"over {scenario.duration_s} s (seed {scenario.seed})")
-    print(f"wrote {tags_path} (resolution {resolution} ps) and {truth_path}")
+    print(f"wrote {tags_path} (resolution {output.resolution_ps} ps) and {truth_path}")
     return 0
 
 
 def cmd_correlate(args) -> int:
-    doc = _resolve_document(args)
+    settings = presets.correlation_from_document(_resolve_document(args))
     streams, header = _read_any_tags(args.input)
     if header["channel_count"] != 2:
         raise UserError(f"correlate needs a 2-channel file, got {header['channel_count']}")
     a, b = streams
     if len(a) + len(b) == 0:
         raise UserError("no events in input file")
-    bin_width = args.bin_width_ps
-    window = _parse_window(args.window_ps) if args.window_ps else None
-    if "correlation" in doc:
-        settings = presets.correlation_from_document(doc)
-        bin_width = bin_width if bin_width is not None else settings.bin_width_ps
-        window = window if window is not None else settings.window_ps
-    if bin_width is None or window is None:
-        raise UserError("need --bin-width-ps and --window-ps (or a correlation config section)")
-    config = correlator.CorrelationConfig(
-        bin_width_ticks=bin_width, tau_min_ticks=window[0], tau_max_ticks=window[1]
-    )
+    config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
     hist = correlator.cross_correlate(a, b, config)
     correlator.write_histogram_csv(hist, args.out)
     print(f"events: {hist.n_a} x {hist.n_b}; acquisition {hist.duration_s} s; "
-          f"{int(hist.counts.sum())} pairs in [{window[0]}, {window[1]}) ps")
-    print(f"wrote {args.out} ({config.n_bins} bins of {bin_width} ps)")
+          f"{int(hist.counts.sum())} pairs in [{config.tau_min_ticks}, {config.tau_max_ticks}) ps")
+    print(f"wrote {args.out} ({config.n_bins} bins of {config.bin_width_ticks} ps)")
     return 0
 
 
-def _fit_from_csv(args):
+def _fit_from_csv(args, doc):
     tau_ps, _, g2, sigma = correlator.read_histogram_csv(args.input)
     spacing = np.diff(tau_ps)
     if spacing.size and not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise UserError("histogram CSV bins are not uniformly spaced")
     bin_width_s = (spacing[0] if spacing.size else 1.0) * 1e-12
-    fit_kwargs = presets.fit_from_document(_resolve_document(args))
-    fit = estimator.fit_g2(tau_ps * 1e-12, g2, sigma, bin_width_s, **fit_kwargs)
+    fit = estimator.fit_g2(tau_ps * 1e-12, g2, sigma, bin_width_s, **presets.fit_from_document(doc))
     return fit, tau_ps, g2
 
 
 def cmd_fit(args) -> int:
-    fit, _, _ = _fit_from_csv(args)
+    fit, _, _ = _fit_from_csv(args, _resolve_document(args))
     record = estimator.fit_to_dict(fit)
     print(estimator.format_record(record))
     if args.out:
@@ -233,17 +235,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_range(args) -> int:
-    if args.refractive_index < 1.0:
-        raise UserError(f"refractive index must be >= 1, got {args.refractive_index}")
-    fit, _, _ = _fit_from_csv(args)
+    doc = _resolve_document(args)
+    medium = presets.medium_from_document(doc)
+    fit, _, _ = _fit_from_csv(args, doc)
     record = estimator.fit_to_dict(fit)
     if not fit.converged:
         print(estimator.format_record(record))
         raise UserError("fit did not converge; diagnostics above")
-    distance, distance_err = estimator.estimate_range(fit, Medium(args.refractive_index))
-    record["distance_m"] = distance
-    record["distance_err_m"] = distance_err
-    record["refractive_index"] = args.refractive_index
+    distance, distance_err = estimator.estimate_range(fit, medium)
+    record.update(distance_m=distance, distance_err_m=distance_err,
+                  refractive_index=medium.refractive_index)
     print(estimator.format_record(record))
     print(f"d = {distance:.6f} +/- {distance_err:.6f} m")
     if args.out:
@@ -267,7 +268,7 @@ def cmd_snr(args) -> int:
         }
         print(estimator.format_record(record))
     else:
-        fit, tau_ps, g2 = _fit_from_csv(args)
+        fit, tau_ps, g2 = _fit_from_csv(args, {})
         if not fit.converged:
             raise UserError("fit did not converge; cannot measure SNR")
         report = estimator.snr_measure(tau_ps * 1e-12, g2, fit, args.rate_hz, dt_s)

@@ -136,7 +136,6 @@ class ScenarioConfig:
     ambient_rate_ref_hz: float = 0.0
     detector_ref: DetectorSpec = IDEAL_DETECTOR
     detector_probe: DetectorSpec = IDEAL_DETECTOR
-    intensity_cap: float = DEFAULT_INTENSITY_CAP
 
     def __post_init__(self):
         for name in ("split_probe", "split_ref", "probe_round_trip_transmission"):
@@ -153,8 +152,6 @@ class ScenarioConfig:
             raise ConfigurationError("distance must be non-negative")
         if self.ambient_rate_probe_hz < 0 or self.ambient_rate_ref_hz < 0:
             raise ConfigurationError("ambient rates must be non-negative")
-        if self.intensity_cap < 4.0:
-            raise ConfigurationError("intensity cap below 4 visibly distorts bunching")
 
 
 _SCAN_COLUMNS = 64
@@ -534,7 +531,7 @@ def simulate_ranging_scenario(config: ScenarioConfig):
         [rate_ref, rate_probe],
         src.coherence_time_s,
         duration_ticks,
-        config.intensity_cap,
+        DEFAULT_INTENSITY_CAP,
         rng_candidates=np.random.default_rng(seeds[0]),
         rng_field=np.random.default_rng(seeds[1]),
         rng_accept=np.random.default_rng(seeds[2]),
@@ -566,7 +563,7 @@ def simulate_ranging_scenario(config: ScenarioConfig):
         "seed": config.seed,
         "duration_s": config.duration_s,
         "coherence_time_s": src.coherence_time_s,
-        "intensity_cap": config.intensity_cap,
+        "intensity_cap": DEFAULT_INTENSITY_CAP,
         "distance_m": config.distance_m,
         "refractive_index": config.medium.refractive_index,
         "delay_s": delay_s,

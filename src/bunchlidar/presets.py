@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .photonsim import DetectorSpec, ScenarioConfig
-from .quantities import Medium, SourceSpec
+from .quantities import VACUUM, Medium, SourceSpec
 
 PRESET_FILES = {
     "short-range": "short_range.json",
@@ -71,7 +71,6 @@ _SCENARIO_FIELDS = {
     "ambient_rate_ref_hz": ("ambient_rate_ref_hz", float),
     "duration_s": ("duration_s", float),
     "seed": ("seed", _integer),
-    "intensity_cap": ("intensity_cap", float),
 }
 _DETECTOR_FIELDS = {
     "efficiency": ("efficiency", float),
@@ -157,7 +156,7 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
     sc = doc.get("scenario")
     if not sc:
         raise ConfigError("configuration has no scenario section")
-    for key in ("wavelength_nm", "source_rate_hz", "duration_s", "seed"):
+    for key in ("source_rate_hz", "duration_s", "seed"):
         if key not in sc:
             raise ConfigError(f"scenario is missing required key {key!r}")
     if "coherence_time_ns" not in sc and "linewidth_hz" not in sc:
@@ -189,6 +188,12 @@ def fit_from_document(doc: dict) -> dict:
     Omitted keys are left out, so ``fit_g2``'s own defaults apply.
     """
     return _keywords(doc.get("fit", {}), _FIT_FIELDS)
+
+
+def medium_from_document(doc: dict) -> Medium:
+    """The scenario's medium; vacuum when the document sets no refractive index."""
+    fields = {"refractive_index": _SCENARIO_FIELDS["refractive_index"]}
+    return _keywords(doc.get("scenario", {}), fields).get("medium", VACUUM)
 
 
 def output_from_document(doc: dict) -> OutputSettings:
@@ -235,28 +240,30 @@ def apply_dotted_override(doc: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form path=value")
     path, _, raw = assignment.partition("=")
-    keys = path.strip().split(".")
-    if not all(keys):
-        raise ConfigError(f"override path {path!r} has empty segments")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    set_path(doc, path, value)
+
+
+def set_path(doc: dict, path: str, value) -> None:
+    """Set the field at dotted ``path`` to ``value`` in place, creating objects on the way."""
+    keys = path.strip().split(".")
+    if not all(keys):
+        raise ConfigError(f"override path {path!r} has empty segments")
+    *parents, leaf = keys
     node = doc
-    for i, key in enumerate(keys[:-1]):
+    for i, key in enumerate(parents):
         if isinstance(node, list):
             node = node[_list_index(node, key, path)]
-        elif isinstance(node, dict):
-            node = node.setdefault(key, {})
         else:
-            raise ConfigError(f"cannot descend into {'.'.join(keys[: i + 1])!r}")
+            node = node.setdefault(key, {})
         if not isinstance(node, (dict, list)):
             raise ConfigError(f"cannot descend into {'.'.join(keys[: i + 1])!r}")
-    leaf = keys[-1]
     if isinstance(node, list):
-        node[_list_index(node, leaf, path)] = value
-    else:
-        node[leaf] = value
+        leaf = _list_index(node, leaf, path)
+    node[leaf] = value
 
 
 def _list_index(node: list, key: str, path: str) -> int:

@@ -8,8 +8,7 @@ ticks only at module boundaries. A signed 64-bit tick count spans about
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,6 @@ def seconds_to_ticks(t_s: float) -> int:
     return int(round(ticks))
 
 
-def ticks_to_seconds(ticks):
-    """Convert integer picosecond ticks (scalar or array) to float seconds."""
-    if np.ndim(ticks):
-        return np.asarray(ticks, dtype=np.float64) / TICKS_PER_SECOND
-    return ticks / TICKS_PER_SECOND
-
-
 def shift_ticks(times: np.ndarray, delta: int) -> np.ndarray:
     """Add ``delta`` ticks to an int64 time array, raising instead of wrapping."""
     if times.size:
@@ -62,7 +54,7 @@ class Medium:
     refractive_index: float = 1.0
 
     def __post_init__(self):
-        if self.refractive_index < 1.0:
+        if not self.refractive_index >= 1.0:  # also true for NaN
             raise DomainError(f"refractive index must be >= 1, got {self.refractive_index}")
 
 
@@ -74,13 +66,6 @@ def coherence_time_from_linewidth(linewidth_hz: float) -> float:
     if linewidth_hz <= 0:
         raise DomainError(f"linewidth must be positive, got {linewidth_hz}")
     return 1.0 / linewidth_hz
-
-
-def linewidth_from_coherence_time(coherence_time_s: float) -> float:
-    """Optical linewidth in hertz for a coherence time in seconds."""
-    if coherence_time_s <= 0:
-        raise DomainError(f"coherence time must be positive, got {coherence_time_s}")
-    return 1.0 / coherence_time_s
 
 
 def linewidth_from_wavelength_spread(wavelength_m: float, wavelength_spread_m: float) -> float:
@@ -128,50 +113,31 @@ def g2_model(tau_s, baseline: float, amplitude: float, delay_s: float, coherence
     return float(value) if np.ndim(tau_s) == 0 else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SourceSpec:
     """Narrowband thermal source parameters.
 
     ``linewidth_hz`` and ``coherence_time_s`` are tied by df = 1/tau_c; if both
-    are given they must agree to 1e-12 relative. If ``power_w`` is given the
-    photon rate must equal P*lambda/(h*c) to 1e-9 relative.
+    are given they must agree to 1e-12 relative. ``wavelength_m`` is
+    descriptive (the simulation does not read it) and may be omitted.
     """
 
-    wavelength_m: float
+    wavelength_m: float | None = None
     photon_rate_hz: float
     linewidth_hz: float = 0.0
     coherence_time_s: float = 0.0
-    power_w: float | None = None
 
     def __post_init__(self):
-        if self.wavelength_m <= 0:
+        if self.wavelength_m is not None and self.wavelength_m <= 0:
             raise DomainError(f"wavelength must be positive, got {self.wavelength_m}")
         if self.photon_rate_hz < 0:
             raise DomainError(f"photon rate must be non-negative, got {self.photon_rate_hz}")
         lw, tc = self.linewidth_hz, self.coherence_time_s
         if lw <= 0 and tc <= 0:
             raise DomainError("one of linewidth_hz or coherence_time_s must be positive")
-        if lw > 0 and tc > 0:
-            if abs(lw * tc - 1.0) > 1e-12:
-                raise DomainError(f"linewidth * coherence_time = {lw * tc}, expected 1")
-        elif lw > 0:
+        if lw > 0 and tc > 0 and abs(lw * tc - 1.0) > 1e-12:
+            raise DomainError(f"linewidth * coherence_time = {lw * tc}, expected 1")
+        if tc <= 0:
             object.__setattr__(self, "coherence_time_s", 1.0 / lw)
-        else:
+        elif lw <= 0:
             object.__setattr__(self, "linewidth_hz", 1.0 / tc)
-        if self.power_w is not None:
-            expected = photon_rate_from_power(self.power_w, self.wavelength_m)
-            if expected > 0 and abs(self.photon_rate_hz / expected - 1.0) > 1e-9:
-                raise DomainError(
-                    f"photon rate {self.photon_rate_hz} inconsistent with "
-                    f"power {self.power_w} W at {self.wavelength_m} m (expect {expected})"
-                )
-
-    @classmethod
-    def from_power(cls, wavelength_m: float, linewidth_hz: float, power_w: float) -> "SourceSpec":
-        """Build a spec with the photon rate derived from optical power."""
-        return cls(
-            wavelength_m=wavelength_m,
-            photon_rate_hz=photon_rate_from_power(power_w, wavelength_m),
-            linewidth_hz=linewidth_hz,
-            power_w=power_w,
-        )

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -77,6 +78,7 @@ class TestConfigHandling:
         ("output", "fit_path"),
         ("scenario", "field_step_ps"),
         ("correlation", "chunk_ticks"),
+        ("scenario", "intensity_cap"),
     ])
     def test_removed_keys_rejected(self, section, key):
         doc = presets.load_preset("short-range")
@@ -151,11 +153,74 @@ class TestConfigHandling:
             presets.apply_dotted_override({"scenario": {"detectors": []}},
                                           "scenario.detectors.3.efficiency=1")
 
+    def test_wavelength_is_optional(self):
+        doc = copy.deepcopy(MINI_CONFIG)
+        del doc["scenario"]["wavelength_nm"]
+        assert presets.scenario_from_document(doc).source.wavelength_m is None
+
     def test_merge_deep(self):
         base = presets.load_preset("short-range")
         merged = presets.merge_documents(base, {"scenario": {"seed": 1}})
         assert merged["scenario"]["seed"] == 1
         assert merged["scenario"]["wavelength_nm"] == base["scenario"]["wavelength_nm"]
+
+
+# flag, document key, command, and the values given by --config, --set and the flag
+ALIAS_CASES = [
+    ("--seed", "scenario.seed", "simulate", (11, 12, 13)),
+    ("--duration-s", "scenario.duration_s", "simulate", (0.5, 0.25, 0.125)),
+    ("--distance-m", "scenario.distance_m", "simulate", (1.5, 2.5, 3.5)),
+    ("--resolution-ps", "output.resolution_ps", "simulate", (2, 10, 25)),
+    ("--bin-width-ps", "correlation.bin_width_ps", "correlate", (10, 20, 50)),
+    ("--window-ps", "correlation.window_ps", "correlate", ([-100, 100], [-200, 200], [-300, 300])),
+    ("--refractive-index", "scenario.refractive_index", "range", (1.25, 1.5, 2.0)),
+]
+REQUIRED_PATHS = {
+    "simulate": ["--out", "t.bin"],
+    "correlate": ["--in", "t.bin", "--out", "h.csv"],
+    "range": ["--in", "h.csv"],
+}
+
+
+def _resolve(argv):
+    return cli._resolve_document(cli.build_parser().parse_args(argv))
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("flag, key, command, values", ALIAS_CASES,
+                             ids=[case[0] for case in ALIAS_CASES])
+    def test_preset_then_config_then_set_then_flag(self, tmp_path, flag, key, command, values):
+        section, name = key.split(".")
+        config_value, set_value, flag_value = values
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({section: {name: config_value}}))
+        flag_text = ":".join(map(str, flag_value)) if isinstance(flag_value, list) else str(flag_value)
+        layers = [
+            ["--preset", "short-range"],
+            ["--config", str(config)],
+            ["--set", f"{key}={json.dumps(set_value)}"],
+            [f"{flag}={flag_text}"],
+        ]
+        preset_value = presets.load_preset("short-range")[section][name]
+        for n, expected in enumerate([preset_value, config_value, set_value, flag_value], start=1):
+            argv = [command, *REQUIRED_PATHS[command], *sum(layers[:n], [])]
+            assert _resolve(argv)[section][name] == expected, argv
+
+    def test_help_names_each_key(self):
+        parser = cli.build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)
+        )
+        for flag, key, command, _ in ALIAS_CASES:
+            action = next(a for a in subparsers.choices[command]._actions if flag in a.option_strings)
+            assert key in action.help, flag
+
+    def test_seed_from_entropy_overrides_seed(self):
+        doc = _resolve(["simulate", *REQUIRED_PATHS["simulate"], "--preset", "short-range",
+                        "--set", "scenario.seed=12", "--seed", "13", "--seed-from-entropy"])
+        seed = doc["scenario"]["seed"]
+        # a 63-bit draw equals 13 with probability 2**-63
+        assert isinstance(seed, int) and 0 <= seed < 2**63 and seed != 13
 
 
 class TestHelp:
@@ -218,6 +283,28 @@ class TestSimulate:
         assert header == {"resolution_ps": 1, "channel_count": 2}
         assert all(len(s) > 0 for s in streams)
 
+    def test_resolution_flag_recorded_in_sidecar(self, tmp_path, mini_config, capsys):
+        out = tmp_path / "t.bin"
+        assert cli.main(["simulate", "--config", mini_config, "--resolution-ps", "25",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        sidecar = json.loads((tmp_path / "t.bin.truth.json").read_text())
+        assert sidecar["configuration"]["output"]["resolution_ps"] == 25
+        assert tagio.read_tags(out)[1]["resolution_ps"] == 25
+
+    def test_wavelength_does_not_change_tags(self, tmp_path, capsys):
+        outs = []
+        for name in ("with", "without"):
+            doc = copy.deepcopy(MINI_CONFIG)
+            if name == "without":
+                del doc["scenario"]["wavelength_nm"]
+            config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.bin"
+            config.write_text(json.dumps(doc))
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+
     def test_truth_sidecar_contents(self, tmp_path, mini_config, capsys):
         out = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(out)])
@@ -277,6 +364,22 @@ class TestCorrelateFitRange:
         # (sigma_d ~ 8 cm at these mini-scenario statistics)
         distance = float(out.split("d = ")[1].split(" ")[0])
         assert abs(distance - 0.5) < 0.25
+
+    def test_range_reads_refractive_index_from_document(self, tmp_path, histogram_csv, capsys):
+        config = tmp_path / "medium.json"
+        config.write_text(json.dumps({"scenario": {"refractive_index": 1.5}}))
+        records = {}
+        for name, flags in [("vacuum", []), ("config", ["--config", str(config)]),
+                            ("flag", ["--refractive-index", "1.5"])]:
+            out = tmp_path / f"{name}.json"
+            assert cli.main(["range", "--in", histogram_csv, *flags, "--out", str(out)]) == 0
+            records[name] = json.loads(out.read_text())
+        capsys.readouterr()
+        assert records["config"] == records["flag"]
+        assert records["config"]["refractive_index"] == 1.5
+        assert records["vacuum"]["refractive_index"] == 1.0
+        assert records["config"]["distance_m"] == pytest.approx(
+            records["vacuum"]["distance_m"] / 1.5, rel=1e-12)
 
     def test_degenerate_fit_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "spike.csv"
@@ -398,6 +501,7 @@ class TestExitCodes:
         ("scenario.detectors=5", "detectors"),
         ("scenario.source_rate_hz=[1]", "source_rate_hz"),
         ("scenario.field_step_ps=null", "field_step_ps"),
+        ("scenario.intensity_cap=12", "unknown scenario keys: ['intensity_cap']"),
     ])
     def test_bad_config_value_is_user_error(self, tmp_path, assignment, key, capsys):
         code = cli.main(["simulate", "--preset", "short-range", "--set", assignment,
@@ -419,6 +523,25 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "no correlation section"),
+        (["--bin-width-ps", "10"], "missing required key 'window_ps'"),
+        (["--window-ps=-10:10"], "missing required key 'bin_width_ps'"),
+    ])
+    def test_correlate_missing_setting_names_key(self, tmp_path, flags, message, capsys):
+        code = cli.main(["correlate", "--in", str(tmp_path / "t.bin"), *flags,
+                         "--out", str(tmp_path / "h.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    def test_refractive_index_below_one_is_user_error(self, tmp_path, value, capsys):
+        code = cli.main(["range", "--in", str(tmp_path / "h.csv"), "--refractive-index", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"refractive index must be >= 1, got {value}" in err and "Traceback" not in err
 
     def test_window_beyond_tick_range_is_user_error(self, tmp_path, capsys):
         tags = tmp_path / "t.txt"
