@@ -1,66 +1,75 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of the pipeline's deterministic outputs.
 
-For each preset at its own seed, and for the scenario of each benchmark
-workload (the argv of perfbench/workloads.py replicated here, benchmark seed
-1, first op), runs simulate -> correlate -> range through ``cli.main`` and
-prints the digest of the tag file, the histogram CSV and the ``range --out``
-JSON. Two more rows write the replay-wide scenario at 25 ps and as text, so
-the tag writer's rounding path and the text writer are pinned too. A change
-meant to keep the bytes prints the same table before and after; run it
-against another checkout by pointing PYTHONPATH at its src.
+For each preset at its own seed, and for each benchmark workload (built from
+perfbench/workloads.py itself: benchmark seed 1, first op), runs simulate ->
+correlate -> range through ``cli.main`` and prints the digest of the tag
+file, the histogram CSV and the ``range --out`` JSON. Two more rows write the
+replay-wide scenario at 25 ps and as text, so the tag writer's rounding path
+and the text writer are pinned too. A change meant to keep the bytes prints
+the same table before and after; run it against another checkout by pointing
+PYTHONPATH at its src.
 
 Usage: PYTHONPATH=src python scripts/digests.py [NAME ...]
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import json
 import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 from bunchlidar import cli, presets
 
-_SNR_SWEEP_DETECTOR = {"efficiency": 1.0, "jitter_fwhm_ps": 0.0, "dead_time_ps": 0.0,
-                       "dark_rate_hz": 0.0}
-_REPLAY_SCENARIO = {
-    "wavelength_nm": 518.0,
-    "coherence_time_ns": 23.2,
-    "source_rate_hz": 2.0e7,
-    "distance_m": 0.0,
-    "split_probe": 0.5,
-    "split_ref": 0.5,
-    "probe_round_trip_transmission": 0.6,
-    "ambient_rate_probe_hz": 4.0e6,
-    "ambient_rate_ref_hz": 0.0,
-    "detectors": [_SNR_SWEEP_DETECTOR, _SNR_SWEEP_DETECTOR],
-    "duration_s": 0.05,
-    "seed": 1,
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+BENCHMARK_SEED = 1
+
+# extra rows: the replay workload's simulate argv plus one flag
+_REPLAY_VARIANTS = {
+    # every other row writes at 1 ps; this one rounds and sets the rounded flag
+    "25ps": ["--resolution-ps", "25"],
+    # the same file through the text writer
+    "text": ["--text"],
 }
 
 
-def _preset_runs():
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _paths(directory, name):
+    return tuple(os.path.join(directory, f"{name}.{ext}") for ext in ("bin", "csv", "json"))
+
+
+def _preset_runs(directory):
     for name in sorted(presets.PRESET_FILES):
-        yield name, ["--preset", name], ["--preset", name]
+        tags, csv, _ = _paths(directory, name)
+        yield (name, ["simulate", "--preset", name, "--out", tags],
+               ["correlate", "--preset", name, "--in", tags, "--out", csv])
 
 
 def _workload_runs(directory):
-    # a simulated workload's op k at benchmark seed s uses scenario seed 1000*s + k
-    yield "wl-short-range", ["--preset", "short-range", "--seed", "1000"], ["--preset", "short-range"]
-    bright = ["--preset", "short-range", "--set", "scenario.detectors=[{},{}]",
-              "--set", "scenario.source_rate_hz=5e9", "--duration-s", "0.005", "--seed", "1000"]
-    yield "wl-bright-deadtime", bright, ["--preset", "short-range"]
-    config = os.path.join(directory, "replay.json")
-    with open(config, "w") as f:
-        json.dump({"scenario": _REPLAY_SCENARIO}, f)
-    replay = ["--bin-width-ps", "12000", "--window-ps=-600000:600000"]
-    yield "wl-replay-wide", ["--config", config, "--seed", "1"], replay
-    # every other row writes at 1 ps; this one rounds and sets the rounded flag
-    yield "wl-replay-wide-25ps", ["--config", config, "--seed", "1", "--resolution-ps", "25"], replay
-    # the same file through the text writer
-    yield "wl-replay-wide-text", ["--config", config, "--seed", "1", "--text"], replay
+    workloads = _load_workloads()
+    for workload, spec in workloads.WORKLOADS.items():
+        seed = workloads.scenario_seed(spec, BENCHMARK_SEED, 0)
+        config = None
+        if spec["kind"] == "replay":
+            config = os.path.join(directory, f"{workload}.config.json")
+            with open(config, "w") as f:
+                json.dump(workloads.input_config(spec, seed), f)
+        variants = _REPLAY_VARIANTS if spec["kind"] == "replay" else {}
+        for suffix, flags in [("", []), *variants.items()]:
+            name = f"wl-{workload}" + (f"-{suffix}" if suffix else "")
+            tags, csv, _ = _paths(directory, name)
+            yield (name, workloads.simulate_argv(spec, seed, tags, config) + flags,
+                   workloads.correlate_argv(spec, tags, csv))
 
 
 def _sha256(path):
@@ -77,7 +86,7 @@ def _run(argv):
 
 def main(names):
     with tempfile.TemporaryDirectory() as directory:
-        runs = list(_preset_runs()) + list(_workload_runs(directory))
+        runs = list(_preset_runs(directory)) + list(_workload_runs(directory))
         unknown = set(names) - {name for name, _, _ in runs}
         if unknown:
             print(f"unknown names {sorted(unknown)}", file=sys.stderr)
@@ -87,9 +96,9 @@ def main(names):
             if names and name not in names:
                 continue
             start = time.perf_counter()
-            tags, csv, fit = (os.path.join(directory, f"{name}.{ext}") for ext in ("bin", "csv", "json"))
-            _run(["simulate", *simulate, "--out", tags])
-            _run(["correlate", *correlate, "--in", tags, "--out", csv])
+            tags, csv, fit = _paths(directory, name)
+            _run(simulate)
+            _run(correlate)
             _run(["range", "--in", csv, "--out", fit])
             print(f"{name:<20} {_sha256(tags)} {_sha256(csv)} {_sha256(fit)}"
                   f"  # {time.perf_counter() - start:.1f} s", flush=True)

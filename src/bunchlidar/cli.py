@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 user error (bad flags, bad files, unconverged fit),
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import secrets
 import sys
 import traceback
@@ -228,9 +228,6 @@ def cmd_fit(args) -> int:
     if args.out:
         estimator.dump_json(record, args.out)
         print(f"wrote {args.out}")
-    if not fit.converged:
-        raise UserError(f"fit did not converge after {fit.n_iterations} iterations "
-                        f"(reduced chi2 {fit.reduced_chi2:.3g}); diagnostics above")
     return 0
 
 
@@ -239,9 +236,6 @@ def cmd_range(args) -> int:
     medium = presets.medium_from_document(doc)
     fit, _, _ = _fit_from_csv(args, doc)
     record = estimator.fit_to_dict(fit)
-    if not fit.converged:
-        print(estimator.format_record(record))
-        raise UserError("fit did not converge; diagnostics above")
     distance, distance_err = estimator.estimate_range(fit, medium)
     record.update(distance_m=distance, distance_err_m=distance_err,
                   refractive_index=medium.refractive_index)
@@ -269,10 +263,8 @@ def cmd_snr(args) -> int:
         print(estimator.format_record(record))
     else:
         fit, tau_ps, g2 = _fit_from_csv(args, {})
-        if not fit.converged:
-            raise UserError("fit did not converge; cannot measure SNR")
         report = estimator.snr_measure(tau_ps * 1e-12, g2, fit, args.rate_hz, dt_s)
-        record = estimator.snr_to_dict(report)
+        record = dataclasses.asdict(report)
         print(estimator.format_record(record))
     if args.out:
         estimator.dump_json(record, args.out)

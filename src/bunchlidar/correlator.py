@@ -94,7 +94,6 @@ class G2Curve:
     tau_ps: np.ndarray
     g2: np.ndarray
     sigma: np.ndarray
-    bin_width_ps: int
 
     def __len__(self) -> int:
         return int(self.tau_ps.size)
@@ -266,7 +265,6 @@ def normalize_g2(h: CorrelationHistogram) -> G2Curve:
         tau_ps=h.config.bin_centers_ps(),
         g2=g2,
         sigma=sigma,
-        bin_width_ps=h.config.bin_width_ticks,
     )
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quantities import DomainError, Medium, SPEED_OF_LIGHT, VACUUM
+from .quantities import DomainError, Medium, VACUUM, range_from_delay
 
 _N_FREE_PARAMS = 4
 
@@ -31,20 +31,20 @@ class DegenerateFitError(FitError):
 
 
 class FitNotConvergedError(FitError):
-    """Iteration limit reached without meeting the convergence criterion."""
+    """Iteration limit reached, or no finite uncertainty at the minimum."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FitResult:
-    """Bunching-peak parameters with one-sigma uncertainties from local curvature."""
+    """Bunching-peak parameters and one-sigma curvature uncertainties, in record order."""
 
     baseline: float
-    amplitude: float  # equals V^2, the squared visibility
-    delay_s: float
-    coherence_time_s: float
     baseline_err: float = 0.0
+    amplitude: float  # equals V^2, the squared visibility
     amplitude_err: float = 0.0
+    delay_s: float
     delay_err_s: float = 0.0
+    coherence_time_s: float
     coherence_time_err_s: float = 0.0
     reduced_chi2: float = 0.0
     n_points: int = 0
@@ -172,7 +172,6 @@ def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> FitR
         coherence_time_s=coherence,
         n_points=int(tau_s.size),
         bin_width_s=bin_width_s,
-        converged=False,
     )
 
 
@@ -187,18 +186,19 @@ def fit_g2(
     """Weighted least squares of the bin-averaged model via damped Gauss-Newton.
 
     Convergence: relative chi-square change below ``rel_tol`` (or an exhausted
-    step-halving search, which means a machine-precision minimum). Failure to
-    converge is flagged on the result rather than raised; a coherence time
-    collapsing to a fraction of the bin width raises ``DegenerateFitError``.
+    step-halving search, which means a machine-precision minimum). Returns a
+    converged fit with finite uncertainties; otherwise raises a ``FitError``:
+    ``DegenerateFitError`` if tau_c collapses below a quarter bin, else
+    ``FitNotConvergedError`` (iteration limit, or no finite curvature error).
     """
     tau_s = np.asarray(tau_s, dtype=np.float64)
     g2 = np.asarray(g2, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if tau_s.size < 8:
-        raise FitError(f"need at least 8 points, got {tau_s.size}")
+    if not (np.isfinite(tau_s).all() and np.isfinite(g2).all() and np.isfinite(sigma).all()):
+        raise FitError("tau, g2 and sigma must all be finite")
     if np.any(sigma <= 0):
         raise FitError("all sigma values must be positive")
-    if bin_width_s <= 0:
+    if not bin_width_s > 0:  # also true for NaN
         raise FitError(f"bin width must be positive, got {bin_width_s}")
 
     initial = initial_guess(tau_s, g2, bin_width_s)
@@ -242,25 +242,31 @@ def fit_g2(
         raise DegenerateFitError(
             f"coherence time collapsed to {theta[3]} s (bin width {bin_width_s} s)"
         )
+    reduced_chi2 = chi2 / (tau_s.size - _N_FREE_PARAMS)
+    if not converged:
+        raise FitNotConvergedError(
+            f"fit did not converge after {iterations} iterations (reduced chi2 {reduced_chi2:.3g})"
+        )
     jac = binned_model_jacobian(tau_s, bin_width_s, theta) / sigma[:, None]
     try:
         covariance = np.linalg.inv(jac.T @ jac)
-        errors = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     except np.linalg.LinAlgError:
-        errors = np.full(_N_FREE_PARAMS, np.inf)
-        converged = False
+        raise FitNotConvergedError("singular curvature matrix at the minimum") from None
+    errors = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    if not np.isfinite(errors).all():
+        raise FitNotConvergedError(f"non-finite parameter uncertainties {errors.tolist()}")
     return FitResult(
         baseline=float(theta[0]),
-        amplitude=float(theta[1]),
-        delay_s=float(theta[2]),
-        coherence_time_s=float(theta[3]),
         baseline_err=float(errors[0]),
+        amplitude=float(theta[1]),
         amplitude_err=float(errors[1]),
+        delay_s=float(theta[2]),
         delay_err_s=float(errors[2]),
+        coherence_time_s=float(theta[3]),
         coherence_time_err_s=float(errors[3]),
-        reduced_chi2=chi2 / (tau_s.size - _N_FREE_PARAMS),
+        reduced_chi2=reduced_chi2,
         n_points=int(tau_s.size),
-        converged=converged,
+        converged=True,
         n_iterations=iterations,
         bin_width_s=bin_width_s,
     )
@@ -270,8 +276,7 @@ def estimate_range(fit: FitResult, medium: Medium = VACUUM) -> tuple[float, floa
     """Target distance d = c*tau0/(2n) and its one-sigma uncertainty, in meters."""
     if not fit.converged:
         raise FitNotConvergedError("cannot estimate range from an unconverged fit")
-    factor = SPEED_OF_LIGHT / (2.0 * medium.refractive_index)
-    return factor * fit.delay_s, factor * fit.delay_err_s
+    return range_from_delay(fit.delay_s, medium), range_from_delay(fit.delay_err_s, medium)
 
 
 def snr_predict(
@@ -320,35 +325,8 @@ def snr_measure(
 
 
 def fit_to_dict(fit: FitResult) -> dict:
-    """Flat JSON-ready mapping of a fit result (stable key order when dumped)."""
-    return {
-        "baseline": fit.baseline,
-        "baseline_err": fit.baseline_err,
-        "amplitude": fit.amplitude,
-        "amplitude_err": fit.amplitude_err,
-        "delay_s": fit.delay_s,
-        "delay_err_s": fit.delay_err_s,
-        "coherence_time_s": fit.coherence_time_s,
-        "coherence_time_err_s": fit.coherence_time_err_s,
-        "reduced_chi2": fit.reduced_chi2,
-        "n_points": fit.n_points,
-        "n_free_params": fit.n_free_params,
-        "converged": fit.converged,
-        "n_iterations": fit.n_iterations,
-        "bin_width_s": fit.bin_width_s,
-        "binned_peak_g2": fit.binned_peak_g2(),
-    }
-
-
-def snr_to_dict(report: SnrReport) -> dict:
-    return {
-        "predicted_snr": report.predicted_snr,
-        "measured_snr": report.measured_snr,
-        "rate_hz": report.rate_hz,
-        "integration_time_s": report.integration_time_s,
-        "amplitude": report.amplitude,
-        "coherence_time_s": report.coherence_time_s,
-    }
+    """Flat JSON-ready mapping of a fit result, in field order, plus the peak-bin g2."""
+    return {**asdict(fit), "binned_peak_g2": fit.binned_peak_g2()}
 
 
 def format_record(record: dict) -> str:

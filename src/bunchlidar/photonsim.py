@@ -32,6 +32,7 @@ from .quantities import (
     Medium,
     SourceSpec,
     TICKS_PER_SECOND,
+    TickOverflowError,
     VACUUM,
     _TICK_MAX,
     delay_from_range,
@@ -107,8 +108,9 @@ class DetectorSpec:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigurationError(f"efficiency must be in [0,1], got {self.efficiency}")
         for name in ("jitter_fwhm_s", "dead_time_s", "dark_rate_hz"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also true for NaN
+                raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
 
 
 IDEAL_DETECTOR = DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
@@ -144,14 +146,18 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be in [0,1], got {value}")
         if self.split_probe + self.split_ref > 1.0 + 1e-12:
             raise ConfigurationError("split fractions must sum to at most 1")
-        if self.duration_s < 0:
-            raise ConfigurationError("duration must be non-negative")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.distance_m < 0:
-            raise ConfigurationError("distance must be non-negative")
-        if self.ambient_rate_probe_hz < 0 or self.ambient_rate_ref_hz < 0:
-            raise ConfigurationError("ambient rates must be non-negative")
+        for name in ("duration_s", "distance_m"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be non-negative, got {value}")
+            if not value < math.inf:  # also true for NaN
+                raise TickOverflowError(f"{name} = {value} does not fit in 64-bit picosecond ticks")
+        for name in ("ambient_rate_probe_hz", "ambient_rate_ref_hz"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also true for NaN
+                raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
 
 
 _SCAN_COLUMNS = 64

@@ -8,6 +8,7 @@ ticks only at module boundaries. A signed 64-bit tick count spans about
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ def range_from_delay(delay_s: float, medium: Medium = VACUUM) -> float:
 
     Negative delays are allowed and return negative ranges for diagnostics.
     """
-    return SPEED_OF_LIGHT * delay_s / (2.0 * medium.refractive_index)
+    return SPEED_OF_LIGHT / (2.0 * medium.refractive_index) * delay_s
 
 
 def delay_from_range(distance_m: float, medium: Medium = VACUUM) -> float:
@@ -128,10 +129,12 @@ class SourceSpec:
     coherence_time_s: float = 0.0
 
     def __post_init__(self):
-        if self.wavelength_m is not None and self.wavelength_m <= 0:
-            raise DomainError(f"wavelength must be positive, got {self.wavelength_m}")
-        if self.photon_rate_hz < 0:
-            raise DomainError(f"photon rate must be non-negative, got {self.photon_rate_hz}")
+        if self.wavelength_m is not None and not 0.0 < self.wavelength_m < math.inf:
+            raise DomainError(f"wavelength_m must be finite and positive, got {self.wavelength_m}")
+        for name in ("photon_rate_hz", "linewidth_hz", "coherence_time_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also true for NaN
+                raise DomainError(f"{name} must be finite and non-negative, got {value}")
         lw, tc = self.linewidth_hz, self.coherence_time_s
         if lw <= 0 and tc <= 0:
             raise DomainError("one of linewidth_hz or coherence_time_s must be positive")

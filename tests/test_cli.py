@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -391,6 +392,26 @@ class TestCorrelateFitRange:
         assert cli.main(["fit", "--in", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unconverged_fit_writes_nothing(self, tmp_path, histogram_csv, capsys):
+        out = tmp_path / "fit.json"
+        code = cli.main(["fit", "--in", histogram_csv, "--set", "fit.max_iterations=1",
+                         "--out", str(out)])
+        assert code == 1
+        assert "did not converge after 1 iterations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_g2_is_fit_error(self, tmp_path, capfd):
+        path = tmp_path / "nan.csv"
+        with open(path, "w", newline="\n") as f:
+            f.write("tau_ps,counts,g2,sigma\n")
+            for i in range(64):
+                g2 = "nan" if i == 40 else repr(1.0 + 0.5 * math.exp(-abs(i - 32) / 4))
+                f.write(f"{(i + 0.5) * 1000:.1f},100,{g2},{0.01!r}\n")
+        assert cli.main(["range", "--in", str(path)]) == 1
+        out, err = capfd.readouterr()
+        assert "tau, g2 and sigma must all be finite" in err
+        assert "DLASCL" not in out + err
+
     @pytest.mark.parametrize("bad_row, expected", [
         ("2500.0,100,1.0", "line 4: expected 4 fields, got 3"),
         ("2500.0,100,1.0,0.01,7", "line 4: expected 4 fields, got 5"),
@@ -564,6 +585,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "64-bit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key, field", [
+        ("scenario.coherence_time_ns", "coherence_time_s"),
+        ("scenario.source_rate_hz", "photon_rate_hz"),
+        ("scenario.distance_m", "distance_m"),
+        ("scenario.ambient_rate_probe_hz", "ambient_rate_probe_hz"),
+        ("scenario.detectors.1.jitter_fwhm_ps", "jitter_fwhm_s"),
+        ("scenario.detectors.1.dead_time_ps", "dead_time_s"),
+        ("scenario.detectors.1.dark_rate_hz", "dark_rate_hz"),
+    ])
+    def test_non_finite_scenario_value_is_user_error(self, tmp_path, key, field, value, capsys):
+        tags = tmp_path / "x.bin"
+        code = cli.main(["simulate", "--preset", "short-range", "--duration-s", "0.001",
+                         "--set", f"{key}={value}", "--out", str(tags)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not tags.exists()
 
     def test_text_tick_overflow_is_user_error(self, tmp_path, capsys):
         text = tmp_path / "t.txt"

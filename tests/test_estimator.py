@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bunchlidar import estimator as est
 from bunchlidar.quantities import DomainError, Medium
@@ -181,6 +182,58 @@ class TestFit:
             est.fit_g2(tau, g2, np.full(64, 0.01), 1e-9)
 
 
+def edge_case_curve(n_bins, ratio, amplitude, where, sigma, seed, width=40e-12):
+    """Noisy bin-averaged curve with tau_c = ratio * width and the peak at ``where``."""
+    tau = (np.arange(n_bins) + 0.5) * width
+    delay = {"left": tau[0], "right": tau[-1], "inside": tau[n_bins // 3],
+             "out-left": tau[0] - 5 * width, "out-right": tau[-1] + 5 * width}[where]
+    g2 = est.binned_model(tau, width, (1.0, amplitude, delay, ratio * width))
+    g2 = g2 + sigma * np.random.default_rng(seed).standard_normal(n_bins)
+    return tau, g2, np.full(n_bins, sigma), width
+
+
+class TestFitContract:
+    """fit_g2 returns a converged fit with finite uncertainties, or raises FitError."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_bins=st.integers(8, 400),
+        ratio=st.floats(0.3, 50.0),
+        amplitude=st.sampled_from([0.0, 1e-4, 1e-2, 0.5]),
+        where=st.sampled_from(["left", "right", "inside", "out-left", "out-right"]),
+        log_sigma=st.floats(-4.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 8-bin peaks at the window edge: the iteration limit, and a singular or
+    # non-finite curvature at the minimum
+    @example(n_bins=8, ratio=0.5, amplitude=0.5, where="left", log_sigma=-3.0, seed=4)
+    @example(n_bins=8, ratio=2.0, amplitude=0.5, where="right", log_sigma=math.log10(0.03), seed=3)
+    @example(n_bins=8, ratio=0.5, amplitude=0.01, where="right", log_sigma=-3.0, seed=2)
+    def test_converged_and_finite_or_raises(self, n_bins, ratio, amplitude, where, log_sigma, seed):
+        tau, g2, sigma, width = edge_case_curve(n_bins, ratio, amplitude, where, 10.0**log_sigma, seed)
+        try:
+            fit = est.fit_g2(tau, g2, sigma, width)
+        except est.FitError:
+            return
+        assert fit.converged
+        errors = (fit.baseline_err, fit.amplitude_err, fit.delay_err_s, fit.coherence_time_err_s)
+        assert all(math.isfinite(e) for e in errors)
+
+    def test_iteration_limit_raises_with_count(self):
+        tau, g2 = model_curve()
+        with pytest.raises(est.FitNotConvergedError, match="after 1 iterations"):
+            est.fit_g2(tau, g2 + 0.01, np.full_like(g2, 0.01), 0.25e-9, max_iterations=1)
+
+    @pytest.mark.parametrize("which", ["tau", "g2", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, which, value):
+        tau, g2 = model_curve()
+        arrays = {"tau": tau, "g2": g2, "sigma": np.full_like(g2, 0.01)}
+        arrays[which][7] = value
+        with pytest.raises(est.FitError, match="finite"):
+            est.fit_g2(arrays["tau"], arrays["g2"], arrays["sigma"], 0.25e-9)
+
+
 class TestEstimateRange:
     def _fit(self, delay, delay_err, converged=True):
         return est.FitResult(
@@ -254,6 +307,15 @@ class TestExports:
         assert record["binned_peak_g2"] == pytest.approx(1.0 + 0.6 * 0.958, abs=1e-3)
         table = est.format_record(record)
         assert "amplitude" in table and "=" in table
+        assert list(record) == [
+            "baseline", "baseline_err", "amplitude", "amplitude_err", "delay_s", "delay_err_s",
+            "coherence_time_s", "coherence_time_err_s", "reduced_chi2", "n_points",
+            "n_free_params", "converged", "n_iterations", "bin_width_s", "binned_peak_g2",
+        ]
+
+    def test_fit_result_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            est.FitResult(1.0, 0.6, 1e-9, 23.2e-9)
 
     def test_json_dump_stable(self, tmp_path):
         record = {"b": 1, "a": 2}
