@@ -5,8 +5,9 @@ their inputs and flags; nothing reads the clock or global state (the single
 escape hatch is ``simulate --seed-from-entropy``). Data files are written
 only to explicitly given paths; human-readable summaries go to stdout.
 
-Exit codes: 0 success, 1 user error (bad flags, bad files, unconverged fit),
-2 internal error.
+Exit codes: 0 success; 1 for a ``UserError`` (the root of every typed input
+fault: bad flags, values or files, a fit that fails) or an ``OSError``; 2 for
+any other exception, which is a bug and prints its traceback.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ import traceback
 import numpy as np
 
 from . import correlator, estimator, presets, tagio
-from .photonsim import ConfigurationError, simulate_ranging_scenario
-from .quantities import DomainError, TickOverflowError
+from .photonsim import simulate_ranging_scenario
+from .quantities import UserError
 
 PROG = "bunchlidar"
-
-
-class UserError(Exception):
-    """Invalid invocation or input; reported without a traceback."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,8 +197,6 @@ def cmd_correlate(args) -> int:
     if header["channel_count"] != 2:
         raise UserError(f"correlate needs a 2-channel file, got {header['channel_count']}")
     a, b = streams
-    if len(a) + len(b) == 0:
-        raise UserError("no events in input file")
     config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
     hist = correlator.cross_correlate(a, b, config)
     correlator.write_histogram_csv(hist, args.out)
@@ -221,14 +216,18 @@ def _fit_from_csv(args, doc):
     return fit, tau_ps, g2
 
 
+def _report(record: dict, path, *summary: str) -> int:
+    """Print the record and any summary lines; write the record as JSON to ``path`` if given."""
+    print(estimator.format_record(record), *summary, sep="\n")
+    if path:
+        estimator.dump_json(record, path)
+        print(f"wrote {path}")
+    return 0
+
+
 def cmd_fit(args) -> int:
     fit, _, _ = _fit_from_csv(args, _resolve_document(args))
-    record = estimator.fit_to_dict(fit)
-    print(estimator.format_record(record))
-    if args.out:
-        estimator.dump_json(record, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _report(estimator.fit_to_dict(fit), args.out)
 
 
 def cmd_range(args) -> int:
@@ -239,12 +238,7 @@ def cmd_range(args) -> int:
     distance, distance_err = estimator.estimate_range(fit, medium)
     record.update(distance_m=distance, distance_err_m=distance_err,
                   refractive_index=medium.refractive_index)
-    print(estimator.format_record(record))
-    print(f"d = {distance:.6f} +/- {distance_err:.6f} m")
-    if args.out:
-        estimator.dump_json(record, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _report(record, args.out, f"d = {distance:.6f} +/- {distance_err:.6f} m")
 
 
 def cmd_snr(args) -> int:
@@ -260,16 +254,11 @@ def cmd_snr(args) -> int:
             "coherence_time_s": args.tauc_ns * 1e-9,
             "integration_time_s": dt_s,
         }
-        print(estimator.format_record(record))
     else:
         fit, tau_ps, g2 = _fit_from_csv(args, {})
         report = estimator.snr_measure(tau_ps * 1e-12, g2, fit, args.rate_hz, dt_s)
         record = dataclasses.asdict(report)
-        print(estimator.format_record(record))
-    if args.out:
-        estimator.dump_json(record, args.out)
-        print(f"wrote {args.out}")
-    return 0
+    return _report(record, args.out)
 
 
 def cmd_convert(args) -> int:
@@ -284,19 +273,12 @@ def cmd_convert(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UserError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except (UserError, presets.ConfigError, ConfigurationError, DomainError,
-            correlator.CorrelationError, tagio.TagFileError, estimator.FitError,
-            TickOverflowError, OSError, ValueError) as exc:
+    except (UserError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .photonsim import EventStream
-from .quantities import _TICK_MAX
+from .quantities import UserError, _TICK_MAX
 
 _MAX_BINS = 2**24
 _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
@@ -31,7 +31,7 @@ _SWEEP_MIN_ROWS = 4096
 _SWEEP_BUFFER = 1 << 19
 
 
-class CorrelationError(ValueError):
+class CorrelationError(UserError, ValueError):
     """Invalid correlation configuration or input."""
 
 
@@ -255,7 +255,7 @@ def normalize_g2(h: CorrelationHistogram) -> G2Curve:
     scenario here |tau| <= 10 us and T >= 1 ms, a bias below 0.1%.
     """
     if h.n_a <= 0 or h.n_b <= 0:
-        raise CorrelationError("cannot normalize a histogram with empty input streams")
+        raise CorrelationError("no events in one or both streams: cannot normalize")
     if h.duration_ticks <= 0:
         raise CorrelationError("cannot normalize a histogram with zero duration")
     scale = h.duration_ticks / (float(h.n_a) * float(h.n_b) * h.config.bin_width_ticks)
@@ -281,23 +281,27 @@ def write_histogram_csv(h: CorrelationHistogram, path) -> None:
 
 def read_histogram_csv(path):
     """Read a histogram CSV back as (tau_ps, counts, g2, sigma) arrays."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        header, *lines = data.decode("utf-8").splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise CorrelationError(f"{path}: not UTF-8 text at offset {exc.start}") from None
+    if header.strip() != "tau_ps,counts,g2,sigma":
+        raise CorrelationError(f"unexpected CSV header: {header.strip()!r}")
     rows = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().strip()
-        if header != "tau_ps,counts,g2,sigma":
-            raise CorrelationError(f"unexpected CSV header: {header!r}")
-        for line_no, line in enumerate(f, start=2):
-            fields = line.split(",")
-            if len(fields) != 4:
-                if not line.strip():
-                    continue
-                raise CorrelationError(
-                    f"histogram CSV line {line_no}: expected 4 fields, got {len(fields)}"
-                )
-            try:
-                rows.append((float(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])))
-            except ValueError as exc:
-                raise CorrelationError(f"histogram CSV line {line_no}: {exc}") from None
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            if not line.strip():
+                continue
+            raise CorrelationError(
+                f"histogram CSV line {line_no}: expected 4 fields, got {len(fields)}"
+            )
+        try:
+            rows.append((float(fields[0]), int(fields[1]), float(fields[2]), float(fields[3])))
+        except ValueError as exc:
+            raise CorrelationError(f"histogram CSV line {line_no}: {exc}") from None
     if not rows:
         raise CorrelationError("histogram CSV contains no bins")
     tau, counts, g2, sigma = zip(*rows)

@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quantities import DomainError, Medium, VACUUM, range_from_delay
+from .quantities import DomainError, Medium, UserError, VACUUM, nonnegative, range_from_delay
 
 _N_FREE_PARAMS = 4
 
 
-class FitError(RuntimeError):
+class FitError(UserError, RuntimeError):
     """Base class for fitting failures."""
 
 
@@ -80,9 +80,7 @@ def bin_attenuation(bin_width_s: float, coherence_time_s: float) -> float:
     """
     if coherence_time_s <= 0:
         raise DomainError(f"coherence time must be positive, got {coherence_time_s}")
-    if bin_width_s < 0:
-        raise DomainError(f"bin width must be non-negative, got {bin_width_s}")
-    if bin_width_s == 0:
+    if nonnegative("bin_width_s", bin_width_s) == 0:
         return 1.0
     ratio = bin_width_s / coherence_time_s
     return -math.expm1(-ratio) / ratio
@@ -175,6 +173,7 @@ def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> FitR
     )
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite model and raises below
 def fit_g2(
     tau_s,
     g2,
@@ -218,6 +217,8 @@ def fit_g2(
         model = binned_model(tau_s, bin_width_s, theta)
         jac = binned_model_jacobian(tau_s, bin_width_s, theta) / sigma[:, None]
         resid = (g2 - model) / sigma
+        if not (np.isfinite(jac).all() and np.isfinite(resid).all()):
+            raise FitNotConvergedError("model or residuals overflow; rescale tau, g2 or sigma")
         step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         scale = 1.0
         trial_chi2 = None

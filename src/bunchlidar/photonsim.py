@@ -33,9 +33,11 @@ from .quantities import (
     SourceSpec,
     TICKS_PER_SECOND,
     TickOverflowError,
+    UserError,
     VACUUM,
     _TICK_MAX,
     delay_from_range,
+    nonnegative,
     seconds_to_ticks,
     shift_ticks,
 )
@@ -53,10 +55,23 @@ _RESTART_LAG = 37.0
 DEFAULT_INTENSITY_CAP = 12.0
 
 _CANDIDATE_BLOCK = 4_000_000  # candidates per processing block (memory bound)
+# A block spans at least one tick, so a brighter source would break that bound.
+_MAX_SOURCE_RATE_HZ = _CANDIDATE_BLOCK * TICKS_PER_SECOND / DEFAULT_INTENSITY_CAP
+_POISSON_MAX = 9.2e18  # numpy refuses Poisson means above ~9.22e18
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(UserError, ValueError):
     """Simulation configuration violates a precondition."""
+
+
+def _field_ticks(name: str, seconds: float) -> int:
+    """A non-negative time field in picosecond ticks; each refusal names the field."""
+    if seconds < 0:
+        raise ConfigurationError(f"{name} must be non-negative, got {seconds}")
+    try:
+        return seconds_to_ticks(seconds)
+    except TickOverflowError as exc:
+        raise TickOverflowError(f"{name} = {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -80,10 +95,8 @@ class EventStream:
         if self.duration_s is None:
             duration_ticks = int(times[-1]) if times.size else 0
             object.__setattr__(self, "duration_s", duration_ticks / TICKS_PER_SECOND)
-        elif self.duration_s < 0:
-            raise ConfigurationError(f"duration must be non-negative, got {self.duration_s}")
         else:
-            duration_ticks = seconds_to_ticks(self.duration_s)
+            duration_ticks = _field_ticks("duration_s", self.duration_s)
         object.__setattr__(self, "duration_ticks", duration_ticks)
         if times.size:
             if np.any(times[1:] < times[:-1]):
@@ -97,7 +110,8 @@ class EventStream:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Detection-chain imperfections for a single-photon detector."""
+    """Detection-chain imperfections for a single-photon detector (plus the derived
+    ``dead_time_ticks``, set at construction and not a field)."""
 
     efficiency: float = 0.5
     jitter_fwhm_s: float = 40e-12
@@ -107,10 +121,9 @@ class DetectorSpec:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigurationError(f"efficiency must be in [0,1], got {self.efficiency}")
-        for name in ("jitter_fwhm_s", "dead_time_s", "dark_rate_hz"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also true for NaN
-                raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
+        _field_ticks("jitter_fwhm_s", self.jitter_fwhm_s)
+        object.__setattr__(self, "dead_time_ticks", _field_ticks("dead_time_s", self.dead_time_s))
+        nonnegative("dark_rate_hz", self.dark_rate_hz)
 
 
 IDEAL_DETECTOR = DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
@@ -124,6 +137,7 @@ class ScenarioConfig:
     probe arm is additionally attenuated by ``probe_round_trip_transmission``
     and delayed by the round-trip time 2*d*n/c. Ambient rates are homogeneous
     Poisson backgrounds per channel, uncorrelated with the source field.
+    Construction sets the derived ``duration_ticks`` and ``delay_ticks``.
     """
 
     source: SourceSpec
@@ -148,16 +162,14 @@ class ScenarioConfig:
             raise ConfigurationError("split fractions must sum to at most 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        for name in ("duration_s", "distance_m"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be non-negative, got {value}")
-            if not value < math.inf:  # also true for NaN
-                raise TickOverflowError(f"{name} = {value} does not fit in 64-bit picosecond ticks")
-        for name in ("ambient_rate_probe_hz", "ambient_rate_ref_hz"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also true for NaN
-                raise ConfigurationError(f"{name} must be finite and non-negative, got {value}")
+        object.__setattr__(self, "duration_ticks", _field_ticks("duration_s", self.duration_s))
+        delay_s = delay_from_range(self.distance_m, self.medium)
+        object.__setattr__(self, "delay_ticks", _field_ticks("distance_m's round trip", delay_s))
+        nonnegative("photon_rate_hz", self.source.photon_rate_hz, _MAX_SOURCE_RATE_HZ)
+        for side in ("ref", "probe"):
+            ambient = nonnegative(f"ambient_rate_{side}_hz", getattr(self, f"ambient_rate_{side}_hz"))
+            mean = (ambient + getattr(self, f"detector_{side}").dark_rate_hz) * self.duration_s
+            nonnegative(f"(ambient_rate_{side}_hz + dark_rate_hz) * duration_s", mean, _POISSON_MAX)
 
 
 _SCAN_COLUMNS = 64
@@ -415,20 +427,18 @@ def dead_time_filter(times: np.ndarray, dead_ticks: int) -> np.ndarray:
 def _detector_noise(
     times: np.ndarray,
     spec: DetectorSpec,
-    ambient_rate_hz: float,
-    duration_s: float,
+    background_mean: float,
+    duration_ticks: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Background merge, dead time, jitter, and clipping (everything after thinning)."""
-    duration_ticks = seconds_to_ticks(duration_s)
-    background_rate = ambient_rate_hz + spec.dark_rate_hz
-    if background_rate > 0 and duration_ticks > 0:
-        n_background = rng.poisson(background_rate * duration_s)
+    """Background merge, dead time, jitter, and clipping (everything after thinning);
+    ``background_mean`` is the expected count of ambient plus dark events."""
+    if background_mean > 0 and duration_ticks > 0:
+        n_background = rng.poisson(background_mean)
         background = rng.integers(0, duration_ticks, size=n_background, dtype=np.int64)
         times = np.concatenate([times, background])
         times.sort(kind="stable")
-    dead_ticks = seconds_to_ticks(spec.dead_time_s)
-    times = dead_time_filter(times, dead_ticks)
+    times = dead_time_filter(times, spec.dead_time_ticks)
     if spec.jitter_fwhm_s > 0 and times.size:
         sigma_ticks = spec.jitter_fwhm_s * TICKS_PER_SECOND / _FWHM_PER_SIGMA
         times = times + np.rint(sigma_ticks * rng.standard_normal(times.size)).astype(np.int64)
@@ -519,9 +529,7 @@ def simulate_ranging_scenario(config: ScenarioConfig):
     holds every ground-truth parameter needed to check recovered quantities.
     """
     src = config.source
-    duration_ticks = seconds_to_ticks(config.duration_s)
     delay_s = delay_from_range(config.distance_m, config.medium)
-    delay_ticks = seconds_to_ticks(delay_s)
 
     rate_ref = src.photon_rate_hz * config.split_ref * config.detector_ref.efficiency
     rate_probe = (
@@ -536,33 +544,23 @@ def simulate_ranging_scenario(config: ScenarioConfig):
     signal_ref, signal_probe = _sample_cox_channels(
         [rate_ref, rate_probe],
         src.coherence_time_s,
-        duration_ticks,
+        config.duration_ticks,
         DEFAULT_INTENSITY_CAP,
         rng_candidates=np.random.default_rng(seeds[0]),
         rng_field=np.random.default_rng(seeds[1]),
         rng_accept=np.random.default_rng(seeds[2]),
     )
-    signal_probe = shift_ticks(signal_probe, delay_ticks)
-
-    ref_times = _detector_noise(
-        signal_ref,
-        config.detector_ref,
-        config.ambient_rate_ref_hz,
-        config.duration_s,
-        np.random.default_rng(seeds[3]),
-    )
-    probe_times = _detector_noise(
-        signal_probe,
-        config.detector_probe,
-        config.ambient_rate_probe_hz,
-        config.duration_s,
-        np.random.default_rng(seeds[4]),
-    )
-    reference = EventStream(channel=0, times=ref_times, duration_s=config.duration_s)
-    probe = EventStream(channel=1, times=probe_times, duration_s=config.duration_s)
+    signal_probe = shift_ticks(signal_probe, config.delay_ticks)
 
     bg_ref = config.ambient_rate_ref_hz + config.detector_ref.dark_rate_hz
     bg_probe = config.ambient_rate_probe_hz + config.detector_probe.dark_rate_hz
+    ref_times = _detector_noise(signal_ref, config.detector_ref, bg_ref * config.duration_s,
+                                config.duration_ticks, np.random.default_rng(seeds[3]))
+    probe_times = _detector_noise(signal_probe, config.detector_probe, bg_probe * config.duration_s,
+                                  config.duration_ticks, np.random.default_rng(seeds[4]))
+    reference = EventStream(channel=0, times=ref_times, duration_s=config.duration_s)
+    probe = EventStream(channel=1, times=probe_times, duration_s=config.duration_s)
+
     frac_ref = rate_ref / (rate_ref + bg_ref) if rate_ref + bg_ref > 0 else 0.0
     frac_probe = rate_probe / (rate_probe + bg_probe) if rate_probe + bg_probe > 0 else 0.0
     truth = {
@@ -573,7 +571,7 @@ def simulate_ranging_scenario(config: ScenarioConfig):
         "distance_m": config.distance_m,
         "refractive_index": config.medium.refractive_index,
         "delay_s": delay_s,
-        "delay_ticks": delay_ticks,
+        "delay_ticks": config.delay_ticks,
         "signal_rate_reference_hz": rate_ref,
         "signal_rate_probe_hz": rate_probe,
         "background_rate_reference_hz": bg_ref,

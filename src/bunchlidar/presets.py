@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .photonsim import DetectorSpec, ScenarioConfig
-from .quantities import VACUUM, Medium, SourceSpec
+from .quantities import VACUUM, Medium, SourceSpec, UserError
 
 PRESET_FILES = {
     "short-range": "short_range.json",
@@ -24,7 +24,7 @@ PRESET_FILES = {
 }
 
 
-class ConfigError(ValueError):
+class ConfigError(UserError, ValueError):
     """Malformed run configuration document."""
 
 
@@ -36,7 +36,9 @@ def _pico(value) -> float:
     return float(value) * 1e-12
 
 
-def _as_is(value):
+def _path(value) -> str | None:
+    if not (value is None or isinstance(value, str)):
+        raise TypeError("must be a string or null")
     return value
 
 
@@ -87,8 +89,8 @@ _FIT_FIELDS = {
     "rel_tol": ("rel_tol", float),
 }
 _OUTPUT_FIELDS = {
-    "tags_path": ("tags_path", _as_is),
-    "truth_path": ("truth_path", _as_is),
+    "tags_path": ("tags_path", _path),
+    "truth_path": ("truth_path", _path),
     "resolution_ps": ("resolution_ps", _integer),
 }
 
@@ -128,7 +130,7 @@ def _keywords(mapping: dict, fields: dict) -> dict:
         if key in mapping:
             try:
                 keywords[name] = convert(mapping[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value {mapping[key]!r} for {key!r}: {exc}") from None
     return keywords
 
@@ -211,11 +213,12 @@ def load_preset(name: str) -> dict:
 
 
 def load_config_file(path) -> dict:
-    with open(path, "r") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     validate_document(doc)
     return doc
 
@@ -242,7 +245,7 @@ def apply_dotted_override(doc: dict, assignment: str) -> None:
     path, _, raw = assignment.partition("=")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         value = raw
     set_path(doc, path, value)
 

@@ -22,11 +22,15 @@ _TICK_MIN = -(2**63)
 _TICK_MAX = 2**63 - 1
 
 
-class DomainError(ValueError):
+class UserError(Exception):
+    """Root of every input fault; the command line reports it without a traceback (exit 1)."""
+
+
+class DomainError(UserError, ValueError):
     """Argument outside the physical domain of an operation."""
 
 
-class TickOverflowError(OverflowError):
+class TickOverflowError(UserError, OverflowError):
     """Tick arithmetic left the signed 64-bit range."""
 
 
@@ -36,6 +40,13 @@ def seconds_to_ticks(t_s: float) -> int:
     if not _TICK_MIN <= ticks <= _TICK_MAX:  # also false for NaN
         raise TickOverflowError(f"{t_s} s does not fit in 64-bit picosecond ticks")
     return int(round(ticks))
+
+
+def nonnegative(name: str, value: float, limit: float = math.inf) -> float:
+    """``value`` if 0 <= value < limit, else a DomainError naming the field."""
+    if not 0.0 <= value < limit:  # also true for NaN
+        raise DomainError(f"{name} must be in [0, {limit:g}), got {value}")
+    return value
 
 
 def shift_ticks(times: np.ndarray, delta: int) -> np.ndarray:
@@ -73,8 +84,7 @@ def linewidth_from_wavelength_spread(wavelength_m: float, wavelength_spread_m: f
     """Frequency linewidth c*dlambda/lambda^2 in hertz."""
     if wavelength_m <= 0:
         raise DomainError(f"wavelength must be positive, got {wavelength_m}")
-    if wavelength_spread_m < 0:
-        raise DomainError(f"wavelength spread must be non-negative, got {wavelength_spread_m}")
+    nonnegative("wavelength_spread_m", wavelength_spread_m)
     return SPEED_OF_LIGHT * wavelength_spread_m / wavelength_m**2
 
 
@@ -82,8 +92,7 @@ def photon_rate_from_power(power_w: float, wavelength_m: float) -> float:
     """Photon flux P*lambda/(h*c) in events per second."""
     if wavelength_m <= 0:
         raise DomainError(f"wavelength must be positive, got {wavelength_m}")
-    if power_w < 0:
-        raise DomainError(f"power must be non-negative, got {power_w}")
+    nonnegative("power_w", power_w)
     return power_w * wavelength_m / (PLANCK_CONSTANT * SPEED_OF_LIGHT)
 
 
@@ -107,8 +116,7 @@ def g2_model(tau_s, baseline: float, amplitude: float, delay_s: float, coherence
     """
     if coherence_time_s <= 0:
         raise DomainError(f"coherence time must be positive, got {coherence_time_s}")
-    if amplitude < 0:
-        raise DomainError(f"amplitude must be non-negative, got {amplitude}")
+    nonnegative("amplitude", amplitude)
     tau = np.asarray(tau_s, dtype=np.float64)
     value = baseline + amplitude * np.exp(-2.0 * np.abs(tau - delay_s) / coherence_time_s)
     return float(value) if np.ndim(tau_s) == 0 else value
@@ -132,9 +140,7 @@ class SourceSpec:
         if self.wavelength_m is not None and not 0.0 < self.wavelength_m < math.inf:
             raise DomainError(f"wavelength_m must be finite and positive, got {self.wavelength_m}")
         for name in ("photon_rate_hz", "linewidth_hz", "coherence_time_s"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also true for NaN
-                raise DomainError(f"{name} must be finite and non-negative, got {value}")
+            nonnegative(name, getattr(self, name))
         lw, tc = self.linewidth_hz, self.coherence_time_s
         if lw <= 0 and tc <= 0:
             raise DomainError("one of linewidth_hz or coherence_time_s must be positive")

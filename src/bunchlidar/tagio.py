@@ -34,7 +34,7 @@ import struct
 import numpy as np
 
 from .photonsim import EventStream
-from .quantities import _TICK_MAX
+from .quantities import UserError, _TICK_MAX
 
 MAGIC = b"BLTTAG01"
 VERSION = 1
@@ -48,7 +48,7 @@ _FLAG_ROUNDED = 0x01
 _FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all but flag bit 0
 
 
-class TagFileError(ValueError):
+class TagFileError(UserError, ValueError):
     """Malformed tag file; ``offset`` is the first offending byte offset."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -249,8 +249,12 @@ def read_text_tags(path):
     Leading ``# key=value`` lines are metadata; ``resolution_ps`` is required,
     ``channels`` is optional (inferred from the data when absent).
     """
-    with open(path, "r", newline="") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise TextFormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
     meta = {}
     body_start = 0
     for line in lines:

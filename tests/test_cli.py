@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bunchlidar import cli, correlator, presets, tagio
+import bunchlidar
+from bunchlidar import cli, correlator, estimator, presets, quantities, tagio
 from bunchlidar.photonsim import DetectorSpec, ScenarioConfig
 
 MINI_CONFIG = {
@@ -412,6 +415,21 @@ class TestCorrelateFitRange:
         assert "tau, g2 and sigma must all be finite" in err
         assert "DLASCL" not in out + err
 
+    @pytest.mark.parametrize("g2_scale, sigma", [(1e300, 1e-300), (1.0, 1e-320)],
+                             ids=["huge-g2", "subnormal-sigma"])
+    def test_overflowing_fit_is_user_error(self, tmp_path, capfd, g2_scale, sigma):
+        # finite inputs whose weighted residuals overflow: typed, no LAPACK message
+        path = tmp_path / "extreme.csv"
+        with open(path, "w", newline="\n") as f:
+            f.write("tau_ps,counts,g2,sigma\n")
+            for i in range(64):
+                g2 = g2_scale * (1.0 + 0.5 * math.exp(-abs(i - 32) / 4))
+                f.write(f"{(i + 0.5) * 1000:.1f},100,{g2!r},{sigma!r}\n")
+        assert cli.main(["range", "--in", str(path)]) == 1
+        out, err = capfd.readouterr()
+        assert "overflow" in err and "Traceback" not in err
+        assert "DLASCL" not in out + err
+
     @pytest.mark.parametrize("bad_row, expected", [
         ("2500.0,100,1.0", "line 4: expected 4 fields, got 3"),
         ("2500.0,100,1.0,0.01,7", "line 4: expected 4 fields, got 5"),
@@ -513,22 +531,50 @@ class TestExitCodes:
         ["fit", "--in", "{dir}"],
         ["correlate", "--in", "{dir}", "--bin-width-ps", "10", "--window-ps=-10:10", "--out", "x"],
         ["simulate", "--preset", "short-range", "--duration-s", "1e-6", "--out", "{dir}"],
-    ], ids=["missing", "directory-fit", "directory-correlate", "directory-simulate"])
+        ["correlate", "--in", "{dir}/latin1.txt", "--bin-width-ps", "10", "--window-ps=-10:10",
+         "--out", "{dir}/h.csv"],
+        ["convert", "--in", "{dir}/latin1.txt", "--out", "{dir}/t.bin", "--to", "binary"],
+        ["fit", "--in", "{dir}/latin1.txt"],
+        ["range", "--in", "{dir}/latin1.txt"],
+        ["snr", "--in", "{dir}/latin1.txt", "--rate-hz", "1e6", "--dt-ms", "1"],
+        ["simulate", "--config", "{dir}/latin1.txt", "--out", "{dir}/t.bin"],
+    ], ids=["missing", "directory-fit", "directory-correlate", "directory-simulate",
+            "non-utf8-correlate", "non-utf8-convert", "non-utf8-fit", "non-utf8-range",
+            "non-utf8-snr", "non-utf8-config"])
     def test_missing_file_is_user_error(self, tmp_path, argv, capsys):
-        assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        # a text tag file, histogram CSV or config whose bytes are not UTF-8
+        (tmp_path / "latin1.txt").write_bytes(b"# resolution_ps=1\n0,0\n\xff,1\n")
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert next(arg for arg in argv if arg.startswith("/")) in err
 
     @pytest.mark.parametrize("assignment, key", [
         ("scenario.detectors=5", "detectors"),
         ("scenario.source_rate_hz=[1]", "source_rate_hz"),
         ("scenario.field_step_ps=null", "field_step_ps"),
         ("scenario.intensity_cap=12", "unknown scenario keys: ['intensity_cap']"),
+        # finite values past the 64-bit tick range
+        ("scenario.distance_m=2e15", "distance_m"),
+        ("scenario.detectors.1.dead_time_ps=1e30", "dead_time_s"),
+        ("scenario.detectors.0.jitter_fwhm_ps=1e30", "jitter_fwhm_s"),
+        # rates the sampler cannot draw
+        ("scenario.ambient_rate_probe_hz=1e30", "ambient_rate_probe_hz"),
+        ("scenario.detectors.0.dark_rate_hz=1e30", "dark_rate_hz"),
+        ("scenario.source_rate_hz=1e30", "photon_rate_hz"),
+        pytest.param(f"scenario.seed={'1' * 5000}", "'seed'", id="seed-5000-digits"),
+        pytest.param(f"scenario.distance_m={'1' * 400}", "'distance_m'", id="float-overflow"),
+        ("output.tags_path=[1]", "tags_path"),
     ])
     def test_bad_config_value_is_user_error(self, tmp_path, assignment, key, capsys):
         code = cli.main(["simulate", "--preset", "short-range", "--set", assignment,
                          "--out", str(tmp_path / "x.bin")])
         assert code == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.bin").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--set", "scenario.seed=1.5"], "seed"),
@@ -618,6 +664,39 @@ class TestExitCodes:
         assert cli.main(["correlate", "--in", "x", "--bin-width-ps", "10",
                          "--window-ps", "10", "--out", "y"]) == 1
         capsys.readouterr()
+
+    def test_internal_value_error_exits_two(self, monkeypatch, capsys):
+        def broken(record):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr(estimator, "format_record", broken)
+        code = cli.main(["snr", "--rate-hz", "1e6", "--v2", "0.5", "--tauc-ns", "1",
+                         "--dt-ms", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "an internal fault" in err
+
+    def test_cli_user_error_is_the_root(self):
+        assert cli.UserError is quantities.UserError
+
+
+def _exception_classes():
+    """Every exception class defined in a bunchlidar module."""
+    modules = [importlib.import_module(f"bunchlidar.{info.name}")
+               for info in pkgutil.iter_modules(bunchlidar.__path__)]
+    return sorted(
+        {obj for module in modules for obj in vars(module).values()
+         if isinstance(obj, type) and issubclass(obj, Exception)
+         and obj.__module__ == module.__name__},
+        key=lambda cls: cls.__qualname__,
+    )
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda cls: cls.__qualname__)
+def test_every_exception_derives_from_user_error(cls):
+    assert issubclass(cls, quantities.UserError)
+    # and keeps its builtin base, so callers that catch that still do
+    assert cls is quantities.UserError or issubclass(cls, (ValueError, OverflowError, RuntimeError))
 
 
 class TestDependencies:

@@ -387,7 +387,8 @@ class TestApplyDetector:
 
     def _detect(self, times, spec, ambient_rate_hz, duration, seed):
         return ps._detector_noise(
-            times, spec, ambient_rate_hz, duration, np.random.default_rng(seed)
+            times, spec, (ambient_rate_hz + spec.dark_rate_hz) * duration, round(duration * 1e12),
+            np.random.default_rng(seed),
         )
 
     def test_ideal_detector_is_identity(self):

@@ -324,6 +324,13 @@ class TestTextFormat:
         streams, _ = tagio.read_text_tags(path)
         assert all(len(s) == 0 for s in streams)
 
+    def test_non_utf8_names_file_and_byte_offset(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"# resolution_ps=1\n1000,0\n\xe9,1\n")
+        with pytest.raises(tagio.TextFormatError, match=r"t\.txt: not UTF-8 text at offset 25") as info:
+            tagio.read_text_tags(path)
+        assert info.value.offset == 25
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("# resolution_ps=1\n1000,0\nnonsense\n")
