@@ -28,7 +28,6 @@ from .correlator import (
     CorrelationHistogram,
     cross_correlate,
     cross_correlate_bruteforce,
-    merge_histograms,
     normalize_g2,
 )
 from .estimator import (

@@ -11,7 +11,7 @@ implementation in this module is the defining reference and the sweep must
 match it bin for bin, exactly.
 
 All arithmetic is on integer picosecond ticks, so results are exact and
-chunked or merged accumulation is bit-identical to a single pass.
+chunked accumulation is bit-identical to a single pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .photonsim import EventStream
-from .quantities import UserError, _TICK_MAX
+from .quantities import TICKS_PER_SECOND, UserError, _TICK_MAX
 
 _MAX_BINS = 2**24
 _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
@@ -84,7 +84,7 @@ class CorrelationHistogram:
 
     @property
     def duration_s(self) -> float:
-        return self.duration_ticks / 1e12
+        return self.duration_ticks / TICKS_PER_SECOND
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,6 @@ class G2Curve:
     tau_ps: np.ndarray
     g2: np.ndarray
     sigma: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.tau_ps.size)
 
 
 def _search_shifted(b: np.ndarray, a: np.ndarray, delta: int) -> np.ndarray:
@@ -125,7 +122,8 @@ def _sweep_counts(
     drops the rows whose run has ended. Once fewer than ``_SWEEP_MIN_ROWS``
     rows are live and some run is longer than the live row count, each
     remaining run is copied as one slice. Lags (minus tau_min) collect in one
-    int64 buffer that is binned only when full.
+    int64 buffer that holds the first (largest) pass and is binned when the
+    next pass or run does not fit; only a run longer than the buffer is cut.
     """
     n_bins, width = config.n_bins, config.bin_width_ticks
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -148,33 +146,28 @@ def _sweep_counts(
         counts += np.bincount(lags, minlength=n_bins)
         fill = 0
 
-    def put(n, write):
-        """Append n lags in pieces; ``write(out, s, e)`` fills lags [s, e) into out."""
+    def room(n):
+        """The buffer's next n slots, flushing first if they do not fit."""
         nonlocal fill
-        done = 0
-        while done < n:
-            m = min(n - done, buf.size - fill)
-            write(buf[fill : fill + m], done, done + m)
-            fill += m
-            done += m
-            if fill == buf.size:
-                flush()
-
-    def gather(out, s, e):
-        np.take(b, j[s:e], out=out)
-        np.subtract(out, base[s:e], out=out)
+        if fill + n > buf.size:
+            flush()
+        fill += n
+        return buf[fill - n : fill]
 
     # a pass is one Python step for all live rows, a slice one step per row:
     # below _SWEEP_MIN_ROWS rows, pass on only while no run outlasts the rows
     while j.size >= _SWEEP_MIN_ROWS or 0 < (stop - j).max(initial=0) <= j.size:
-        put(j.size, gather)
+        out = room(j.size)
+        np.take(b, j, out=out)
+        np.subtract(out, base, out=out)
         j += 1
         live = j < stop
         if not live.all():
             j, stop, base = j[live], stop[live], base[live]
     for first, last, origin in zip(j.tolist(), stop.tolist(), base.tolist()):
-        run = b[first:last]
-        put(run.size, lambda out, s, e: np.subtract(run[s:e], origin, out=out))
+        for start in range(first, last, buf.size):
+            run = b[start : min(start + buf.size, last)]
+            np.subtract(run, origin, out=room(run.size))
     if fill:
         flush()
     return counts
@@ -232,19 +225,6 @@ def cross_correlate_bruteforce(
         k = (diffs[mask] - config.tau_min_ticks) // config.bin_width_ticks
         counts += np.bincount(k, minlength=config.n_bins)
     return counts
-
-
-def merge_histograms(h1: CorrelationHistogram, h2: CorrelationHistogram) -> CorrelationHistogram:
-    """Element-wise accumulation of two histograms with identical configuration."""
-    if h1.config != h2.config:
-        raise CorrelationError("cannot merge histograms with different configurations")
-    return CorrelationHistogram(
-        config=h1.config,
-        counts=h1.counts + h2.counts,
-        n_a=h1.n_a + h2.n_a,
-        n_b=h1.n_b + h2.n_b,
-        duration_ticks=h1.duration_ticks + h2.duration_ticks,
-    )
 
 
 def normalize_g2(h: CorrelationHistogram) -> G2Curve:

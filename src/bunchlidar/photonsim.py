@@ -441,10 +441,15 @@ def _detector_noise(
     times = dead_time_filter(times, spec.dead_time_ticks)
     if spec.jitter_fwhm_s > 0 and times.size:
         sigma_ticks = spec.jitter_fwhm_s * TICKS_PER_SECOND / _FWHM_PER_SIGMA
-        times = times + np.rint(sigma_ticks * rng.standard_normal(times.size)).astype(np.int64)
+        offsets = np.rint(sigma_ticks * rng.standard_normal(times.size))
+        # an offset of 2**63 ticks or more moves any event out; so does -2**63, which fits int64
+        offsets[np.abs(offsets) >= 2.0**63] = -(2.0**63)
+        # times are >= 0, so the sum wraps at most once, and read unsigned below
+        # it lies in [0, duration] exactly when t + offset does
+        times = times + offsets.astype(np.int64)
         times.sort(kind="stable")
     if times.size:
-        times = times[(times >= 0) & (times <= duration_ticks)]
+        times = times[times.view(np.uint64) <= duration_ticks]
     return times
 
 

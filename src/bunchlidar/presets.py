@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import textwrap
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,7 +62,6 @@ _SOURCE_FIELDS = {
     "wavelength_nm": ("wavelength_m", _nano),
     "source_rate_hz": ("photon_rate_hz", float),
     "coherence_time_ns": ("coherence_time_s", _nano),
-    "linewidth_hz": ("linewidth_hz", float),
 }
 _SCENARIO_FIELDS = {
     "distance_m": ("distance_m", float),
@@ -131,7 +131,8 @@ def _keywords(mapping: dict, fields: dict) -> dict:
             try:
                 keywords[name] = convert(mapping[key])
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value {mapping[key]!r} for {key!r}: {exc}") from None
+                message = f"bad value for {key!r}: {mapping[key]!r}: {exc}"
+                raise ConfigError(textwrap.shorten(message, 160)) from None
     return keywords
 
 
@@ -158,11 +159,9 @@ def scenario_from_document(doc: dict) -> ScenarioConfig:
     sc = doc.get("scenario")
     if not sc:
         raise ConfigError("configuration has no scenario section")
-    for key in ("source_rate_hz", "duration_s", "seed"):
+    for key in ("source_rate_hz", "coherence_time_ns", "duration_s", "seed"):
         if key not in sc:
             raise ConfigError(f"scenario is missing required key {key!r}")
-    if "coherence_time_ns" not in sc and "linewidth_hz" not in sc:
-        raise ConfigError("scenario needs coherence_time_ns or linewidth_hz")
     kwargs = _keywords(sc, _SCENARIO_FIELDS)
     if "detectors" in sc:
         detectors = sc["detectors"]

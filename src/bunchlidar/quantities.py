@@ -126,27 +126,20 @@ def g2_model(tau_s, baseline: float, amplitude: float, delay_s: float, coherence
 class SourceSpec:
     """Narrowband thermal source parameters.
 
-    ``linewidth_hz`` and ``coherence_time_s`` are tied by df = 1/tau_c; if both
-    are given they must agree to 1e-12 relative. ``wavelength_m`` is
-    descriptive (the simulation does not read it) and may be omitted.
+    ``coherence_time_s`` is required; ``coherence_time_from_linewidth``
+    converts a linewidth to it. ``wavelength_m`` is descriptive (the
+    simulation does not read it) and may be omitted.
     """
 
     wavelength_m: float | None = None
     photon_rate_hz: float
-    linewidth_hz: float = 0.0
-    coherence_time_s: float = 0.0
+    coherence_time_s: float
 
     def __post_init__(self):
         if self.wavelength_m is not None and not 0.0 < self.wavelength_m < math.inf:
             raise DomainError(f"wavelength_m must be finite and positive, got {self.wavelength_m}")
-        for name in ("photon_rate_hz", "linewidth_hz", "coherence_time_s"):
-            nonnegative(name, getattr(self, name))
-        lw, tc = self.linewidth_hz, self.coherence_time_s
-        if lw <= 0 and tc <= 0:
-            raise DomainError("one of linewidth_hz or coherence_time_s must be positive")
-        if lw > 0 and tc > 0 and abs(lw * tc - 1.0) > 1e-12:
-            raise DomainError(f"linewidth * coherence_time = {lw * tc}, expected 1")
-        if tc <= 0:
-            object.__setattr__(self, "coherence_time_s", 1.0 / lw)
-        elif lw <= 0:
-            object.__setattr__(self, "linewidth_hz", 1.0 / tc)
+        nonnegative("photon_rate_hz", self.photon_rate_hz)
+        if not 0.0 < self.coherence_time_s < math.inf:  # also true for NaN
+            raise DomainError(
+                f"coherence_time_s must be finite and positive, got {self.coherence_time_s}"
+            )

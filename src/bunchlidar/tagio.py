@@ -105,32 +105,27 @@ def _encode(streams, resolution_ps, rounding: str):
         )
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
-    times, fields, off_grid = [], [], []
-    for channel, stream in enumerate(streams):
-        time, remainder = np.divmod(stream.times, resolution_ps)
-        inexact = remainder != 0
-        if inexact.any():  # the stream is sorted, so this is its smallest off-grid tick
-            off_grid.append(int(stream.times[np.argmax(inexact)]))
-        # half up without forming ticks + resolution // 2, which could wrap
-        time += 2 * remainder >= resolution_ps
-        times.append(time)
-        fields.append((inexact * np.uint16(_FLAG_ROUNDED)) << 8 | channel)  # flags << 8 | channel
-    if off_grid and rounding == "exact":
+    ticks = np.concatenate([stream.times for stream in streams])
+    time, remainder = np.divmod(ticks, resolution_ps)
+    inexact = remainder != 0
+    if rounding == "exact" and inexact.any():
         raise UnrepresentableTimeError(
-            f"time {min(off_grid)} ps is not a multiple of {resolution_ps} ps "
+            f"time {int(ticks[inexact].min())} ps is not a multiple of {resolution_ps} ps "
             "(use rounding='round')"
         )
-    # rounding is monotone, so each stream stays sorted: its last time is its
-    # largest, and one sort of the rounded times gives the global order
-    largest = max((int(t[-1]) for t in times if t.size), default=0)
+    # half up without forming ticks + resolution // 2, which could wrap
+    time += 2 * remainder >= resolution_ps
+    del ticks, remainder  # the sort and the records below are the encoder's peak
+    largest = int(time.max(initial=0))
     if largest > _TICK_MAX // resolution_ps:
         raise UnrepresentableTimeError(
             f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
         )
-    times, fields = np.concatenate(times), np.concatenate(fields)
-    order = np.lexsort((fields & 0xFF, times))  # ties by channel ascending
-    records = np.empty((times.size, 2), dtype="<u8")
-    records[:, 0] = times[order]
+    order = np.argsort(time, kind="stable")  # ties stay in channel order
+    records = np.empty((time.size, 2), dtype="<u8")
+    records[:, 0] = time[order]
+    channels = np.repeat(np.arange(len(streams), dtype=np.uint16), [len(s) for s in streams])
+    fields = (inexact * np.uint16(_FLAG_ROUNDED)) << 8 | channels  # flags << 8 | channel
     records[:, 1] = fields[order]
     return resolution_ps, records
 

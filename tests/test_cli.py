@@ -83,6 +83,7 @@ class TestConfigHandling:
         ("scenario", "field_step_ps"),
         ("correlation", "chunk_ticks"),
         ("scenario", "intensity_cap"),
+        ("scenario", "linewidth_hz"),
     ])
     def test_removed_keys_rejected(self, section, key):
         doc = presets.load_preset("short-range")
@@ -161,6 +162,13 @@ class TestConfigHandling:
         doc = copy.deepcopy(MINI_CONFIG)
         del doc["scenario"]["wavelength_nm"]
         assert presets.scenario_from_document(doc).source.wavelength_m is None
+
+    @pytest.mark.parametrize("key", ["source_rate_hz", "coherence_time_ns", "duration_s", "seed"])
+    def test_required_scenario_key(self, key):
+        doc = copy.deepcopy(MINI_CONFIG)
+        del doc["scenario"][key]
+        with pytest.raises(presets.ConfigError, match=f"missing required key '{key}'"):
+            presets.scenario_from_document(doc)
 
     def test_merge_deep(self):
         base = presets.load_preset("short-range")
@@ -308,6 +316,16 @@ class TestSimulate:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    def test_jitter_past_tick_range_drops_events(self, tmp_path, capsys):
+        # the FWHM fits 64-bit ticks but many draws do not: every jittered
+        # reference event lands outside the 1 ms acquisition and is dropped
+        tags = tmp_path / "t.bin"
+        assert cli.main(["simulate", "--preset", "short-range", "--duration-s", "0.001",
+                         "--set", "scenario.detectors.0.jitter_fwhm_ps=9e18",
+                         "--out", str(tags)]) == 0
+        (reference, probe), _ = tagio.read_tags(tags)
+        assert len(reference) == 0 and len(probe) > 0
 
     def test_truth_sidecar_contents(self, tmp_path, mini_config, capsys):
         out = tmp_path / "t.bin"
@@ -555,6 +573,7 @@ class TestExitCodes:
         ("scenario.source_rate_hz=[1]", "source_rate_hz"),
         ("scenario.field_step_ps=null", "field_step_ps"),
         ("scenario.intensity_cap=12", "unknown scenario keys: ['intensity_cap']"),
+        ("scenario.linewidth_hz=43e6", "unknown scenario keys: ['linewidth_hz']"),
         # finite values past the 64-bit tick range
         ("scenario.distance_m=2e15", "distance_m"),
         ("scenario.detectors.1.dead_time_ps=1e30", "dead_time_s"),
@@ -564,6 +583,7 @@ class TestExitCodes:
         ("scenario.detectors.0.dark_rate_hz=1e30", "dark_rate_hz"),
         ("scenario.source_rate_hz=1e30", "photon_rate_hz"),
         pytest.param(f"scenario.seed={'1' * 5000}", "'seed'", id="seed-5000-digits"),
+        pytest.param(f"scenario.distance_m={'x' * 5000}", "'distance_m'", id="long-string"),
         pytest.param(f"scenario.distance_m={'1' * 400}", "'distance_m'", id="float-overflow"),
         ("output.tags_path=[1]", "tags_path"),
     ])
@@ -573,6 +593,7 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert key in err
+        assert len(err) < 200  # a long value is cut, not echoed whole
         assert "Traceback" not in err
         assert not (tmp_path / "x.bin").exists()
 

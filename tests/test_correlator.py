@@ -188,6 +188,19 @@ class TestCrossCorrelate:
         chunked = co.cross_correlate(stream(a), stream(b), config, chunk_ticks=chunk).counts
         assert np.array_equal(whole, chunked)
 
+    def test_segmented_equals_whole_via_chunking(self):
+        rng = np.random.default_rng(123)
+        n = 100_000
+        span = 10**8
+        a = stream(rng.integers(0, span, n), 1e-4)
+        b = stream(rng.integers(0, span, n), 1e-4)
+        config = co.CorrelationConfig(40, -4_000, 4_000)
+        whole = co.cross_correlate(a, b, config).counts
+        for chunk in (1_000, 77_777, 10**7):
+            assert np.array_equal(
+                co.cross_correlate(a, b, config, chunk_ticks=chunk).counts, whole
+            )
+
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_time_reversal(self, seed):
@@ -205,48 +218,6 @@ class TestCrossCorrelate:
             stream(b), stream(a), co.CorrelationConfig(width, -window + 1, window + 1)
         ).counts
         assert np.array_equal(forward, backward[::-1])
-
-
-class TestMerge:
-    def _hist(self, counts, n_a=10, n_b=20, duration=10**9):
-        config = co.CorrelationConfig(10, 0, 10 * len(counts))
-        return co.CorrelationHistogram(
-            config, np.asarray(counts, dtype=np.int64), n_a, n_b, duration
-        )
-
-    def test_zero_is_identity(self):
-        h = self._hist([1, 2, 3])
-        z = self._hist([0, 0, 0], n_a=0, n_b=0, duration=0)
-        merged = co.merge_histograms(h, z)
-        assert np.array_equal(merged.counts, h.counts)
-        assert merged.n_a == h.n_a and merged.duration_ticks == h.duration_ticks
-
-    def test_commutative(self):
-        h1, h2 = self._hist([1, 2, 3]), self._hist([4, 0, 1], n_a=3, n_b=7)
-        m12, m21 = co.merge_histograms(h1, h2), co.merge_histograms(h2, h1)
-        assert np.array_equal(m12.counts, m21.counts)
-        assert (m12.n_a, m12.n_b, m12.duration_ticks) == (m21.n_a, m21.n_b, m21.duration_ticks)
-
-    def test_config_mismatch_rejected(self):
-        h1 = self._hist([1, 2, 3])
-        h2 = co.CorrelationHistogram(
-            co.CorrelationConfig(10, 10, 40), np.zeros(3, dtype=np.int64), 1, 1, 10
-        )
-        with pytest.raises(co.CorrelationError):
-            co.merge_histograms(h1, h2)
-
-    def test_segmented_equals_whole_via_chunking(self):
-        rng = np.random.default_rng(123)
-        n = 100_000
-        span = 10**8
-        a = stream(rng.integers(0, span, n), 1e-4)
-        b = stream(rng.integers(0, span, n), 1e-4)
-        config = co.CorrelationConfig(40, -4_000, 4_000)
-        whole = co.cross_correlate(a, b, config).counts
-        for chunk in (1_000, 77_777, 10**7):
-            assert np.array_equal(
-                co.cross_correlate(a, b, config, chunk_ticks=chunk).counts, whole
-            )
 
 
 class TestNormalize:

@@ -416,6 +416,24 @@ class TestApplyDetector:
         sigma_ps = np.std(out.astype(np.float64) - 500_000)
         assert sigma_ps == pytest.approx(40.0 / (2 * math.sqrt(2 * math.log(2))), rel=0.02)
 
+    @pytest.mark.parametrize("fwhm_s", [40e-12, 1e3, 9e6])
+    def test_jitter_near_tick_max_matches_integer_reference(self, fwhm_s):
+        # a span of the whole tick range and offsets up to past 2**63, with
+        # events within 1024 ticks of either end: each event is kept iff
+        # 0 <= t + offset <= duration in exact integers
+        top = 2**63 - 1
+        rng = np.random.default_rng(8)
+        ends = rng.integers(0, 1024, 500)
+        times = np.sort(np.concatenate([rng.integers(0, top, 2000), ends, top - ends]))
+        spec = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=fwhm_s, dead_time_s=0.0, dark_rate_hz=0.0)
+        out = ps._detector_noise(times, spec, 0.0, top, np.random.default_rng(9))
+        sigma_ticks = fwhm_s * 1e12 / ps._FWHM_PER_SIGMA
+        offsets = np.rint(sigma_ticks * np.random.default_rng(9).standard_normal(times.size))
+        shifted = [t + int(o) for t, o in zip(times.tolist(), offsets.tolist())]
+        want = sorted(t for t in shifted if 0 <= t <= top)
+        assert out.tolist() == want
+        assert 0 < len(want) < times.size
+
 
 class TestScenario:
     def _config(self, **overrides):

@@ -118,27 +118,26 @@ class TestG2Model:
 
 
 class TestSourceSpec:
-    def test_linewidth_coherence_tied(self):
-        spec = q.SourceSpec(wavelength_m=518e-9, photon_rate_hz=1e6, linewidth_hz=43e6)
-        assert spec.coherence_time_s == pytest.approx(1 / 43e6, rel=1e-12)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(q.DomainError):
-            q.SourceSpec(
-                wavelength_m=518e-9, photon_rate_hz=1e6,
-                linewidth_hz=43e6, coherence_time_s=1e-9,
-            )
-
     def test_power_w_rejected(self):
         # the power field is gone: pass photon_rate_from_power(P, lambda) as the rate
         with pytest.raises(TypeError):
-            q.SourceSpec(photon_rate_hz=1.0, linewidth_hz=43e6, power_w=12.5e-6)
+            q.SourceSpec(photon_rate_hz=1.0, coherence_time_s=1e-9, power_w=12.5e-6)
+
+    def test_linewidth_hz_rejected(self):
+        # the linewidth field is gone: pass coherence_time_from_linewidth(df) instead
+        with pytest.raises(TypeError, match="linewidth_hz"):
+            q.SourceSpec(photon_rate_hz=1.0, coherence_time_s=1e-9, linewidth_hz=1e9)
+
+    @pytest.mark.parametrize("coherence_time_s", [0.0, -1e-9, math.nan, math.inf])
+    def test_coherence_time_finite_and_positive(self, coherence_time_s):
+        with pytest.raises(q.DomainError, match="coherence_time_s"):
+            q.SourceSpec(photon_rate_hz=1e6, coherence_time_s=coherence_time_s)
 
     def test_wavelength_optional_but_positive(self):
-        assert q.SourceSpec(photon_rate_hz=1e6, linewidth_hz=43e6).wavelength_m is None
+        assert q.SourceSpec(photon_rate_hz=1e6, coherence_time_s=1e-9).wavelength_m is None
         for wavelength_m in (0.0, -518e-9):
             with pytest.raises(q.DomainError, match="wavelength"):
-                q.SourceSpec(wavelength_m=wavelength_m, photon_rate_hz=1e6, linewidth_hz=43e6)
+                q.SourceSpec(wavelength_m=wavelength_m, photon_rate_hz=1e6, coherence_time_s=1e-9)
 
 
 class TestTicks:
