@@ -9,6 +9,11 @@ and is left out of the means; each scenario reports how many failed. A
 sampler change that keeps the distribution keeps these numbers within their
 standard errors; one lucky fixed seed shows nothing of the kind.
 
+For the distance (short-range, long-range-1km) and for tau_c (ideal-thermal,
+bunching-1ns) it also prints the mean, its standard error and the standard
+deviation of the pull, (fit - truth) / sigma_fit: 0 and 1 when the fit is
+unbiased and its sigma is right.
+
 Scenarios (all by default, or name a subset):
   ideal-thermal   criterion 1: g2(0) and tau_c
   short-range     criterion 2: distance error and reduced chi2
@@ -19,6 +24,7 @@ Scenarios (all by default, or name a subset):
 Usage: PYTHONPATH=src python scripts/seed_sweep.py SEED0 N [SCENARIO ...]
 """
 
+import collections
 import dataclasses
 import math
 import sys
@@ -50,23 +56,29 @@ def _preset_fit(name, seed):
     return _fit(scenario, settings.bin_width_ps, settings.window_ps)
 
 
+def _tau_c_pull(fit, truth):
+    return (fit.coherence_time_s - truth["coherence_time_s"]) / fit.coherence_time_err_s
+
+
 def ideal_thermal(seed):
-    fit, _, _ = _preset_fit("ideal-thermal", seed)
-    return {"g2(0)": fit.baseline + fit.amplitude, "tau_c_ns": fit.coherence_time_s * 1e9}
+    fit, truth, _ = _preset_fit("ideal-thermal", seed)
+    return {"g2(0)": fit.baseline + fit.amplitude, "tau_c_ns": fit.coherence_time_s * 1e9,
+            "tau_c_pull": _tau_c_pull(fit, truth)}
 
 
 def short_range(seed):
     fit, truth, _ = _preset_fit("short-range", seed)
-    distance, _ = estimate_range(fit)
-    return {"d_error_mm": (distance - truth["distance_m"]) * 1e3,
-            "reduced_chi2": fit.reduced_chi2}
+    distance, sigma = estimate_range(fit)
+    error = distance - truth["distance_m"]
+    return {"d_error_mm": error * 1e3, "reduced_chi2": fit.reduced_chi2, "d_pull": error / sigma}
 
 
 def long_range_1km(seed):
     fit, truth, _ = _preset_fit("long-range-1km", seed)
-    distance, _ = estimate_range(fit)
+    distance, sigma = estimate_range(fit)
+    error = distance - truth["distance_m"]
     peak = fit.baseline + fit.amplitude * bin_attenuation(2e-9, fit.coherence_time_s)
-    return {"d_error_m": distance - truth["distance_m"], "peak_g2": peak}
+    return {"d_error_m": error, "peak_g2": peak, "d_pull": error / sigma}
 
 
 def washout(seed):
@@ -84,11 +96,13 @@ def bunching_1ns(seed):
         source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=4.4e7, coherence_time_s=1e-9),
         distance_m=0.0, duration_s=0.012, seed=seed, split_probe=0.5, split_ref=0.5,
     )
-    fit, _, _ = _fit(scenario, 40, (-8_000, 8_000))
-    return {"g2(0)_1ns": fit.baseline + fit.amplitude, "tau_c_1ns_ns": fit.coherence_time_s * 1e9}
+    fit, truth, _ = _fit(scenario, 40, (-8_000, 8_000))
+    return {"g2(0)_1ns": fit.baseline + fit.amplitude, "tau_c_1ns_ns": fit.coherence_time_s * 1e9,
+            "tau_c_pull": _tau_c_pull(fit, truth)}
 
 
-# scenario -> (function, {statistic: acceptance band as (centre, half-width)})
+# scenario -> (function, {statistic: acceptance band as (centre, half-width)});
+# a statistic without a band is a pull
 SCENARIOS = {
     "ideal-thermal": (ideal_thermal, {"g2(0)": (2.0, 0.05), "tau_c_ns": (23.2, 0.05 * 23.2)}),
     "short-range": (short_range, {"d_error_mm": (0.0, 1.5), "reduced_chi2": (1.05, 0.25)}),
@@ -112,7 +126,7 @@ def main(argv):
     for name in names:
         run, bands = SCENARIOS[name]
         start = time.perf_counter()
-        samples = {key: [] for key in bands}
+        samples = collections.defaultdict(list)
         failed = 0
         for seed in range(seed0, seed0 + n):
             try:
@@ -131,6 +145,11 @@ def main(argv):
             passed = int(np.sum(np.abs(values - centre) <= half_width))
             print(f"{key:<16} {mean:>12.5f} {stderr:>10.5f} {passed:>3}/{n:<3}   "
                   f"{centre:g} +/- {half_width:g}")
+        for key in [key for key in samples if key not in bands]:
+            values = np.asarray(samples[key])
+            std = values.std(ddof=1) if values.size > 1 else float("nan")
+            print(f"{key:<16} {values.mean():>12.5f} {std / math.sqrt(values.size):>10.5f}"
+                  f"   std dev {std:.3f}; a pull is 0 +/- 1 if unbiased with the right sigma")
         print(f"# {name}: seeds {seed0}..{seed0 + n - 1}, {failed} failed fits, {elapsed:.1f} s",
               flush=True)
     return 0

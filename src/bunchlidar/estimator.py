@@ -284,8 +284,9 @@ def snr_predict(
     rate_hz: float, v_squared: float, coherence_time_s: float, integration_time_s: float
 ) -> float:
     """Shot-noise-limited peak SNR: r * V^2 * sqrt(tau_c * dT) (an upper bound)."""
-    if min(rate_hz, v_squared, coherence_time_s, integration_time_s) < 0:
-        raise DomainError("all SNR inputs must be non-negative")
+    for name, value in zip(("rate_hz", "v_squared", "coherence_time_s", "integration_time_s"),
+                           (rate_hz, v_squared, coherence_time_s, integration_time_s)):
+        nonnegative(name, value)
     return rate_hz * v_squared * math.sqrt(coherence_time_s * integration_time_s)
 
 

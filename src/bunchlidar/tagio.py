@@ -25,10 +25,18 @@ instrument format). Every reserved byte must be zero.
 The text twin is line-oriented: a ``# resolution_ps=N`` header followed by
 ``ticks_ps,channel`` rows of the records the binary writer's round mode makes,
 lossless both ways for times on the resolution grid (text has no flag column).
+
+Both writers share one encoder and both readers one decoder, so a record rule
+is checked once: a bad channel, flags or padding, or a time past 2**63 - 1 ps,
+is a ``RecordFieldError`` and a regress a ``TimeOrderError``, named by byte
+offset in a binary file and by ``line N`` in a text file. A text field that
+fits no record (not an integer, a time outside 0..2**63 - 1 ps or off the
+resolution grid, a channel outside 0..255) is a ``TextFormatError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 import numpy as np
@@ -49,7 +57,7 @@ _FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all
 
 
 class TagFileError(UserError, ValueError):
-    """Malformed tag file; ``offset`` is the first offending byte offset."""
+    """Malformed tag file; ``offset`` is the first offending byte offset, if any."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} at offset {offset}")
@@ -82,12 +90,6 @@ class UnrepresentableTimeError(TagFileError):
 
 class TextFormatError(TagFileError):
     """Malformed text tag file; message names the line number."""
-
-
-def _split_channels(ticks, channels, resolution_ps, channel_count):
-    """(streams, header) of checked records; each stream's duration is its last tick."""
-    streams = [EventStream(ch, ticks[channels == ch]) for ch in range(channel_count)]
-    return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
 
 
 def _encode(streams, resolution_ps, rounding: str):
@@ -144,14 +146,56 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
         f.write(records)
 
 
+def _decode(records, resolution_ps: int, channel_count: int, line_of=None):
+    """(streams, header) of an ``(n, 2)`` ``<u8`` record array in file order.
+
+    Checks channel, flags, padding, time order, then the 64-bit tick range. A
+    fault names its field's byte offset, or record i's line ``line_of(i)``.
+    """
+
+    def fault(error, message, index, byte=0):
+        if line_of is None:
+            return error(message, offset=HEADER_SIZE + RECORD_SIZE * int(index) + byte)
+        return error(f"line {line_of(int(index))}: {message}")
+
+    fields = records[:, 1]
+    channels = fields & 0xFF
+    # Masking out the one legal flag bit leaves a value below channel_count
+    # exactly when channel, flags and padding are all valid.
+    if ((fields & _FIELDS_MASK) >= channel_count).any():
+        bad_channel = channels >= channel_count
+        if bad_channel.any():
+            i = np.argmax(bad_channel)
+            message = f"record channel {int(channels[i])} >= channel count {channel_count}"
+            raise fault(RecordFieldError, message, i, 8)
+        flags = fields >> 8 & 0xFF
+        bad_flags = flags > _FLAG_ROUNDED  # a reserved bit is set
+        if bad_flags.any():
+            i = np.argmax(bad_flags)
+            message = f"record flags 0x{int(flags[i]):02x} has reserved bits set"
+            raise fault(RecordFieldError, message, i, 9)
+        raise fault(RecordFieldError, "record padding bytes are not zero",
+                    np.argmax(fields >> 16 != 0), 10)
+    times = records[:, 0].copy()  # the one copy; the streams are cut from it
+    regress = times[1:] < times[:-1]  # u64 neighbours: no cast, no wrap
+    if regress.any():
+        raise fault(TimeOrderError, "record times regress", np.argmax(regress) + 1)
+    if times.size and int(times[-1]) > _TICK_MAX // resolution_ps:
+        raise fault(RecordFieldError, "event time overflows 64-bit picosecond ticks",
+                    np.argmax(times))
+    ticks = times.view(np.int64)
+    ticks *= resolution_ps
+    streams = [EventStream(ch, ticks[channels == ch]) for ch in range(channel_count)]
+    return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
+
+
 def read_tags(path):
     """Read and validate a binary tag file.
 
-    Returns (streams, header) where streams are per-channel sorted
-    ``EventStream`` objects in picosecond ticks (time * resolution_ps) and
-    header is a dict with ``resolution_ps`` and ``channel_count``. Each
-    stream's duration is its latest event time, exactly (files do not carry
-    the acquisition duration).
+    Returns (streams, header): per-channel sorted ``EventStream`` objects in
+    picosecond ticks (time * resolution_ps), each lasting to its latest event
+    (files do not carry the acquisition duration), and a dict with
+    ``resolution_ps`` and ``channel_count``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -178,49 +222,7 @@ def read_tags(path):
             f"trailing {trailing} bytes are not a full record", offset=len(data) - trailing
         )
     records = np.frombuffer(data, dtype="<u8", offset=HEADER_SIZE).reshape(-1, 2)
-    # Masking out the one legal flag bit leaves a value below channel_count
-    # exactly when channel, flags and padding are all valid.
-    fields = records[:, 1]
-    if ((fields & _FIELDS_MASK) >= channel_count).any():
-        _raise_record_field_error(fields, channel_count)
-    times = records[:, 0]
-    ticks = times.astype(np.int64)
-    regress = np.diff(ticks) < 0
-    if regress.any():
-        first = int(np.argmax(regress)) + 1
-        raise TimeOrderError("record times regress", offset=HEADER_SIZE + RECORD_SIZE * first)
-    if times.size and int(times.max()) * resolution_ps > _TICK_MAX:
-        raise RecordFieldError(
-            "event time overflows 64-bit picosecond ticks",
-            offset=HEADER_SIZE + RECORD_SIZE * int(np.argmax(times)),
-        )
-    ticks *= resolution_ps
-    return _split_channels(ticks, fields & 0xFF, resolution_ps, channel_count)
-
-
-def _raise_record_field_error(fields, channel_count: int):
-    """Raise the first bad channel, else the first bad flags, else the first bad padding."""
-    channels = fields & 0xFF
-    bad_channel = channels >= channel_count
-    if bad_channel.any():
-        first = int(np.argmax(bad_channel))
-        raise RecordFieldError(
-            f"record channel {int(channels[first])} >= channel count {channel_count}",
-            offset=HEADER_SIZE + RECORD_SIZE * first + 8,
-        )
-    flags = fields >> 8 & 0xFF
-    bad_flags = (flags & (0xFF ^ _FLAG_ROUNDED)) != 0
-    if bad_flags.any():
-        first = int(np.argmax(bad_flags))
-        raise RecordFieldError(
-            f"record flags 0x{int(flags[first]):02x} has reserved bits set",
-            offset=HEADER_SIZE + RECORD_SIZE * first + 9,
-        )
-    first = int(np.argmax(fields >> 16 != 0))
-    raise RecordFieldError(
-        "record padding bytes are not zero",
-        offset=HEADER_SIZE + RECORD_SIZE * first + 10,
-    )
+    return _decode(records, resolution_ps, channel_count)
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
@@ -259,53 +261,46 @@ def read_text_tags(path):
         key, eq, value = line.lstrip("#").partition("=")
         if eq:
             meta[key.strip()] = value.strip()
-    if "resolution_ps" not in meta:
-        raise TextFormatError("line 1: missing '# resolution_ps=N' header")
-    try:
-        resolution_ps = int(meta["resolution_ps"])
-    except ValueError:
-        raise TextFormatError(f"line 1: bad resolution {meta['resolution_ps']!r}") from None
-    if resolution_ps not in SUPPORTED_RESOLUTIONS:
-        raise TextFormatError(f"line 1: unsupported resolution {resolution_ps} ps")
-    declared_channels = None
-    if "channels" in meta:
+
+    def header(key, allowed):
         try:
-            declared_channels = int(meta["channels"])
-        except ValueError:
-            raise TextFormatError(f"bad channels header {meta['channels']!r}") from None
-        if not 1 <= declared_channels <= MAX_CHANNELS:
-            raise TextFormatError(f"channels {declared_channels} outside 1..{MAX_CHANNELS}")
+            value = int(meta[key])
+        except (KeyError, ValueError):
+            value = None
+        if value not in allowed:
+            raise TextFormatError(f"header '# {key}=N' missing or unsupported: {meta.get(key)!r}")
+        return value
+
+    resolution_ps = header("resolution_ps", SUPPORTED_RESOLUTIONS)
+    channel_count = header("channels", range(1, MAX_CHANNELS + 1)) if "channels" in meta else None
+
+    def line_of(i):  # record i is the ith nonblank line after the header
+        body = (n for n, line in enumerate(lines[body_start:], body_start + 1) if line.strip())
+        return next(itertools.islice(body, i, None))
+
     ticks, channels = [], []
-    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise TextFormatError(f"line {lineno}: expected 'ticks_ps,channel', got {line!r}")
-        try:
-            t = int(parts[0])
-            ch = int(parts[1])
-        except ValueError:
-            raise TextFormatError(f"line {lineno}: non-integer field in {line!r}") from None
-        if t < 0:
-            raise TextFormatError(f"line {lineno}: negative time {t}")
-        if t > _TICK_MAX:
-            raise TextFormatError(f"line {lineno}: time {t} overflows 64-bit picosecond ticks")
-        if not 0 <= ch < MAX_CHANNELS:
-            raise TextFormatError(f"line {lineno}: channel {ch} outside 0..{MAX_CHANNELS - 1}")
-        if ticks and t < ticks[-1]:
-            raise TextFormatError(f"line {lineno}: time {t} regresses")
-        if t % resolution_ps != 0:
-            raise TextFormatError(
-                f"line {lineno}: time {t} is not a multiple of resolution {resolution_ps}"
-            )
-        ticks.append(t)
-        channels.append(ch)
-    inferred = max(channels, default=0) + 1
-    channel_count = declared_channels if declared_channels is not None else inferred
-    if inferred > channel_count:
+    try:
+        for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
+            if line.strip():
+                t, ch = line.split(",")
+                ticks.append(int(t))
+                channels.append(int(ch))
+    except ValueError:
         raise TextFormatError(
-            f"channel {inferred - 1} exceeds declared channel count {channel_count}"
-        )
-    ticks, channels = np.asarray(ticks, dtype=np.int64), np.asarray(channels, dtype=np.uint8)
-    return _split_channels(ticks, channels, resolution_ps, channel_count)
+            f"line {lineno}: expected integers 'ticks_ps,channel', got {line!r}"
+        ) from None
+    # each field must fit its record word: a 63-bit picosecond time, a u8 channel
+    for name, values, top in (("time", ticks, _TICK_MAX), ("channel", channels, 0xFF)):
+        if values and not 0 <= min(values) <= max(values) <= top:
+            i = next(i for i, v in enumerate(values) if not 0 <= v <= top)
+            raise TextFormatError(f"line {line_of(i)}: {name} {values[i]} outside 0..{top}")
+    records = np.empty((len(ticks), 2), dtype="<u8")
+    records[:, 0], off_grid = np.divmod(ticks, resolution_ps)
+    records[:, 1] = channels
+    if off_grid.any():
+        i = int(np.argmax(off_grid != 0))
+        raise TextFormatError(f"line {line_of(i)}: time {ticks[i]} "
+                              f"is not a multiple of resolution {resolution_ps}")
+    if channel_count is None:
+        channel_count = min(max(channels, default=0) + 1, MAX_CHANNELS)
+    return _decode(records, resolution_ps, channel_count, line_of)

@@ -471,6 +471,20 @@ class TestSnrCommand:
         out = capsys.readouterr().out
         assert "28.77" in out
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--rate-hz", "nan", "rate_hz"), ("--rate-hz", "inf", "rate_hz"),
+        ("--v2", "nan", "v_squared"), ("--v2", "-inf", "v_squared"),
+        ("--tauc-ns", "inf", "coherence_time_s"), ("--dt-ms", "nan", "integration_time_s"),
+    ])
+    def test_predict_rejects_non_finite_input(self, tmp_path, flag, value, name, capsys):
+        values = {"--rate-hz": "1e7", "--v2": "0.6", "--tauc-ns": "23", "--dt-ms": "1", flag: value}
+        out = tmp_path / "snr.json"
+        argv = ["snr", *[f"{key}={value}" for key, value in values.items()], "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_predict_needs_inputs(self, capsys):
         assert cli.main(["snr", "--rate-hz", "1e7", "--dt-ms", "1"]) == 1
         capsys.readouterr()

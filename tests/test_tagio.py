@@ -83,6 +83,18 @@ def encoder_cases(draw):
     return resolution, rounding, [EventStream(ch, t) for ch, t in enumerate(times)]
 
 
+def write_raw_records(path, records, resolution_ps=1, channel_count=2):
+    """A binary tag file of unchecked ``(time, channel | flags << 8)`` records."""
+    header = tagio._HEADER.pack(tagio.MAGIC, tagio.VERSION, resolution_ps, channel_count, b"")
+    path.write_bytes(header + np.asarray(records, dtype="<u8").reshape(-1, 2).tobytes())
+
+
+def write_raw_text(path, rows, resolution_ps=1, channel_count=2):
+    """A text tag file of unchecked ``(ticks_ps, channel)`` rows."""
+    header = f"# resolution_ps={resolution_ps}\n# channels={channel_count}\n"
+    path.write_text(header + "".join(f"{t},{ch}\n" for t, ch in rows))
+
+
 class TestEncoderMatchesReference:
     @given(encoder_cases())
     @settings(max_examples=300, deadline=None)
@@ -209,6 +221,46 @@ def test_full_tick_range_reads_back_exactly(tmp_path, last):
         assert [s.duration_ticks for s in loaded] == [last, last - 1]
 
 
+@st.composite
+def raw_record_cases(draw):
+    """Records that may break the channel or order rules, with times near 0
+    and near the top of the 64-bit picosecond range at the drawn resolution."""
+    resolution = draw(st.sampled_from([1, 2, 25, 2000, 10**12]))
+    channel_count = draw(st.integers(1, 2))
+    top = (2**63 - 1) // resolution
+    time = st.one_of(st.integers(0, 20), st.integers(top - 20, top))
+    times = sorted(draw(st.lists(time, max_size=12)))
+    if len(times) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(times) - 2))
+        times[i], times[i + 1] = times[i + 1], times[i]
+    channel = st.one_of(st.integers(0, channel_count - 1), st.integers(0, 255))
+    channels = draw(st.lists(channel, min_size=len(times), max_size=len(times)))
+    return resolution, channel_count, list(zip(times, channels))
+
+
+@given(raw_record_cases())
+@settings(max_examples=200, deadline=None)
+def test_text_and_binary_decode_alike(tmp_path_factory, case):
+    # the same records read back the same, or fail with the same class at the same record
+    resolution, channel_count, records = case
+    directory = tmp_path_factory.mktemp("same")
+    binary, text = directory / "t.bin", directory / "t.txt"
+    write_raw_records(binary, records, resolution, channel_count)
+    write_raw_text(text, [(t * resolution, ch) for t, ch in records], resolution, channel_count)
+    try:
+        streams, header = tagio.read_tags(binary)
+    except tagio.TagFileError as exc:
+        with pytest.raises(type(exc)) as err:
+            tagio.read_text_tags(text)
+        record = (exc.offset - tagio.HEADER_SIZE) // tagio.RECORD_SIZE
+        assert str(err.value).startswith(f"line {record + 3}: ")
+        return
+    text_streams, text_header = tagio.read_text_tags(text)
+    assert text_header == header
+    assert [s.times.tolist() for s in text_streams] == [s.times.tolist() for s in streams]
+    assert [s.duration_ticks for s in text_streams] == [s.duration_ticks for s in streams]
+
+
 class TestHeaderValidation:
     def _write_reference(self, tmp_path, resolution=1, channels=2):
         path = tmp_path / "ref.bin"
@@ -290,6 +342,18 @@ class TestHeaderValidation:
             tagio.read_tags(path)
         assert err.value.offset == tagio.HEADER_SIZE + offset
 
+    @pytest.mark.parametrize("times, error, record", [
+        # a time at or above 2**63 is compared as u64, not wrapped negative
+        ([5, 2**63 + 10, 2**63 + 5], tagio.TimeOrderError, 2),
+        ([5, 2**63], tagio.RecordFieldError, 1),
+    ], ids=["regress-above-2**63", "overflow-at-2**63"])
+    def test_times_above_int64_range(self, tmp_path, times, error, record):
+        path = tmp_path / "x.bin"
+        write_raw_records(path, [(t, 0) for t in times])
+        with pytest.raises(error) as err:
+            tagio.read_tags(path)
+        assert err.value.offset == tagio.HEADER_SIZE + 16 * record
+
     def test_every_record_field_byte_value(self, tmp_path):
         # each value of each of bytes 8..15 of a record: valid only for channel
         # 0..1, flags 0..1 and zero padding, else an error at the field's offset
@@ -342,6 +406,31 @@ class TestTextFormat:
         path = tmp_path / "t.txt"
         path.write_text("1000,0\n")
         with pytest.raises(tagio.TextFormatError):
+            tagio.read_text_tags(path)
+
+    @pytest.mark.parametrize("body, error, line, message", [
+        ("0,0\n100,1\n50,0\n", tagio.TimeOrderError, 5, "record times regress"),
+        ("0,0\n10,2\n", tagio.RecordFieldError, 4, "record channel 2 >= channel count 2"),
+        ("0,0\n\n10,1\n15,0\n", tagio.TextFormatError, 6, "not a multiple of resolution 10"),
+        ("0,0\n-10,1\n", tagio.TextFormatError, 4, "time -10 outside"),
+        ("0,0\n9223372036854775810,1\n", tagio.TextFormatError, 4, "outside 0..9223372036854775807"),
+        ("0,0\n10,256\n", tagio.TextFormatError, 4, "channel 256 outside 0..255"),
+    ], ids=["regress", "channel-count", "off-grid-after-blank", "negative", "above-2**63-1",
+            "channel-not-u8"])
+    def test_record_fault_names_line(self, tmp_path, body, error, line, message):
+        # record rules raise the binary reader's classes; fields no record holds are text errors
+        path = tmp_path / "t.txt"
+        path.write_text(f"# resolution_ps=10\n# channels=2\n{body}")
+        with pytest.raises(error) as err:
+            tagio.read_text_tags(path)
+        assert str(err.value).startswith(f"line {line}: ")
+        assert message in str(err.value)
+        assert err.value.offset is None
+
+    def test_undeclared_channel_count_is_capped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("# resolution_ps=1\n0,0\n1,5\n")
+        with pytest.raises(tagio.RecordFieldError, match="^line 3: record channel 5 >= channel count 2$"):
             tagio.read_text_tags(path)
 
     @given(stream_pairs())
