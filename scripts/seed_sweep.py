@@ -35,10 +35,8 @@ import numpy as np
 from bunchlidar import presets
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
 from bunchlidar.estimator import FitError, bin_attenuation, estimate_range, fit_g2
-from bunchlidar.photonsim import DetectorSpec, ScenarioConfig, simulate_ranging_scenario
+from bunchlidar.photonsim import IDEAL_DETECTOR, ScenarioConfig, simulate_ranging_scenario
 from bunchlidar.quantities import SourceSpec
-
-IDEAL = DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
 
 
 def _fit(scenario, bin_width_ps, window_ps):
@@ -85,7 +83,7 @@ def washout(seed):
     scenario = ScenarioConfig(
         source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=4e6, coherence_time_s=23.2e-9),
         distance_m=0.0, duration_s=1.2, seed=seed,
-        split_probe=0.5, split_ref=0.5, detector_ref=IDEAL, detector_probe=IDEAL,
+        split_probe=0.5, split_ref=0.5, detector_ref=IDEAL_DETECTOR, detector_probe=IDEAL_DETECTOR,
     )
     _, _, curve = _fit(scenario, 2_000, (-101_000, 101_000))
     return {"peak_bin_ratio": float(curve.g2[50] - 1.0)}

@@ -16,7 +16,7 @@ import numpy as np
 
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
 from bunchlidar.estimator import fit_g2, snr_measure
-from bunchlidar.photonsim import DetectorSpec, ScenarioConfig, simulate_ranging_scenario
+from bunchlidar.photonsim import IDEAL_DETECTOR, ScenarioConfig, simulate_ranging_scenario
 from bunchlidar.quantities import SourceSpec
 
 RATE_HZ = 1e7
@@ -24,7 +24,6 @@ AMPLITUDE = 0.6
 
 
 def scenario(duration_s: float, seed: int) -> ScenarioConfig:
-    ideal = DetectorSpec(efficiency=1.0, jitter_fwhm_s=0.0, dead_time_s=0.0, dark_rate_hz=0.0)
     return ScenarioConfig(
         source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=2e7, coherence_time_s=23.2e-9),
         distance_m=0.0,
@@ -34,8 +33,8 @@ def scenario(duration_s: float, seed: int) -> ScenarioConfig:
         split_ref=0.5,
         probe_round_trip_transmission=AMPLITUDE,
         ambient_rate_probe_hz=(1.0 - AMPLITUDE) * RATE_HZ,
-        detector_ref=ideal,
-        detector_probe=ideal,
+        detector_ref=IDEAL_DETECTOR,
+        detector_probe=IDEAL_DETECTOR,
     )
 
 

@@ -186,9 +186,11 @@ def fit_g2(
 
     Convergence: relative chi-square change below ``rel_tol`` (or an exhausted
     step-halving search, which means a machine-precision minimum). Returns a
-    converged fit with finite uncertainties; otherwise raises a ``FitError``:
+    converged fit with finite, positive uncertainties, its delay inside the
+    binned span and tau_c no wider than it; otherwise raises a ``FitError``:
     ``DegenerateFitError`` if tau_c collapses below a quarter bin, else
-    ``FitNotConvergedError`` (iteration limit, or no finite curvature error).
+    ``FitNotConvergedError`` (iteration limit, an answer outside the data, or
+    no positive finite curvature variance).
     """
     tau_s = np.asarray(tau_s, dtype=np.float64)
     g2 = np.asarray(g2, dtype=np.float64)
@@ -248,14 +250,20 @@ def fit_g2(
         raise FitNotConvergedError(
             f"fit did not converge after {iterations} iterations (reduced chi2 {reduced_chi2:.3g})"
         )
+    lo, hi = tau_s.min() - 0.5 * bin_width_s, tau_s.max() + 0.5 * bin_width_s
+    if not lo <= theta[2] <= hi:
+        raise FitNotConvergedError(f"delay {theta[2]} s outside the binned span [{lo}, {hi}] s")
+    if theta[3] > hi - lo:
+        raise FitNotConvergedError(f"coherence time {theta[3]} s wider than the binned span {hi - lo} s")
     jac = binned_model_jacobian(tau_s, bin_width_s, theta) / sigma[:, None]
     try:
         covariance = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise FitNotConvergedError("singular curvature matrix at the minimum") from None
-    errors = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    if not np.isfinite(errors).all():
-        raise FitNotConvergedError(f"non-finite parameter uncertainties {errors.tolist()}")
+    variances = np.diag(covariance)
+    if not (np.isfinite(variances) & (variances > 0)).all():
+        raise FitNotConvergedError(f"non-positive or non-finite variances {variances.tolist()}")
+    errors = np.sqrt(variances)
     return FitResult(
         baseline=float(theta[0]),
         baseline_err=float(errors[0]),

@@ -29,9 +29,11 @@ lossless both ways for times on the resolution grid (text has no flag column).
 Both writers share one encoder and both readers one decoder, so a record rule
 is checked once: a bad channel, flags or padding, or a time past 2**63 - 1 ps,
 is a ``RecordFieldError`` and a regress a ``TimeOrderError``, named by byte
-offset in a binary file and by ``line N`` in a text file. A text field that
-fits no record (not an integer, a time outside 0..2**63 - 1 ps or off the
-resolution grid, a channel outside 0..255) is a ``TextFormatError``.
+offset in a binary file and by ``line N`` in a text file; the range fault names
+the first record past 2**63 - 1 ps. The binary reader decodes views of the
+file's bytes: its only copies of the times are the returned channels. A text
+field that fits no record (not an integer, a time outside 0..2**63 - 1 ps or
+off the resolution grid, a channel outside 0..255) is a ``TextFormatError``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ MAGIC = b"BLTTAG01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIQH10s")  # magic, version, resolution_ps, channel_count, reserved
 HEADER_SIZE = _HEADER.size
-RECORD_SIZE = 16
+# a record's time word, then its second word whole and, overlaid, its channel and flags bytes
+_RECORD = np.dtype({"names": ["time", "fields", "channel", "flags"],
+                    "formats": ["<u8", "<u8", "u1", "u1"], "offsets": [0, 8, 8, 9]})
+RECORD_SIZE = _RECORD.itemsize
 
 SUPPORTED_RESOLUTIONS = frozenset(m * 10**k for m in (1, 2, 25) for k in range(13))
 MAX_CHANNELS = 2
@@ -94,7 +99,7 @@ class TextFormatError(TagFileError):
 
 def _encode(streams, resolution_ps, rounding: str):
     """(resolution_ps, records) for ``write_tags``' arguments: the checked
-    resolution and an ``(n, 2)`` ``<u8`` array of records in file order."""
+    resolution and a ``_RECORD`` array in file order."""
     resolution_ps = int(resolution_ps)
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
         raise TagFileError(
@@ -124,11 +129,10 @@ def _encode(streams, resolution_ps, rounding: str):
             f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
         )
     order = np.argsort(time, kind="stable")  # ties stay in channel order
-    records = np.empty((time.size, 2), dtype="<u8")
-    records[:, 0] = time[order]
-    channels = np.repeat(np.arange(len(streams), dtype=np.uint16), [len(s) for s in streams])
-    fields = (inexact * np.uint16(_FLAG_ROUNDED)) << 8 | channels  # flags << 8 | channel
-    records[:, 1] = fields[order]
+    records = np.zeros(time.size, _RECORD)
+    records["time"] = time[order]
+    records["channel"] = order >= len(streams[0])  # at most two channels
+    records["flags"] = inexact[order]  # _FLAG_ROUNDED where rounded
     return resolution_ps, records
 
 
@@ -147,7 +151,7 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
 
 
 def _decode(records, resolution_ps: int, channel_count: int, line_of=None):
-    """(streams, header) of an ``(n, 2)`` ``<u8`` record array in file order.
+    """(streams, header) of a ``_RECORD`` array in file order.
 
     Checks channel, flags, padding, time order, then the 64-bit tick range. A
     fault names its field's byte offset, or record i's line ``line_of(i)``.
@@ -158,34 +162,29 @@ def _decode(records, resolution_ps: int, channel_count: int, line_of=None):
             return error(message, offset=HEADER_SIZE + RECORD_SIZE * int(index) + byte)
         return error(f"line {line_of(int(index))}: {message}")
 
-    fields = records[:, 1]
-    channels = fields & 0xFF
+    fields, channels, flags = records["fields"], records["channel"], records["flags"]
     # Masking out the one legal flag bit leaves a value below channel_count
     # exactly when channel, flags and padding are all valid.
     if ((fields & _FIELDS_MASK) >= channel_count).any():
-        bad_channel = channels >= channel_count
-        if bad_channel.any():
-            i = np.argmax(bad_channel)
-            message = f"record channel {int(channels[i])} >= channel count {channel_count}"
-            raise fault(RecordFieldError, message, i, 8)
-        flags = fields >> 8 & 0xFF
-        bad_flags = flags > _FLAG_ROUNDED  # a reserved bit is set
-        if bad_flags.any():
-            i = np.argmax(bad_flags)
-            message = f"record flags 0x{int(flags[i]):02x} has reserved bits set"
-            raise fault(RecordFieldError, message, i, 9)
-        raise fault(RecordFieldError, "record padding bytes are not zero",
-                    np.argmax(fields >> 16 != 0), 10)
-    times = records[:, 0].copy()  # the one copy; the streams are cut from it
+        for byte, value, bad, message in (
+            (8, channels, channels >= channel_count, "record channel {v} >= channel count {n}"),
+            (9, flags, flags > _FLAG_ROUNDED, "record flags 0x{v:02x} has reserved bits set"),
+            (10, fields, fields >> 16 != 0, "record padding bytes are not zero"),
+        ):
+            if bad.any():  # the first faulty field in this order is named
+                i = np.argmax(bad)
+                message = message.format(v=int(value[i]), n=channel_count)
+                raise fault(RecordFieldError, message, i, byte)
+    times = records["time"]
     regress = times[1:] < times[:-1]  # u64 neighbours: no cast, no wrap
     if regress.any():
         raise fault(TimeOrderError, "record times regress", np.argmax(regress) + 1)
-    if times.size and int(times[-1]) > _TICK_MAX // resolution_ps:
+    top = np.uint64(_TICK_MAX // resolution_ps)  # a Python int would compare as float64
+    if times.size and times[-1] > top:
         raise fault(RecordFieldError, "event time overflows 64-bit picosecond ticks",
-                    np.argmax(times))
-    ticks = times.view(np.int64)
-    ticks *= resolution_ps
-    streams = [EventStream(ch, ticks[channels == ch]) for ch in range(channel_count)]
+                    np.searchsorted(times, top, side="right"))
+    cut = (times[channels == ch].view(np.int64) for ch in range(channel_count))  # the only copies
+    streams = [EventStream(ch, np.multiply(t, resolution_ps, out=t)) for ch, t in enumerate(cut)]
     return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
 
 
@@ -221,8 +220,7 @@ def read_tags(path):
         raise TruncatedRecordError(
             f"trailing {trailing} bytes are not a full record", offset=len(data) - trailing
         )
-    records = np.frombuffer(data, dtype="<u8", offset=HEADER_SIZE).reshape(-1, 2)
-    return _decode(records, resolution_ps, channel_count)
+    return _decode(np.frombuffer(data, _RECORD, offset=HEADER_SIZE), resolution_ps, channel_count)
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
@@ -232,8 +230,8 @@ def write_text_tags(streams, resolution_ps: int, path) -> None:
     has no flag column, so a rounded time is not marked.
     """
     resolution_ps, records = _encode(streams, resolution_ps, "round")
-    ticks = (records[:, 0] * np.uint64(resolution_ps)).tolist()
-    channels = (records[:, 1] & 0xFF).tolist()
+    ticks = (records["time"] * np.uint64(resolution_ps)).tolist()
+    channels = records["channel"].tolist()
     with open(path, "w", newline="\n") as f:
         f.write(f"# resolution_ps={resolution_ps}\n")
         f.write(f"# channels={len(streams)}\n")
@@ -294,9 +292,9 @@ def read_text_tags(path):
         if values and not 0 <= min(values) <= max(values) <= top:
             i = next(i for i, v in enumerate(values) if not 0 <= v <= top)
             raise TextFormatError(f"line {line_of(i)}: {name} {values[i]} outside 0..{top}")
-    records = np.empty((len(ticks), 2), dtype="<u8")
-    records[:, 0], off_grid = np.divmod(ticks, resolution_ps)
-    records[:, 1] = channels
+    records = np.zeros(len(ticks), _RECORD)
+    records["time"], off_grid = np.divmod(ticks, resolution_ps)
+    records["channel"] = channels
     if off_grid.any():
         i = int(np.argmax(off_grid != 0))
         raise TextFormatError(f"line {line_of(i)}: time {ticks[i]} "

@@ -219,6 +219,21 @@ class TestFitContract:
         errors = (fit.baseline_err, fit.amplitude_err, fit.delay_err_s, fit.coherence_time_err_s)
         assert all(math.isfinite(e) for e in errors)
 
+    # 500 bins of 40 ps at ~5 counts per bin, fitted as normalize_g2 builds
+    # its input: these draws once "converged" to a delay of -13.3 ns with
+    # delay_err_s = 0 (1380), or to a tau_c of 30 ns (1406)
+    @pytest.mark.parametrize("seed, message", [
+        (1380, "delay .* outside the binned span"),
+        (1406, "coherence time .* wider than the binned span"),
+    ], ids=["delay", "coherence-time"])
+    def test_answer_outside_the_data_raises(self, seed, message):
+        width = 40e-12
+        tau = -10e-9 + (np.arange(500) + 0.5) * width
+        shape = est.binned_model(tau, width, (1.0, 0.8, 0.6e-9, 1.03e-9))
+        counts = np.random.default_rng(seed).poisson(5 * shape)
+        with pytest.raises(est.FitNotConvergedError, match=message):
+            est.fit_g2(tau, counts / 5, np.sqrt(np.maximum(counts, 1)) / 5, width)
+
     def test_iteration_limit_raises_with_count(self):
         tau, g2 = model_curve()
         with pytest.raises(est.FitNotConvergedError, match="after 1 iterations"):

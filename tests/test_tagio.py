@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,22 @@ class TestBinaryRoundTrip:
         back, _ = tagio.read_tags(path)
         for original, loaded in zip(streams, back):
             assert np.array_equal(original.times, loaded.times)
+
+    def test_read_peak_memory_bounded(self, tmp_path):
+        # the reader decodes views of the file's bytes; beyond them it holds
+        # one validity temporary at a time and the returned channels
+        rng = np.random.default_rng(16)
+        streams = [EventStream(ch, np.sort(rng.integers(0, 10**12, 500_000))) for ch in (0, 1)]
+        path = tmp_path / "big.bin"
+        tagio.write_tags(streams, 1, path)
+        del streams
+        tracemalloc.start()
+        try:
+            tagio.read_tags(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * path.stat().st_size
 
     def test_exact_mode_rejects_offgrid(self, tmp_path):
         with pytest.raises(tagio.UnrepresentableTimeError):
@@ -353,6 +370,14 @@ class TestHeaderValidation:
         with pytest.raises(error) as err:
             tagio.read_tags(path)
         assert err.value.offset == tagio.HEADER_SIZE + 16 * record
+
+    def test_overflow_names_first_record_past_range(self, tmp_path):
+        # at 2 ps per tick both times lie past 2**63 - 1 ps: record 0 is named
+        path = tmp_path / "x.bin"
+        write_raw_records(path, [(2**62, 0), (2**62 + 1, 0)], resolution_ps=2)
+        with pytest.raises(tagio.RecordFieldError, match="overflows") as err:
+            tagio.read_tags(path)
+        assert err.value.offset == tagio.HEADER_SIZE
 
     def test_every_record_field_byte_value(self, tmp_path):
         # each value of each of bytes 8..15 of a record: valid only for channel
