@@ -5,10 +5,10 @@ For each preset at its own seed, and for each benchmark workload (built from
 perfbench/workloads.py itself: benchmark seed 1, first op), runs simulate ->
 correlate -> range through ``cli.main`` and prints the digest of the tag
 file, the histogram CSV and the ``range --out`` JSON. Two more rows write the
-replay-wide scenario at 25 ps and as text, so the tag writer's rounding path
-and the text writer are pinned too. A change meant to keep the bytes prints
-the same table before and after; run it against another checkout by pointing
-PYTHONPATH at its src.
+replay-wide scenario at 25 ps, and as binary then ``convert --to text``, so
+the tag writer's rounding path and the text writer are pinned too. A change
+meant to keep the bytes prints the same table before and after; run it
+against another checkout by pointing PYTHONPATH at its src.
 
 Usage: PYTHONPATH=src python scripts/digests.py [NAME ...]
 """
@@ -28,14 +28,6 @@ from bunchlidar import cli, presets
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 BENCHMARK_SEED = 1
 
-# extra rows: the replay workload's simulate argv plus one flag
-_REPLAY_VARIANTS = {
-    # every other row writes at 1 ps; this one rounds and sets the rounded flag
-    "25ps": ["--resolution-ps", "25"],
-    # the same file through the text writer
-    "text": ["--text"],
-}
-
 
 def _load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -51,8 +43,8 @@ def _paths(directory, name):
 def _preset_runs(directory):
     for name in sorted(presets.PRESET_FILES):
         tags, csv, _ = _paths(directory, name)
-        yield (name, ["simulate", "--preset", name, "--out", tags],
-               ["correlate", "--preset", name, "--in", tags, "--out", csv])
+        yield name, [["simulate", "--preset", name, "--out", tags],
+                     ["correlate", "--preset", name, "--in", tags, "--out", csv]]
 
 
 def _workload_runs(directory):
@@ -64,12 +56,24 @@ def _workload_runs(directory):
             config = os.path.join(directory, f"{workload}.config.json")
             with open(config, "w") as f:
                 json.dump(workloads.input_config(spec, seed), f)
-        variants = _REPLAY_VARIANTS if spec["kind"] == "replay" else {}
-        for suffix, flags in [("", []), *variants.items()]:
-            name = f"wl-{workload}" + (f"-{suffix}" if suffix else "")
+
+        def simulate(tags):
+            return workloads.simulate_argv(spec, seed, tags, config)
+
+        # row suffix -> the runs that leave the row's tag file at a given path
+        variants = {"": lambda tags: [simulate(tags)]}
+        if spec["kind"] == "replay":
+            variants.update({
+                # every other row writes at 1 ps; this one rounds and sets the rounded flag
+                "-25ps": lambda tags: [simulate(tags) + ["--resolution-ps", "25"]],
+                # the first row's file converted to text
+                "-text": lambda tags: [simulate(f"{tags}.binary"), ["convert", "--in",
+                                       f"{tags}.binary", "--out", tags, "--to", "text"]],
+            })
+        for suffix, make_tags in variants.items():
+            name = f"wl-{workload}{suffix}"
             tags, csv, _ = _paths(directory, name)
-            yield (name, workloads.simulate_argv(spec, seed, tags, config) + flags,
-                   workloads.correlate_argv(spec, tags, csv))
+            yield name, [*make_tags(tags), workloads.correlate_argv(spec, tags, csv)]
 
 
 def _sha256(path):
@@ -87,18 +91,18 @@ def _run(argv):
 def main(names):
     with tempfile.TemporaryDirectory() as directory:
         runs = list(_preset_runs(directory)) + list(_workload_runs(directory))
-        unknown = set(names) - {name for name, _, _ in runs}
+        unknown = set(names) - {name for name, _ in runs}
         if unknown:
             print(f"unknown names {sorted(unknown)}", file=sys.stderr)
             return 1
         print(f"{'name':<20} {'tags':<64} {'csv':<64} {'range':<64}")
-        for name, simulate, correlate in runs:
+        for name, steps in runs:
             if names and name not in names:
                 continue
             start = time.perf_counter()
             tags, csv, fit = _paths(directory, name)
-            _run(simulate)
-            _run(correlate)
+            for argv in steps:
+                _run(argv)
             _run(["range", "--in", csv, "--out", fit])
             print(f"{name:<20} {_sha256(tags)} {_sha256(csv)} {_sha256(fit)}"
                   f"  # {time.perf_counter() - start:.1f} s", flush=True)

@@ -9,15 +9,18 @@ and is left out of the means; each scenario reports how many failed. A
 sampler change that keeps the distribution keeps these numbers within their
 standard errors; one lucky fixed seed shows nothing of the kind.
 
-For the distance (short-range, long-range-1km) and for tau_c (ideal-thermal,
+For the distance (the three ranging scenarios) and for tau_c (ideal-thermal,
 bunching-1ns) it also prints the mean, its standard error and the standard
 deviation of the pull, (fit - truth) / sigma_fit: 0 and 1 when the fit is
-unbiased and its sigma is right.
+unbiased and its sigma is right. For the ranging scenarios it prints, for
+each fit parameter (baseline, amplitude, delay, tau_c), the scatter over
+seeds divided by the median sigma_fit: 1 when the fit's sigma is right.
 
 Scenarios (all by default, or name a subset):
   ideal-thermal   criterion 1: g2(0) and tau_c
   short-range     criterion 2: distance error and reduced chi2
   long-range-1km  criterion 3: distance error and washed-out peak
+  long-range-2km  criterion 3 at 1851 m, the paper's headline range
   washout         criterion 4: raw peak-bin amplitude ratio at 2 ns bins
   bunching-1ns    the 1 ns fine-bin ground-truth scenario of the unit tests
 
@@ -26,6 +29,7 @@ Usage: PYTHONPATH=src python scripts/seed_sweep.py SEED0 N [SCENARIO ...]
 
 import collections
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -68,15 +72,16 @@ def short_range(seed):
     fit, truth, _ = _preset_fit("short-range", seed)
     distance, sigma = estimate_range(fit)
     error = distance - truth["distance_m"]
-    return {"d_error_mm": error * 1e3, "reduced_chi2": fit.reduced_chi2, "d_pull": error / sigma}
+    return {"d_error_mm": error * 1e3, "reduced_chi2": fit.reduced_chi2, "d_pull": error / sigma,
+            "fit": fit}
 
 
-def long_range_1km(seed):
-    fit, truth, _ = _preset_fit("long-range-1km", seed)
+def long_range(name, seed):
+    fit, truth, _ = _preset_fit(name, seed)
     distance, sigma = estimate_range(fit)
     error = distance - truth["distance_m"]
     peak = fit.baseline + fit.amplitude * bin_attenuation(2e-9, fit.coherence_time_s)
-    return {"d_error_m": error, "peak_g2": peak, "d_pull": error / sigma}
+    return {"d_error_m": error, "peak_g2": peak, "d_pull": error / sigma, "fit": fit}
 
 
 def washout(seed):
@@ -99,12 +104,22 @@ def bunching_1ns(seed):
             "tau_c_pull": _tau_c_pull(fit, truth)}
 
 
+# FitResult value and sigma fields whose seed scatter is compared with the sigma
+_FIT_PARAMETERS = {
+    "baseline": ("baseline", "baseline_err"),
+    "amplitude": ("amplitude", "amplitude_err"),
+    "delay": ("delay_s", "delay_err_s"),
+    "tau_c": ("coherence_time_s", "coherence_time_err_s"),
+}
+_LONG_RANGE_BANDS = {"d_error_m": (0.0, 0.05), "peak_g2": (1.59, 0.03)}
+
 # scenario -> (function, {statistic: acceptance band as (centre, half-width)});
-# a statistic without a band is a pull
+# a statistic without a band is a pull, and "fit" holds the FitResult
 SCENARIOS = {
     "ideal-thermal": (ideal_thermal, {"g2(0)": (2.0, 0.05), "tau_c_ns": (23.2, 0.05 * 23.2)}),
     "short-range": (short_range, {"d_error_mm": (0.0, 1.5), "reduced_chi2": (1.05, 0.25)}),
-    "long-range-1km": (long_range_1km, {"d_error_m": (0.0, 0.05), "peak_g2": (1.59, 0.03)}),
+    "long-range-1km": (functools.partial(long_range, "long-range-1km"), _LONG_RANGE_BANDS),
+    "long-range-2km": (functools.partial(long_range, "long-range-2km"), _LONG_RANGE_BANDS),
     "washout": (washout, {"peak_bin_ratio": (0.958, 0.03)}),
     "bunching-1ns": (bunching_1ns, {"g2(0)_1ns": (2.0, 0.05), "tau_c_1ns_ns": (1.0, 0.05)}),
 }
@@ -136,6 +151,7 @@ def main(argv):
             for key, value in statistics.items():
                 samples[key].append(value)
         elapsed = time.perf_counter() - start
+        fits = samples.pop("fit", [])
         for key, (centre, half_width) in bands.items():
             values = np.asarray(samples[key])
             mean = values.mean() if values.size else float("nan")
@@ -148,6 +164,13 @@ def main(argv):
             std = values.std(ddof=1) if values.size > 1 else float("nan")
             print(f"{key:<16} {values.mean():>12.5f} {std / math.sqrt(values.size):>10.5f}"
                   f"   std dev {std:.3f}; a pull is 0 +/- 1 if unbiased with the right sigma")
+        if len(fits) > 1:  # the standard error of a standard deviation is ~ sd / sqrt(2 (n - 1))
+            for label, (value, error) in _FIT_PARAMETERS.items():
+                ratio = (np.std([getattr(fit, value) for fit in fits], ddof=1)
+                         / np.median([getattr(fit, error) for fit in fits]))
+                print(f"{'sd/sig ' + label:<16} {ratio:>12.5f} "
+                      f"{ratio / math.sqrt(2 * (len(fits) - 1)):>10.5f}"
+                      "   seed scatter over median sigma_fit; 1 if the sigma is right")
         print(f"# {name}: seeds {seed0}..{seed0 + n - 1}, {failed} failed fits, {elapsed:.1f} s",
               flush=True)
     return 0

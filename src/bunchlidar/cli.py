@@ -1,9 +1,10 @@
 """Command-line front end: simulate, correlate, fit, range, snr, convert.
 
 Every flag's help text names its unit. Subcommands are pure functions of
-their inputs and flags; nothing reads the clock or global state (the single
-escape hatch is ``simulate --seed-from-entropy``). Data files are written
-only to explicitly given paths; human-readable summaries go to stdout.
+their inputs and flags; nothing reads the clock or global state, and a fresh
+seed is passed as ``--seed N``. Data files are written only to the paths
+given as flags (``--out``, ``--truth-out``); human-readable summaries go to
+stdout. Text tag files come from ``convert --to text``.
 
 Exit codes: 0 success; 1 for a ``UserError`` (the root of every typed input
 fault: bad flags, values or files, a fit that fails) or an ``OSError``; 2 for
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import secrets
 import sys
 import traceback
 
@@ -79,16 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "a ground-truth JSON sidecar.")
     _add_config_flags(p)
     _add_alias(p, "--seed", "RNG seed (dimensionless integer)", type=int)
-    p.add_argument("--seed-from-entropy", action="store_true",
-                   help="draw scenario.seed from OS entropy instead (breaks reproducibility)")
     _add_alias(p, "--duration-s", "acquisition duration in seconds", type=float)
     _add_alias(p, "--distance-m", "target distance in meters", type=float)
-    p.add_argument("--out", metavar="PATH", default=None, help="output tag file path")
+    p.add_argument("--out", metavar="PATH", required=True, help="output tag file path")
     p.add_argument("--truth-out", metavar="PATH", default=None,
                    help="ground-truth JSON path (default: OUT + '.truth.json')")
     _add_alias(p, "--resolution-ps",
                "tag file tick size in picoseconds (1, 2 or 25 times a power of ten)", type=int)
-    p.add_argument("--text", action="store_true", help="write the text tag format instead of binary")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("correlate", help="histogram timestamp differences of a 2-channel tag file",
@@ -152,8 +149,6 @@ def _resolve_document(args) -> dict:
         doc = presets.merge_documents(doc, presets.load_config_file(args.config))
     for assignment in getattr(args, "set", []):
         presets.apply_dotted_override(doc, assignment)
-    if getattr(args, "seed_from_entropy", False):
-        args.seed = secrets.randbits(63)
     for flag, path in _ALIASES.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
@@ -173,21 +168,15 @@ def _read_any_tags(path):
 def cmd_simulate(args) -> int:
     doc = _resolve_document(args)
     scenario = presets.scenario_from_document(doc)
-    output = presets.output_from_document(doc)
-    tags_path = args.out or output.tags_path
-    if tags_path is None:
-        raise UserError("no output path: pass --out or set output.tags_path")
-    truth_path = args.truth_out or output.truth_path or f"{tags_path}.truth.json"
+    resolution_ps = presets.output_from_document(doc).resolution_ps
+    truth_path = args.truth_out or f"{args.out}.truth.json"
 
     reference, probe, truth = simulate_ranging_scenario(scenario)
-    if args.text:
-        tagio.write_text_tags([reference, probe], output.resolution_ps, tags_path)
-    else:
-        tagio.write_tags([reference, probe], output.resolution_ps, tags_path, rounding="round")
+    tagio.write_tags([reference, probe], resolution_ps, args.out, rounding="round")
     estimator.dump_json({"truth": truth, "configuration": doc}, truth_path)
     print(f"simulated {len(reference)} reference + {len(probe)} probe events "
           f"over {scenario.duration_s} s (seed {scenario.seed})")
-    print(f"wrote {tags_path} (resolution {output.resolution_ps} ps) and {truth_path}")
+    print(f"wrote {args.out} (resolution {resolution_ps} ps) and {truth_path}")
     return 0
 
 
@@ -196,6 +185,13 @@ def cmd_correlate(args) -> int:
     streams, header = _read_any_tags(args.input)
     if header["channel_count"] != 2:
         raise UserError(f"correlate needs a 2-channel file, got {header['channel_count']}")
+    # Lags lie on the file's tick grid; off-grid bins hold unequal numbers of them.
+    # The window end follows, because the span is a whole number of bins.
+    resolution = header["resolution_ps"]
+    if settings.bin_width_ps % resolution or settings.window_ps[0] % resolution:
+        raise UserError(f"bin width {settings.bin_width_ps} ps and window start "
+                        f"{settings.window_ps[0]} ps must be multiples of the file's "
+                        f"resolution, {resolution} ps")
     a, b = streams
     config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
     hist = correlator.cross_correlate(a, b, config)

@@ -37,12 +37,6 @@ def _pico(value) -> float:
     return float(value) * 1e-12
 
 
-def _path(value) -> str | None:
-    if not (value is None or isinstance(value, str)):
-        raise TypeError("must be a string or null")
-    return value
-
-
 def _integer(value) -> int:
     """``int(value)``, refusing booleans and numbers with a fractional part."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -89,8 +83,6 @@ _FIT_FIELDS = {
     "rel_tol": ("rel_tol", float),
 }
 _OUTPUT_FIELDS = {
-    "tags_path": ("tags_path", _path),
-    "truth_path": ("truth_path", _path),
     "resolution_ps": ("resolution_ps", _integer),
 }
 
@@ -112,8 +104,6 @@ class CorrelationSettings:
 
 @dataclass(frozen=True)
 class OutputSettings:
-    tags_path: str | None = None
-    truth_path: str | None = None
     resolution_ps: int = 1
 
 

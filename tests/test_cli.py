@@ -80,6 +80,8 @@ class TestConfigHandling:
         ("detectors", "saturation_rate_hz"),
         ("output", "histogram_path"),
         ("output", "fit_path"),
+        ("output", "tags_path"),
+        ("output", "truth_path"),
         ("scenario", "field_step_ps"),
         ("correlation", "chunk_ticks"),
         ("scenario", "intensity_cap"),
@@ -227,13 +229,6 @@ class TestPrecedence:
             action = next(a for a in subparsers.choices[command]._actions if flag in a.option_strings)
             assert key in action.help, flag
 
-    def test_seed_from_entropy_overrides_seed(self):
-        doc = _resolve(["simulate", *REQUIRED_PATHS["simulate"], "--preset", "short-range",
-                        "--set", "scenario.seed=12", "--seed", "13", "--seed-from-entropy"])
-        seed = doc["scenario"]["seed"]
-        # a 63-bit draw equals 13 with probability 2**-63
-        assert isinstance(seed, int) and 0 <= seed < 2**63 and seed != 13
-
 
 class TestHelp:
     def test_every_flag_documented(self):
@@ -283,7 +278,7 @@ class TestSimulate:
 
     def test_missing_out_is_user_error(self, mini_config, capsys):
         assert cli.main(["simulate", "--config", mini_config]) == 1
-        assert "output path" in capsys.readouterr().err
+        assert "--out" in capsys.readouterr().err
 
     def test_short_range_preset_writes_two_channel_file(self, tmp_path, capsys):
         out = tmp_path / "fig4.bin"
@@ -360,6 +355,27 @@ class TestCorrelateFitRange:
                          "--window-ps=0:100", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "2-channel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, refused", [
+        ([], True),  # the preset's 40 ps bins on a 25 ps grid
+        (["--bin-width-ps", "50"], False),
+        (["--bin-width-ps", "50", "--window-ps=-10010:9990"], True),
+    ], ids=["bin-width-off-grid", "on-grid", "window-start-off-grid"])
+    def test_correlate_bins_on_the_tick_grid(self, tmp_path, flags, refused, capsys):
+        tags, csv = tmp_path / "t.bin", tmp_path / "h.csv"
+        assert cli.main(["simulate", "--preset", "short-range", "--duration-s", "0.002",
+                         "--resolution-ps", "25", "--out", str(tags)]) == 0
+        capsys.readouterr()
+        code = cli.main(["correlate", "--preset", "short-range", "--in", str(tags), *flags,
+                         "--out", str(csv)])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 1 and not csv.exists()
+            bin_width, window_start = (50, -10010) if flags else (40, -10000)
+            assert (f"bin width {bin_width} ps and window start {window_start} ps "
+                    "must be multiples of the file's resolution, 25 ps") in err
+        else:
+            assert code == 0 and csv.exists()
 
     def test_correlate_empty_file_errors(self, tmp_path, mini_config, capsys):
         empty = tmp_path / "empty.bin"
@@ -528,14 +544,15 @@ class TestConvert:
         assert counts.tolist() == [0, 0, 0, 1, 0, 1, 1, 0]
 
     def test_simulated_text_off_grid_correlates_like_binary(self, tmp_path, mini_config, capsys):
-        # at 25 ps the simulated times are off the grid; the text writer
-        # rounds them as the binary writer does, so correlate reads both alike
+        # at 25 ps the simulated times are off the grid; simulate rounds them
+        # and convert keeps the rounded times, so correlate reads both alike
+        binary, text = tmp_path / "t.bin", tmp_path / "t.txt"
+        assert cli.main(["simulate", "--config", mini_config, "--resolution-ps", "25",
+                         "--out", str(binary)]) == 0
+        assert cli.main(["convert", "--in", str(binary), "--out", str(text), "--to", "text"]) == 0
         csvs = []
-        for fmt in ("binary", "text"):
-            tags, csv = tmp_path / f"t.{fmt}", tmp_path / f"{fmt}.csv"
-            flags = ["--text"] if fmt == "text" else []
-            assert cli.main(["simulate", "--config", mini_config, "--resolution-ps", "25",
-                             *flags, "--out", str(tags)]) == 0
+        for tags in (binary, text):
+            csv = tmp_path / f"{tags.suffix[1:]}.csv"
             assert cli.main(["correlate", "--config", mini_config, "--in", str(tags),
                              "--out", str(csv)]) == 0
             csvs.append(csv.read_bytes())
@@ -599,7 +616,6 @@ class TestExitCodes:
         pytest.param(f"scenario.seed={'1' * 5000}", "'seed'", id="seed-5000-digits"),
         pytest.param(f"scenario.distance_m={'x' * 5000}", "'distance_m'", id="long-string"),
         pytest.param(f"scenario.distance_m={'1' * 400}", "'distance_m'", id="float-overflow"),
-        ("output.tags_path=[1]", "tags_path"),
     ])
     def test_bad_config_value_is_user_error(self, tmp_path, assignment, key, capsys):
         code = cli.main(["simulate", "--preset", "short-range", "--set", assignment,
