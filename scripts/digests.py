@@ -57,23 +57,22 @@ def _workload_runs(directory):
             with open(config, "w") as f:
                 json.dump(workloads.input_config(spec, seed), f)
 
-        def simulate(tags):
-            return workloads.simulate_argv(spec, seed, tags, config)
-
-        # row suffix -> the runs that leave the row's tag file at a given path
-        variants = {"": lambda tags: [simulate(tags)]}
+        name = f"wl-{workload}"
+        tags, csv, _ = _paths(directory, name)
+        yield name, [workloads.simulate_argv(spec, seed, tags, config),
+                     workloads.correlate_argv(spec, tags, csv)]
         if spec["kind"] == "replay":
-            variants.update({
-                # every other row writes at 1 ps; this one rounds and sets the rounded flag
-                "-25ps": lambda tags: [simulate(tags) + ["--resolution-ps", "25"]],
-                # the first row's file converted to text
-                "-text": lambda tags: [simulate(f"{tags}.binary"), ["convert", "--in",
-                                       f"{tags}.binary", "--out", tags, "--to", "text"]],
-            })
-        for suffix, make_tags in variants.items():
-            name = f"wl-{workload}{suffix}"
-            tags, csv, _ = _paths(directory, name)
-            yield name, [*make_tags(tags), workloads.correlate_argv(spec, tags, csv)]
+            # every other row writes at 1 ps; this one rounds and sets the rounded flag
+            tags, csv, _ = _paths(directory, f"{name}-25ps")
+            yield f"{name}-25ps", [workloads.simulate_argv(spec, seed, tags, config)
+                                   + ["--resolution-ps", "25"],
+                                   workloads.correlate_argv(spec, tags, csv)]
+            # the first row's tags written as binary, then converted to text
+            tags, csv, _ = _paths(directory, f"{name}-text")
+            yield f"{name}-text", [workloads.simulate_argv(spec, seed, tags + ".binary", config),
+                                   ["convert", "--in", tags + ".binary", "--out", tags,
+                                    "--to", "text"],
+                                   workloads.correlate_argv(spec, tags, csv)]
 
 
 def _sha256(path):

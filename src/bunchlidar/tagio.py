@@ -23,8 +23,8 @@ multiples), and channel_count must be 1 or 2 (this is a two-detector
 instrument format). Every reserved byte must be zero.
 
 The text twin is line-oriented: a ``# resolution_ps=N`` header followed by
-``ticks_ps,channel`` rows of the records the binary writer's round mode makes,
-lossless both ways for times on the resolution grid (text has no flag column).
+``ticks_ps,channel`` rows of the records the binary writer's exact mode makes,
+lossless both ways (text has no flag column, and a time off the grid is refused).
 
 Both writers share one encoder and both readers one decoder, so a record rule
 is checked once: a bad channel, flags or padding, or a time past 2**63 - 1 ps,
@@ -226,10 +226,10 @@ def read_tags(path):
 def write_text_tags(streams, resolution_ps: int, path) -> None:
     """Write the newline-delimited debug twin: ``ticks_ps,channel`` rows.
 
-    The rows are the records ``write_tags`` would write in round mode; text
-    has no flag column, so a rounded time is not marked.
+    The rows are the records ``write_tags`` would write in exact mode, so a
+    time off the resolution grid is refused.
     """
-    resolution_ps, records = _encode(streams, resolution_ps, "round")
+    resolution_ps, records = _encode(streams, resolution_ps, "exact")
     ticks = (records["time"] * np.uint64(resolution_ps)).tolist()
     channels = records["channel"].tolist()
     with open(path, "w", newline="\n") as f:

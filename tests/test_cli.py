@@ -616,6 +616,9 @@ class TestExitCodes:
         pytest.param(f"scenario.seed={'1' * 5000}", "'seed'", id="seed-5000-digits"),
         pytest.param(f"scenario.distance_m={'x' * 5000}", "'distance_m'", id="long-string"),
         pytest.param(f"scenario.distance_m={'1' * 400}", "'distance_m'", id="float-overflow"),
+        # a removed path key set from the command line
+        pytest.param("output.tags_path=[1]", "unknown output keys: ['tags_path']",
+                     id="output.tags_path=[1]-tags_path"),
     ])
     def test_bad_config_value_is_user_error(self, tmp_path, assignment, key, capsys):
         code = cli.main(["simulate", "--preset", "short-range", "--set", assignment,

@@ -185,6 +185,9 @@ class TestBinaryRoundTrip:
     def test_exact_mode_rejects_offgrid(self, tmp_path):
         with pytest.raises(tagio.UnrepresentableTimeError):
             tagio.write_tags(make_streams([[1001]]), 2000, tmp_path / "x.bin")
+        with pytest.raises(tagio.UnrepresentableTimeError):
+            tagio.write_text_tags(make_streams([[1001]]), 2000, tmp_path / "x.txt")
+        assert not (tmp_path / "x.txt").exists()
 
     def test_rounding_mode_flags_records(self, tmp_path):
         path = tmp_path / "r.bin"
