@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, correlate, fit, range, snr, convert.
+"""Command-line front end: simulate, correlate, range, snr, convert.
 
 Every flag's help text names its unit. Subcommands are pure functions of
 their inputs and flags; nothing reads the clock or global state, and a fresh
@@ -93,19 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(columns tau_ps,counts,g2,sigma).")
     _add_config_flags(p)
     p.add_argument("--in", dest="input", metavar="PATH", required=True,
-                   help="input tag file (binary or text, sniffed by magic bytes)")
+                   help="input tag file (text if its first byte is '#', else binary)")
     _add_alias(p, "--bin-width-ps", "histogram bin width in picoseconds", type=int)
     _add_alias(p, "--window-ps", "half-open lag window in picoseconds, e.g. "
                "--window-ps=-10000:10000", metavar="MIN:MAX", type=_parse_window)
     p.add_argument("--out", metavar="PATH", required=True, help="output histogram CSV path")
     p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("fit", help="fit the bunching peak in a histogram CSV",
-                       description="Weighted fit of the displaced bunching model to g2(tau).")
-    _add_config_flags(p)
-    p.add_argument("--in", dest="input", metavar="PATH", required=True, help="histogram CSV path")
-    p.add_argument("--out", metavar="PATH", default=None, help="fit-result JSON path")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("range", help="fit and report the target distance",
                        description="Fit the bunching peak and convert the delay to meters.")
@@ -158,17 +151,18 @@ def _resolve_document(args) -> dict:
 
 
 def _read_any_tags(path):
+    # a readable text file opens with its '#' header block; anything else is binary
     with open(path, "rb") as f:
-        head = f.read(len(tagio.MAGIC))
-    if head == tagio.MAGIC:
-        return tagio.read_tags(path)
-    return tagio.read_text_tags(path)
+        head = f.read(1)
+    if head == b"#":
+        return tagio.read_text_tags(path)
+    return tagio.read_tags(path)
 
 
 def cmd_simulate(args) -> int:
     doc = _resolve_document(args)
     scenario = presets.scenario_from_document(doc)
-    resolution_ps = presets.output_from_document(doc).resolution_ps
+    resolution_ps = presets.output_from_document(doc)
     truth_path = args.truth_out or f"{args.out}.truth.json"
 
     reference, probe, truth = simulate_ranging_scenario(scenario)
@@ -219,11 +213,6 @@ def _report(record: dict, path, *summary: str) -> int:
         estimator.dump_json(record, path)
         print(f"wrote {path}")
     return 0
-
-
-def cmd_fit(args) -> int:
-    fit, _, _ = _fit_from_csv(args, _resolve_document(args))
-    return _report(estimator.fit_to_dict(fit), args.out)
 
 
 def cmd_range(args) -> int:

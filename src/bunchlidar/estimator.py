@@ -39,19 +39,19 @@ class FitResult:
     """Bunching-peak parameters and one-sigma curvature uncertainties, in record order."""
 
     baseline: float
-    baseline_err: float = 0.0
+    baseline_err: float
     amplitude: float  # equals V^2, the squared visibility
-    amplitude_err: float = 0.0
+    amplitude_err: float
     delay_s: float
-    delay_err_s: float = 0.0
+    delay_err_s: float
     coherence_time_s: float
-    coherence_time_err_s: float = 0.0
-    reduced_chi2: float = 0.0
-    n_points: int = 0
+    coherence_time_err_s: float
+    reduced_chi2: float
+    n_points: int
     n_free_params: int = _N_FREE_PARAMS
-    converged: bool = False
-    n_iterations: int = 0
-    bin_width_s: float = 0.0
+    converged: bool
+    n_iterations: int
+    bin_width_s: float
 
     def binned_peak_g2(self) -> float:
         """Model prediction for the histogram bin centered on the peak."""
@@ -143,8 +143,11 @@ def binned_model_jacobian(tau_s: np.ndarray, bin_width_s: float, params) -> np.n
     return jac
 
 
-def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> FitResult:
-    """Moment-style starting point: median baseline, smoothed peak, HWHM width."""
+def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> np.ndarray:
+    """Moment-style starting point: median baseline, smoothed peak, HWHM width.
+
+    Returns (baseline, amplitude, delay_s, coherence_time_s) as a float array.
+    """
     tau_s = np.asarray(tau_s, dtype=np.float64)
     g2 = np.asarray(g2, dtype=np.float64)
     if tau_s.size < 8:
@@ -163,14 +166,7 @@ def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> FitR
         hi += 1
     hwhm = 0.5 * (hi - lo + 1) * bin_width_s
     coherence = max((2.0 / math.log(2.0)) * hwhm, bin_width_s)
-    return FitResult(
-        baseline=baseline,
-        amplitude=amplitude,
-        delay_s=delay,
-        coherence_time_s=coherence,
-        n_points=int(tau_s.size),
-        bin_width_s=bin_width_s,
-    )
+    return np.array([baseline, amplitude, delay, coherence])
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite model and raises below
@@ -202,10 +198,7 @@ def fit_g2(
     if not bin_width_s > 0:  # also true for NaN
         raise FitError(f"bin width must be positive, got {bin_width_s}")
 
-    initial = initial_guess(tau_s, g2, bin_width_s)
-    theta = np.array(
-        [initial.baseline, initial.amplitude, initial.delay_s, initial.coherence_time_s]
-    )
+    theta = initial_guess(tau_s, g2, bin_width_s)
     floor = 1e-3 * bin_width_s  # hard guard; degeneracy is judged after convergence
 
     def chi2_of(params) -> float:

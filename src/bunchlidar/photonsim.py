@@ -250,8 +250,8 @@ class _BlockWork:
             np.empty(rows) for _ in range(5)
         )
 
-    def each_tile(self, rows: int, fn, *args) -> None:
-        """Run ``fn(self, scratch, r0, r1, *args)`` over the tiles of ``rows``.
+    def each_tile(self, rows: int, fn) -> None:
+        """Run ``fn(self, scratch, r0, r1)`` over the tiles of ``rows``.
 
         This thread takes the first half of the tiles, the helper the rest;
         each writes only its own rows, with its own scratch.
@@ -261,7 +261,7 @@ class _BlockWork:
 
         def run(part, scratch):
             for r0 in part:
-                fn(self, scratch, r0, min(r0 + self.tile_rows, rows), *args)
+                fn(self, scratch, r0, min(r0 + self.tile_rows, rows))
 
         helped = None
         if cut < len(starts):
@@ -321,9 +321,7 @@ def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -
     work.end_y[r0:r1] = xy[-1, 1]
 
 
-def _finish_tile_rows(
-    work: _BlockWork, scratch: _TileScratch, r0: int, r1: int, cap: float
-) -> None:
+def _finish_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
     """Pass 2 on rows r0..r1: add each row's entry state, then thin at u*cap < I."""
     cols = _SCAN_COLUMNS
     t = r1 - r0
@@ -343,11 +341,11 @@ def _finish_tile_rows(
     intensity += y_squared
     intensity *= 0.5
     u = work.u[span].reshape(t, cols)
-    u *= cap
+    u *= DEFAULT_INTENSITY_CAP
     np.less(u, intensity, out=work.keep[span].reshape(t, cols))
 
 
-def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: float, cap: float):
+def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: float):
     """Sample two stationary unit-variance Gauss-Markov chains at shared lags.
 
     On entry ``work.lags[:n]`` holds the lags, ``work.x[:n]``/``work.y[:n]``
@@ -357,8 +355,8 @@ def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: f
     from the stationary distribution). Each step applies the exact update
     x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lags[i]). On return
     ``work.x[:n]``/``work.y[:n]`` hold the chains and ``work.keep[:n]`` the
-    thinning verdicts u*cap < (x^2 + y^2)/2; the returned views are
-    overwritten by the next call.
+    thinning verdicts u*DEFAULT_INTENSITY_CAP < (x^2 + y^2)/2; the returned
+    views are overwritten by the next call.
 
     Vectorized as a blocked scan over rows of 64 consecutive samples, so
     total work is ~4 multiply-adds per sample. The rows are cut into tiles of
@@ -392,7 +390,7 @@ def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: f
     entry_y[0] = carry_y
     entry_x[1:] = gain[:-1] * carry_x + end_x[:-1]
     entry_y[1:] = gain[:-1] * carry_y + end_y[:-1]
-    work.each_tile(rows, _finish_tile_rows, cap)
+    work.each_tile(rows, _finish_tile_rows)
     return work.x[:n], work.y[:n]
 
 
@@ -463,7 +461,6 @@ def _sample_cox_channels(
     rates_hz,
     coherence_time_s: float,
     duration_ticks: int,
-    cap: float,
     rng_candidates: np.random.Generator,
     rng_field: np.random.Generator,
     rng_accept: np.random.Generator,
@@ -475,10 +472,11 @@ def _sample_cox_channels(
     summed rate whose events are routed to channel i with probability
     rate_i/sum(rates). That merged stream is sampled by thinning (Lewis &
     Shedler): candidates arrive homogeneously at cap*sum(rates) on integer
-    ticks, drawn and sorted per block, the quadratures are propagated with
-    the exact Gauss-Markov update to each candidate's own time (Gillespie),
-    and a candidate is kept with probability I(t)/cap, which is exact for
-    intensities below the cap. Kept events are then routed by rate share.
+    ticks (cap = ``DEFAULT_INTENSITY_CAP``), drawn and sorted per block, the
+    quadratures are propagated with the exact Gauss-Markov update to each
+    candidate's own time (Gillespie), and a candidate is kept with probability
+    I(t)/cap, which is exact for intensities below the cap. Kept events are
+    then routed by rate share.
     """
     n_channels = len(rates_hz)
     total_rate = sum(rates_hz)
@@ -487,7 +485,8 @@ def _sample_cox_channels(
     tau_c_ticks = coherence_time_s * TICKS_PER_SECOND
     # a uniform u routes to the number of bounds at or below it
     bounds = np.cumsum(rates_hz)[:-1] / total_rate
-    expected = cap * total_rate * duration_ticks / TICKS_PER_SECOND
+    candidate_rate = DEFAULT_INTENSITY_CAP * total_rate
+    expected = candidate_rate * duration_ticks / TICKS_PER_SECOND
     n_blocks = max(1, math.ceil(expected / _CANDIDATE_BLOCK))
     block_ticks = -(-duration_ticks // n_blocks)  # ceil division
     accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
@@ -496,7 +495,7 @@ def _sample_cox_channels(
     with _BlockWork() as work:
         for lo in range(0, duration_ticks, block_ticks):
             hi = min(lo + block_ticks, duration_ticks)
-            n = rng_candidates.poisson(cap * total_rate * (hi - lo) / TICKS_PER_SECOND)
+            n = rng_candidates.poisson(candidate_rate * (hi - lo) / TICKS_PER_SECOND)
             if n == 0:
                 continue
             work.reserve(n)
@@ -510,7 +509,7 @@ def _sample_cox_channels(
             lags[1:] /= tau_c_ticks
             rng_accept.random(out=work.u[:n])
             noise.result()
-            x, y = _gauss_markov_scan_pair(work, n, carry_x, carry_y, cap)
+            x, y = _gauss_markov_scan_pair(work, n, carry_x, carry_y)
             carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
             kept = times[work.keep[:n]]
             channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
@@ -550,7 +549,6 @@ def simulate_ranging_scenario(config: ScenarioConfig):
         [rate_ref, rate_probe],
         src.coherence_time_s,
         config.duration_ticks,
-        DEFAULT_INTENSITY_CAP,
         rng_candidates=np.random.default_rng(seeds[0]),
         rng_field=np.random.default_rng(seeds[1]),
         rng_accept=np.random.default_rng(seeds[2]),

@@ -102,11 +102,6 @@ class CorrelationSettings:
     window_ps: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class OutputSettings:
-    resolution_ps: int = 1
-
-
 def _check_keys(section: str, mapping: dict, allowed: set) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -187,8 +182,9 @@ def medium_from_document(doc: dict) -> Medium:
     return _keywords(doc.get("scenario", {}), fields).get("medium", VACUUM)
 
 
-def output_from_document(doc: dict) -> OutputSettings:
-    return OutputSettings(**_keywords(doc.get("output", {}), _OUTPUT_FIELDS))
+def output_from_document(doc: dict) -> int:
+    """The tag file's resolution in ps; 1 when the document sets none."""
+    return _keywords(doc.get("output", {}), _OUTPUT_FIELDS).get("resolution_ps", 1)
 
 
 def load_preset(name: str) -> dict:

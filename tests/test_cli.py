@@ -136,7 +136,7 @@ class TestConfigHandling:
                 assert getattr(config, field.name) == field.default, field.name
         assert config.split_probe == 0.92 and config.split_ref == 0.04
         assert presets.fit_from_document({}) == {}
-        assert presets.output_from_document({}) == presets.OutputSettings()
+        assert presets.output_from_document({}) == 1
 
     def test_empty_detector_entry_is_default_spec(self):
         doc = {"scenario": {"wavelength_nm": 518.0, "coherence_time_ns": 1.0,
@@ -322,6 +322,15 @@ class TestSimulate:
         (reference, probe), _ = tagio.read_tags(tags)
         assert len(reference) == 0 and len(probe) > 0
 
+    def test_truth_out_moves_the_sidecar(self, tmp_path, mini_config, capsys):
+        default, moved, sidecar = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "s.json"
+        assert cli.main(["simulate", "--config", mini_config, "--out", str(default)]) == 0
+        assert cli.main(["simulate", "--config", mini_config, "--out", str(moved),
+                         "--truth-out", str(sidecar)]) == 0
+        capsys.readouterr()
+        assert not (tmp_path / "b.bin.truth.json").exists()
+        assert sidecar.read_bytes() == (tmp_path / "a.bin.truth.json").read_bytes()
+
     def test_truth_sidecar_contents(self, tmp_path, mini_config, capsys):
         out = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(out)])
@@ -388,15 +397,17 @@ class TestCorrelateFitRange:
     def test_fit_and_range_pipeline(self, tmp_path, tag_file, mini_config, capsys):
         csv = tmp_path / "h.csv"
         cli.main(["correlate", "--config", mini_config, "--in", tag_file, "--out", str(csv)])
-        fit_json = tmp_path / "fit.json"
-        assert cli.main(["fit", "--in", str(csv), "--out", str(fit_json)]) == 0
-        record = json.loads(fit_json.read_text())
+        range_json = tmp_path / "range.json"
+        assert cli.main(["range", "--in", str(csv), "--out", str(range_json)]) == 0
+        record = json.loads(range_json.read_text())
         assert record["converged"] is True
         assert list(record) == sorted(record)
+        # every fit field, the peak-bin g2 and the three range keys
+        fit_keys = {field.name for field in dataclasses.fields(estimator.FitResult)}
+        assert set(record) == fit_keys | {"binned_peak_g2", "distance_m", "distance_err_m",
+                                          "refractive_index"}
         out = capsys.readouterr().out
         assert "amplitude" in out
-        assert cli.main(["range", "--in", str(csv)]) == 0
-        out = capsys.readouterr().out
         assert "d = " in out and "+/-" in out
         # recovered distance within a broad statistical band of the 0.5 m truth
         # (sigma_d ~ 8 cm at these mini-scenario statistics)
@@ -426,12 +437,12 @@ class TestCorrelateFitRange:
             for i in range(64):
                 g2 = 6.0 if i == 32 else 1.0
                 f.write(f"{(i + 0.5) * 1000:.1f},{100},{g2!r},{0.01!r}\n")
-        assert cli.main(["fit", "--in", str(path)]) == 1
+        assert cli.main(["range", "--in", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_unconverged_fit_writes_nothing(self, tmp_path, histogram_csv, capsys):
-        out = tmp_path / "fit.json"
-        code = cli.main(["fit", "--in", histogram_csv, "--set", "fit.max_iterations=1",
+        out = tmp_path / "range.json"
+        code = cli.main(["range", "--in", histogram_csv, "--set", "fit.max_iterations=1",
                          "--out", str(out)])
         assert code == 1
         assert "did not converge after 1 iterations" in capsys.readouterr().err
@@ -475,7 +486,7 @@ class TestCorrelateFitRange:
         rows = ["tau_ps,counts,g2,sigma", "500.0,100,1.0,0.01", "1500.0,100,1.0,0.01",
                 bad_row, "3500.0,100,1.0,0.01"]
         path.write_text("\n".join(rows) + "\n")
-        assert cli.main(["fit", "--in", str(path)]) == 1
+        assert cli.main(["range", "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert expected in err and "Traceback" not in err
 
@@ -559,6 +570,23 @@ class TestConvert:
         capsys.readouterr()
         assert csvs[0] == csvs[1]
 
+    def test_damaged_magic_is_a_binary_fault(self, tmp_path, capsys):
+        from tests.test_tagio import make_streams
+        good = tmp_path / "good.bin"
+        tagio.write_tags(make_streams([[100, 200], [150]]), 1, good)
+        data = bytearray(good.read_bytes())
+        bad = tmp_path / "bad.bin"
+        for bit in range(8 * len(tagio.MAGIC)):
+            data[bit // 8] ^= 1 << bit % 8
+            bad.write_bytes(data)
+            data[bit // 8] ^= 1 << bit % 8
+            for argv in (["correlate", "--in", str(bad), "--bin-width-ps", "10",
+                          "--window-ps=-100:100", "--out", str(tmp_path / "h.csv")],
+                         ["convert", "--in", str(bad), "--out", str(tmp_path / "t.txt"),
+                          "--to", "text"]):
+                assert cli.main(argv) == 1, (bit, argv[0])
+                assert "bad magic at offset 0" in capsys.readouterr().err, (bit, argv[0])
+
     def test_round_trip_via_text(self, tmp_path, mini_config, capsys):
         binary = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(binary)])
@@ -575,20 +603,24 @@ class TestExitCodes:
         assert cli.main(["simulate", "--frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_fit_command_is_gone(self, capsys):
+        # range fits and writes every key fit wrote
+        assert cli.main(["fit", "--in", "h.csv"]) == 1
+        assert "invalid choice: 'fit'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
-        ["fit", "--in", "/nonexistent/h.csv"],
-        ["fit", "--in", "{dir}"],
+        ["range", "--in", "/nonexistent/h.csv"],
+        ["range", "--in", "{dir}"],
         ["correlate", "--in", "{dir}", "--bin-width-ps", "10", "--window-ps=-10:10", "--out", "x"],
         ["simulate", "--preset", "short-range", "--duration-s", "1e-6", "--out", "{dir}"],
         ["correlate", "--in", "{dir}/latin1.txt", "--bin-width-ps", "10", "--window-ps=-10:10",
          "--out", "{dir}/h.csv"],
         ["convert", "--in", "{dir}/latin1.txt", "--out", "{dir}/t.bin", "--to", "binary"],
-        ["fit", "--in", "{dir}/latin1.txt"],
         ["range", "--in", "{dir}/latin1.txt"],
         ["snr", "--in", "{dir}/latin1.txt", "--rate-hz", "1e6", "--dt-ms", "1"],
         ["simulate", "--config", "{dir}/latin1.txt", "--out", "{dir}/t.bin"],
-    ], ids=["missing", "directory-fit", "directory-correlate", "directory-simulate",
-            "non-utf8-correlate", "non-utf8-convert", "non-utf8-fit", "non-utf8-range",
+    ], ids=["missing", "directory-range", "directory-correlate", "directory-simulate",
+            "non-utf8-correlate", "non-utf8-convert", "non-utf8-range",
             "non-utf8-snr", "non-utf8-config"])
     def test_missing_file_is_user_error(self, tmp_path, argv, capsys):
         # a text tag file, histogram CSV or config whose bytes are not UTF-8

@@ -54,16 +54,18 @@ class TestInitialGuess:
     def test_recovers_exact_model_roughly(self):
         tau, g2 = model_curve()
         guess = est.initial_guess(tau, g2, 0.25e-9)
-        assert guess.baseline == pytest.approx(1.0, abs=0.2)
-        assert guess.amplitude == pytest.approx(1.0, rel=0.2)
-        assert guess.delay_s == pytest.approx(5e-9, abs=2 * 0.25e-9)
-        assert guess.coherence_time_s == pytest.approx(10e-9, rel=0.2)
+        assert guess.dtype == np.float64 and guess.shape == (4,)
+        baseline, amplitude, delay, coherence = guess
+        assert baseline == pytest.approx(1.0, abs=0.2)
+        assert amplitude == pytest.approx(1.0, rel=0.2)
+        assert delay == pytest.approx(5e-9, abs=2 * 0.25e-9)
+        assert coherence == pytest.approx(10e-9, rel=0.2)
 
     def test_flat_input_floors(self):
         tau = np.arange(32) * 1e-9
-        guess = est.initial_guess(tau, np.ones(32), 1e-9)
-        assert guess.amplitude == 0.01
-        assert guess.coherence_time_s >= 1e-9
+        _, amplitude, _, coherence = est.initial_guess(tau, np.ones(32), 1e-9)
+        assert amplitude == 0.01
+        assert coherence >= 1e-9
 
     def test_desk_scale_noisy_peak_location(self):
         # 40 ps bins, tau_c ~ 1 ns, peak at 0.606 ns with shot noise:
@@ -72,8 +74,8 @@ class TestInitialGuess:
         width = 40e-12
         tau = (np.arange(500) - 250 + 0.5) * width
         counts = rng.poisson(est.binned_model(tau, width, (1.0, 1.0, 0.606e-9, 1.03e-9)) * 1200)
-        guess = est.initial_guess(tau, counts / 1200.0, width)
-        assert abs(guess.delay_s - 0.606e-9) <= 2 * width
+        _, _, delay, _ = est.initial_guess(tau, counts / 1200.0, width)
+        assert abs(delay - 0.606e-9) <= 2 * width
 
     def test_too_few_points(self):
         with pytest.raises(est.FitError):
@@ -252,8 +254,10 @@ class TestFitContract:
 class TestEstimateRange:
     def _fit(self, delay, delay_err, converged=True):
         return est.FitResult(
-            baseline=1.0, amplitude=1.0, delay_s=delay, coherence_time_s=1e-9,
-            delay_err_s=delay_err, converged=converged, n_points=100, bin_width_s=40e-12,
+            baseline=1.0, baseline_err=0.01, amplitude=1.0, amplitude_err=0.01,
+            delay_s=delay, delay_err_s=delay_err, coherence_time_s=1e-9,
+            coherence_time_err_s=1e-11, reduced_chi2=1.0, n_points=100,
+            converged=converged, n_iterations=5, bin_width_s=40e-12,
         )
 
     def test_desk_scale_delay(self):
@@ -314,8 +318,10 @@ class TestSnrMeasure:
 class TestExports:
     def test_fit_dict_and_table(self):
         fit = est.FitResult(
-            baseline=1.0, amplitude=0.6, delay_s=1e-9, coherence_time_s=23.2e-9,
-            reduced_chi2=1.1, n_points=100, converged=True, bin_width_s=2e-9,
+            baseline=1.0, baseline_err=0.01, amplitude=0.6, amplitude_err=0.01,
+            delay_s=1e-9, delay_err_s=1e-11, coherence_time_s=23.2e-9,
+            coherence_time_err_s=1e-10, reduced_chi2=1.1, n_points=100, converged=True,
+            n_iterations=5, bin_width_s=2e-9,
         )
         record = est.fit_to_dict(fit)
         assert record["amplitude"] == 0.6
@@ -331,6 +337,9 @@ class TestExports:
     def test_fit_result_is_keyword_only(self):
         with pytest.raises(TypeError):
             est.FitResult(1.0, 0.6, 1e-9, 23.2e-9)
+        # no placeholder errors or convergence: only fit_g2 makes a whole result
+        with pytest.raises(TypeError, match="baseline_err"):
+            est.FitResult(baseline=1.0, amplitude=0.6, delay_s=1e-9, coherence_time_s=23.2e-9)
 
     def test_json_dump_stable(self, tmp_path):
         record = {"b": 1, "a": 2}

@@ -24,7 +24,7 @@ def scan_block(work, lags, noise_x, noise_y, carry_x, carry_y, uniforms=None):
     work.x[:n] = noise_x
     work.y[:n] = noise_y
     work.u[:n] = 0.0 if uniforms is None else uniforms
-    x, y = ps._gauss_markov_scan_pair(work, n, carry_x, carry_y, ps.DEFAULT_INTENSITY_CAP)
+    x, y = ps._gauss_markov_scan_pair(work, n, carry_x, carry_y)
     return x, y, work.keep[:n]
 
 
@@ -158,9 +158,7 @@ class TestGaussMarkovScan:
 def cox_arrivals(rates_hz, coherence_time_s, duration_s, seed):
     """Per-channel signal streams from the scenario path's sampler."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    return ps._sample_cox_channels(
-        rates_hz, coherence_time_s, round(duration_s * 1e12), ps.DEFAULT_INTENSITY_CAP, *rngs
-    )
+    return ps._sample_cox_channels(rates_hz, coherence_time_s, round(duration_s * 1e12), *rngs)
 
 
 class TestGenerateArrivals:
@@ -189,9 +187,7 @@ class TestGenerateArrivals:
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 1_000)
         duration_ticks = 2**63 - 1
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(8).spawn(3)]
-        streams = ps._sample_cox_channels(
-            [4e-5, 8e-5], 1e-9, duration_ticks, ps.DEFAULT_INTENSITY_CAP, *rngs
-        )
+        streams = ps._sample_cox_channels([4e-5, 8e-5], 1e-9, duration_ticks, *rngs)
         for times in streams:
             assert times.dtype == np.int64 and times.size > 50
             assert np.all(np.diff(times) >= 0)
@@ -206,9 +202,7 @@ class TestGenerateArrivals:
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
         monkeypatch.setattr(ps, "_TILE_ROWS", 2)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
-        streams = ps._sample_cox_channels(
-            [3e6, 6e7], 5e-9, 50_000_000, ps.DEFAULT_INTENSITY_CAP, *rngs
-        )
+        streams = ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
         assert [s.size for s in streams] == [144, 2965]
         assert [hashlib.sha256(s.tobytes()).hexdigest() for s in streams] == [
             "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
