@@ -124,15 +124,14 @@ def _bin_integrals(edges_lo, edges_hi, delay, coherence):
 
 def binned_model(tau_s: np.ndarray, bin_width_s: float, params) -> np.ndarray:
     """Bin-averaged bunching model at the given bin centers."""
+    return binned_model_jacobian(tau_s, bin_width_s, params)[0]
+
+
+def binned_model_jacobian(
+    tau_s: np.ndarray, bin_width_s: float, params
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bin-averaged model and its analytic partial derivatives, shapes (n,) and (n, 4)."""
     baseline, amplitude, delay, coherence = params
-    lo = tau_s - 0.5 * bin_width_s
-    integral, _, _ = _bin_integrals(lo, lo + bin_width_s, delay, coherence)
-    return baseline + amplitude * integral / bin_width_s
-
-
-def binned_model_jacobian(tau_s: np.ndarray, bin_width_s: float, params) -> np.ndarray:
-    """Analytic partial derivatives of the bin-averaged model, shape (n, 4)."""
-    _, amplitude, delay, coherence = params
     lo = tau_s - 0.5 * bin_width_s
     integral, d_tau0, d_tauc = _bin_integrals(lo, lo + bin_width_s, delay, coherence)
     jac = np.empty((tau_s.size, _N_FREE_PARAMS))
@@ -140,7 +139,7 @@ def binned_model_jacobian(tau_s: np.ndarray, bin_width_s: float, params) -> np.n
     jac[:, 1] = integral / bin_width_s
     jac[:, 2] = amplitude * d_tau0 / bin_width_s
     jac[:, 3] = amplitude * d_tauc / bin_width_s
-    return jac
+    return baseline + amplitude * integral / bin_width_s, jac
 
 
 def initial_guess(tau_s: np.ndarray, g2: np.ndarray, bin_width_s: float) -> np.ndarray:
@@ -201,26 +200,24 @@ def fit_g2(
     theta = initial_guess(tau_s, g2, bin_width_s)
     floor = 1e-3 * bin_width_s  # hard guard; degeneracy is judged after convergence
 
-    def chi2_of(params) -> float:
-        resid = (g2 - binned_model(tau_s, bin_width_s, params)) / sigma
-        return float(resid @ resid)
+    def evaluate(params):
+        """Weighted residuals, weighted Jacobian and chi-square of one point."""
+        model, jac = binned_model_jacobian(tau_s, bin_width_s, params)
+        resid = (g2 - model) / sigma
+        return resid, jac / sigma[:, None], float(resid @ resid)
 
-    chi2 = chi2_of(theta)
+    resid, jac, chi2 = evaluate(theta)
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        model = binned_model(tau_s, bin_width_s, theta)
-        jac = binned_model_jacobian(tau_s, bin_width_s, theta) / sigma[:, None]
-        resid = (g2 - model) / sigma
         if not (np.isfinite(jac).all() and np.isfinite(resid).all()):
             raise FitNotConvergedError("model or residuals overflow; rescale tau, g2 or sigma")
         step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         scale = 1.0
-        trial_chi2 = None
         for _ in range(40):
             trial = theta + scale * step
             if trial[1] >= 0.0 and trial[3] > floor:
-                trial_chi2 = chi2_of(trial)
+                trial_resid, trial_jac, trial_chi2 = evaluate(trial)
                 if trial_chi2 <= chi2:
                     break
             scale *= 0.5
@@ -228,8 +225,7 @@ def fit_g2(
             converged = True  # no descent direction left at machine precision
             break
         change = chi2 - trial_chi2
-        theta = trial
-        chi2 = trial_chi2
+        theta, resid, jac, chi2 = trial, trial_resid, trial_jac, trial_chi2
         if change <= rel_tol * max(chi2, 1e-300):
             converged = True
             break
@@ -248,7 +244,6 @@ def fit_g2(
         raise FitNotConvergedError(f"delay {theta[2]} s outside the binned span [{lo}, {hi}] s")
     if theta[3] > hi - lo:
         raise FitNotConvergedError(f"coherence time {theta[3]} s wider than the binned span {hi - lo} s")
-    jac = binned_model_jacobian(tau_s, bin_width_s, theta) / sigma[:, None]
     try:
         covariance = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:

@@ -89,7 +89,10 @@ class EventStream:
     duration_ticks: int = field(init=False)
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=np.int64).view()
+        times = np.asarray(self.times)
+        if times.size and not np.issubdtype(times.dtype, np.integer):
+            raise ConfigurationError(f"event times must be integer ticks, got dtype {times.dtype}")
+        times = np.ascontiguousarray(times, dtype=np.int64).view()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
         if self.duration_s is None:

@@ -198,7 +198,7 @@ def read_tags(path):
     """
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(MAGIC):
+    if not MAGIC.startswith(data[:len(MAGIC)]):  # a prefix of the magic is a short header
         raise BadMagicError("bad magic", offset=0)
     if len(data) < HEADER_SIZE:
         raise TruncatedRecordError(

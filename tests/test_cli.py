@@ -587,6 +587,13 @@ class TestConvert:
                 assert cli.main(argv) == 1, (bit, argv[0])
                 assert "bad magic at offset 0" in capsys.readouterr().err, (bit, argv[0])
 
+    def test_empty_file_is_a_truncated_header(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert cli.main(["convert", "--in", str(empty), "--out", str(tmp_path / "t.txt"),
+                         "--to", "text"]) == 1
+        assert "header needs 32 bytes, file has 0 at offset 0" in capsys.readouterr().err
+
     def test_round_trip_via_text(self, tmp_path, mini_config, capsys):
         binary = tmp_path / "t.bin"
         cli.main(["simulate", "--config", mini_config, "--out", str(binary)])

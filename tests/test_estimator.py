@@ -150,7 +150,7 @@ class TestFit:
             # compare on bins farther than one bin from the kink, where the
             # model is smooth enough for 1e-6 central differences
             away = np.abs(tau - params[2]) > width
-            jac = est.binned_model_jacobian(tau, width, params)
+            _, jac = est.binned_model_jacobian(tau, width, params)
             coherence = params[3]
             steps = (1e-7, 1e-7 * max(params[1], 0.1), 1e-6 * coherence, 1e-6 * coherence)
             for k, h in enumerate(steps):
@@ -163,6 +163,21 @@ class TestFit:
                 assert np.allclose(
                     jac[away, k], numeric[away], rtol=1e-6, atol=1e-6 * scale
                 ), f"param {k}"
+
+    def test_one_bin_integral_per_scored_point(self, monkeypatch):
+        # a short-range-shaped histogram (500 bins of 40 ps, tau_c 1.03 ns)
+        # whose fit takes the full step in each of its 5 iterations: the start
+        # and the 5 trials are each evaluated once, and the covariance reuses
+        # the last accepted evaluation
+        width = 40e-12
+        tau = -10e-9 + (np.arange(500) + 0.5) * width
+        shape = est.binned_model(tau, width, (1.0, 1.0, 0.606e-9, 1.03e-9))
+        counts = np.random.default_rng(17).poisson(1200 * shape)
+        calls = []
+        integrals = est._bin_integrals
+        monkeypatch.setattr(est, "_bin_integrals", lambda *a: calls.append(a) or integrals(*a))
+        fit = est.fit_g2(tau, counts / 1200, np.sqrt(np.maximum(counts, 1)) / 1200, width)
+        assert (fit.n_iterations, len(calls)) == (5, 6)
 
     def test_sigma_must_be_positive(self):
         tau, g2 = model_curve()

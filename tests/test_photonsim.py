@@ -562,6 +562,12 @@ class TestEventStream:
         empty = ps.EventStream(1, np.empty(0, dtype=np.int64))
         assert (empty.duration_ticks, empty.duration_s) == (0, 0.0)
 
+    def test_non_integer_times_rejected(self):
+        with pytest.raises(ps.ConfigurationError, match="times"):
+            ps.EventStream(0, np.array([1.5, 2.7]))
+        assert ps.EventStream(0, []).times.tolist() == []
+        assert ps.EventStream(0, [1, 2]).times.tolist() == [1, 2]
+
     def test_positional_duration_in_seconds(self):
         stream = ps.EventStream(0, np.array([3, 340_000_000_000]), 0.34)
         assert (stream.duration_s, stream.duration_ticks) == (0.34, 340_000_000_000)

@@ -297,6 +297,19 @@ class TestHeaderValidation:
             tagio.read_tags(path)
         assert "offset 0" in str(err.value)
 
+    # a prefix of the magic is a short header; a wrong byte is a bad magic
+    @pytest.mark.parametrize("data, error, message", [
+        (b"", tagio.TruncatedRecordError, "header needs 32 bytes, file has 0 at offset 0"),
+        (b"BLT", tagio.TruncatedRecordError, "header needs 32 bytes, file has 3 at offset 3"),
+        (b"BLTTAG0", tagio.TruncatedRecordError, "header needs 32 bytes, file has 7 at offset 7"),
+        (b"XYZ", tagio.BadMagicError, "bad magic at offset 0"),
+    ])
+    def test_short_file(self, tmp_path, data, error, message):
+        path = tmp_path / "short.bin"
+        path.write_bytes(data)
+        with pytest.raises(error, match=f"^{message}$"):
+            tagio.read_tags(path)
+
     def test_header_fuzz_single_bit_flips_all_rejected(self, tmp_path):
         # every single-bit corruption of the 32-byte header must be detected
         for resolution in (1, 25, 2000):
