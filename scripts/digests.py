@@ -29,7 +29,7 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 BENCHMARK_SEED = 1
 
 
-def _load_workloads():
+def load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -48,7 +48,7 @@ def _preset_runs(directory):
 
 
 def _workload_runs(directory):
-    workloads = _load_workloads()
+    workloads = load_workloads()
     for workload, spec in workloads.WORKLOADS.items():
         seed = workloads.scenario_seed(spec, BENCHMARK_SEED, 0)
         config = None
@@ -80,7 +80,7 @@ def _sha256(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _run(argv):
+def run(argv):
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         code = cli.main(argv)
     if code != 0:
@@ -101,8 +101,8 @@ def main(names):
             start = time.perf_counter()
             tags, csv, fit = _paths(directory, name)
             for argv in steps:
-                _run(argv)
-            _run(["range", "--in", csv, "--out", fit])
+                run(argv)
+            run(["range", "--in", csv, "--out", fit])
             print(f"{name:<20} {_sha256(tags)} {_sha256(csv)} {_sha256(fit)}"
                   f"  # {time.perf_counter() - start:.1f} s", flush=True)
     return 0

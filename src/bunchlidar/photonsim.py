@@ -219,11 +219,13 @@ class _TileScratch:
 class _BlockWork:
     """Work buffers of one candidate block and the one helper thread.
 
-    A sampler call opens one of these and reuses it for every block: the
-    block-sized buffers grow when a block needs more room and are never
-    allocated again otherwise. ``x``/``y`` take the noise in and the chains
-    out, ``u`` the acceptance uniforms, ``keep`` the thinning verdicts.
-    The helper thread is shut down (joined) when the ``with`` block exits.
+    A sampler call sizes one of these once, for its blocks' Poisson mean
+    plus a fixed headroom, and reuses the buffers for every block. A block
+    beyond the headroom grows them to exactly its size, dropping the old
+    buffers first; there is no geometric growth. ``x``/``y`` take the noise
+    in and the chains out, ``u`` the acceptance uniforms, ``keep`` the
+    thinning verdicts. Leaving the ``with`` block joins the helper thread
+    and drops the buffers.
     """
 
     def __init__(self):
@@ -237,21 +239,27 @@ class _BlockWork:
 
     def __exit__(self, *exc_info):
         self.helper.shutdown(wait=True)
+        self.release()
+
+    def release(self) -> None:
+        """Drop the block-sized buffers."""
+        self.capacity = 0
+        self.lags = self.x = self.y = self.u = self.prefix = self.keep = None
+        self.gain = self.end_x = self.end_y = self.entry_x = self.entry_y = None
 
     def reserve(self, n: int) -> None:
         """Make room for a block of ``n`` samples padded to whole rows."""
         size = -(-n // _SCAN_COLUMNS) * _SCAN_COLUMNS
         if size <= self.capacity:
             return
-        # grow geometrically: Poisson block sizes set a new maximum now and then
-        size = max(size, self.capacity + self.capacity // 8)
-        self.capacity = size
+        self.release()  # the old buffers are gone before the new ones exist
         rows = size // _SCAN_COLUMNS
         self.lags, self.x, self.y, self.u, self.prefix = (np.empty(size) for _ in range(5))
         self.keep = np.empty(size, dtype=bool)
         self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = (
             np.empty(rows) for _ in range(5)
         )
+        self.capacity = size
 
     def each_tile(self, rows: int, fn) -> None:
         """Run ``fn(self, scratch, r0, r1)`` over the tiles of ``rows``.
@@ -480,6 +488,12 @@ def _sample_cox_channels(
     candidate's own time (Gillespie), and a candidate is kept with probability
     I(t)/cap, which is exact for intensities below the cap. Kept events are
     then routed by rate share.
+
+    The working set is one block's: a workspace sized once per call, for
+    the block's Poisson mean plus a headroom of 10 standard deviations (a
+    block beyond it grows the buffers to exactly its size), and that block's
+    candidate times, which end with the block. The workspace is dropped
+    before the per-channel join.
     """
     n_channels = len(rates_hz)
     total_rate = sum(rates_hz)
@@ -492,10 +506,12 @@ def _sample_cox_channels(
     expected = candidate_rate * duration_ticks / TICKS_PER_SECOND
     n_blocks = max(1, math.ceil(expected / _CANDIDATE_BLOCK))
     block_ticks = -(-duration_ticks // n_blocks)  # ceil division
+    block_mean = candidate_rate * block_ticks / TICKS_PER_SECOND
     accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
     carry_x = carry_y = 0.0
     carry_time = None
     with _BlockWork() as work:
+        work.reserve(math.ceil(block_mean + 10 * math.sqrt(block_mean)))
         for lo in range(0, duration_ticks, block_ticks):
             hi = min(lo + block_ticks, duration_ticks)
             n = rng_candidates.poisson(candidate_rate * (hi - lo) / TICKS_PER_SECOND)
@@ -518,7 +534,9 @@ def _sample_cox_channels(
             channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
             for ch in range(n_channels):
                 accepted[ch].append(kept[channels == ch])
-    # block-local sorted segments concatenate into globally sorted streams
+            del times, kept, channels, lags, x, y  # the block's arrays end with it
+    # the workspace is dropped; block-local sorted segments concatenate
+    # into globally sorted streams
     return [
         np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in accepted
     ]

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,81 @@ def cox_arrivals(rates_hz, coherence_time_s, duration_s, seed):
     return ps._sample_cox_channels(rates_hz, coherence_time_s, round(duration_s * 1e12), *rngs)
 
 
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def workspace_bytes(n):
+    """Bytes of one block workspace for n samples: five float64 buffers and
+    the bool verdicts per padded sample, five float64 values per row."""
+    rows = -(-n // ps._SCAN_COLUMNS)
+    return rows * ps._SCAN_COLUMNS * (5 * 8 + 1) + rows * 5 * 8
+
+
+def tile_scratch_bytes():
+    """Bytes of the two threads' tile scratch."""
+    return 2 * sum(a.nbytes for a in vars(ps._TileScratch(ps._TILE_ROWS)).values())
+
+
+class TestWorkingSet:
+    def test_reserve_drops_old_buffers_before_growing(self):
+        n = 200_000
+
+        def grow():
+            with ps._BlockWork() as work:
+                work.reserve(n)
+                work.reserve(2 * n)
+
+        assert traced_peak(grow) <= workspace_bytes(2 * n) + tile_scratch_bytes() + 64 * 1024
+
+    def test_multi_block_peak_is_one_block(self, monkeypatch):
+        # four blocks of 100 K candidates on average; at seed 3 block 2 draws
+        # more candidates than block 1 (100,198 against 100,037)
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 100_000)
+        rates, duration_ticks = [2e8, 8e8], 33_333_333
+        block_mean = ps.DEFAULT_INTENSITY_CAP * sum(rates) * duration_ticks / 4 / 1e12
+        capacity = math.ceil(block_mean + 10 * math.sqrt(block_mean))
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(3)]
+        streams = []
+
+        def sample():
+            streams.extend(ps._sample_cox_channels(rates, 1e-9, duration_ticks, *rngs))
+
+        peak = traced_peak(sample)
+        output = sum(s.nbytes for s in streams)
+        # one workspace, one block of candidate times, the streams being
+        # joined and their parts, the tile scratch
+        bound = workspace_bytes(capacity) + 8 * capacity + 2 * output + tile_scratch_bytes()
+        assert output > 0 and peak <= bound
+
+    def test_growth_mid_run_keeps_the_stream(self, monkeypatch):
+        # a workspace first sized far below the blocks grows at block 1 and
+        # again at each later block that is larger than all before it
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
+
+        def sample():
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
+            return ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
+
+        expected = sample()
+        reserve, capacities = ps._BlockWork.reserve, []
+
+        def small_first(work, n):
+            reserve(work, n if capacities else 1_000)
+            capacities.append(work.capacity)
+
+        monkeypatch.setattr(ps._BlockWork, "reserve", small_first)
+        streams = sample()
+        assert len(set(capacities[1:])) > 1  # grown with blocks already drawn
+        assert all(np.array_equal(a, b) for a, b in zip(streams, expected, strict=True))
+
+
 class TestGenerateArrivals:
     def test_zero_rate_empty(self):
         (times,) = cox_arrivals([0.0], 1e-9, 1e-6, seed=2)
@@ -196,7 +272,7 @@ class TestGenerateArrivals:
             assert np.any(times % 1024 != 0)
 
     def test_golden_bytes(self, monkeypatch):
-        # several blocks, a buffer growth and many tiles per block; the
+        # several blocks and many tiles per block; the
         # digests are those of the full-block scan this kernel replaced, so
         # a change that alters the random stream must update them on purpose
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
