@@ -4,11 +4,14 @@ Semantics: counts[k] is the number of ordered pairs (i, j) with
 tau_min + k*w <= t_b[j] - t_a[i] < tau_min + (k+1)*w, over all pairs (not
 nearest-neighbor). The production path is an offset-major sweep over the
 sorted streams: two binary searches give each event of a its run of partners
-in b, then pass d gathers the d-th partner of every run still live. It takes
-O(N_a log N_b + P) time in the number of in-window pairs P, and O(N_a) memory
-plus a fixed lag buffer, whatever P. The brute-force O(N_a * N_b)
-implementation in this module is the defining reference and the sweep must
-match it bin for bin, exactly.
+in b, then pass d gathers the d-th partner of every run still live. Stream a
+is swept in partitions of at most ``_PARTITION_EVENTS`` events, which
+alternate between the calling thread and one helper thread. It takes
+O(N_a log N_b + P) time in the number of in-window pairs P, and per thread
+O(partition) memory plus a fixed lag buffer, whatever N_a and P. The
+brute-force O(N_a * N_b) implementation in this module is the defining
+reference and the sweep must match it bin for bin, exactly, at any thread
+count.
 
 All arithmetic is on integer picosecond ticks, so results are exact and
 chunked accumulation is bit-identical to a single pass.
@@ -16,6 +19,7 @@ chunked accumulation is bit-identical to a single pass.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,8 @@ _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
 _SWEEP_MIN_ROWS = 4096
 # Lags binned per bincount call, at least (the buffer also holds n_bins and one pass).
 _SWEEP_BUFFER = 1 << 19
+# Events of stream a per partition; partitions alternate between two threads.
+_PARTITION_EVENTS = 1 << 16
 
 
 class CorrelationError(UserError, ValueError):
@@ -181,25 +187,43 @@ def cross_correlate(
 ) -> CorrelationHistogram:
     """Histogram t_b - t_a over all ordered pairs inside the window.
 
-    ``chunk_ticks`` partitions stream a by time and accumulates per-partition
-    histograms; the result is bit-identical for any chunk size because each
-    pair belongs to exactly one partition of its a event. Without it, all of
-    a is one partition.
+    Stream a is cut into partitions of at most ``_PARTITION_EVENTS`` events,
+    also cut at multiples of ``chunk_ticks`` when it is given, and each is
+    swept against the b events its first and last a time can reach. Even
+    partitions run on this thread and odd ones on one helper thread, each
+    summing its own counts; a single partition runs here, with no thread.
+    The sweep's memory is O(partition) per thread, whatever the stream
+    length. The result is bit-identical for any chunk size and either thread
+    count, because each pair belongs to exactly one partition of its a event.
     """
     if chunk_ticks is None:
-        chunk_ticks = _TICK_MAX + 1  # one partition: every tick lies below it
+        chunk_ticks = _TICK_MAX + 1  # no time cut: every tick lies below it
     elif chunk_ticks <= 0:
         raise CorrelationError(f"chunk size must be positive, got {chunk_ticks}")
-    counts = np.zeros(config.n_bins, dtype=np.int64)
-    start = 0
-    while start < a.times.size:
+    t_a, t_b = a.times, b.times
+    parts, start = [], 0
+    while start < t_a.size:
         # jump straight to the chunk holding the next unprocessed a event
-        edge = (int(a.times[start]) // chunk_ticks) * chunk_ticks
-        stop = _count_below(a.times, edge + chunk_ticks)
-        b_lo = _count_below(b.times, edge + config.tau_min_ticks)
-        b_hi = _count_below(b.times, edge + chunk_ticks + config.tau_max_ticks)
-        counts += _sweep_counts(a.times[start:stop], b.times[b_lo:b_hi], config)
+        edge = (int(t_a[start]) // chunk_ticks) * chunk_ticks
+        stop = min(_count_below(t_a, edge + chunk_ticks), start + _PARTITION_EVENTS)
+        parts.append((start, stop))
         start = stop
+
+    def sweep(own):
+        counts = np.zeros(config.n_bins, dtype=np.int64)
+        for start, stop in own:
+            b_lo = _count_below(t_b, int(t_a[start]) + config.tau_min_ticks)
+            b_hi = _count_below(t_b, int(t_a[stop - 1]) + config.tau_max_ticks)
+            counts += _sweep_counts(t_a[start:stop], t_b[b_lo:b_hi], config)
+        return counts
+
+    if len(parts) < 2:
+        counts = sweep(parts)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            helped = helper.submit(sweep, parts[1::2])
+            counts = sweep(parts[0::2])
+            counts += helped.result()
     duration = max(a.duration_ticks, b.duration_ticks)
     return CorrelationHistogram(
         config=config, counts=counts, n_a=len(a), n_b=len(b), duration_ticks=duration

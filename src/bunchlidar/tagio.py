@@ -129,8 +129,9 @@ def _encode(streams, resolution_ps, rounding: str):
             f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
         )
     order = np.argsort(time, kind="stable")  # ties stay in channel order
+    time.sort(kind="stable")  # equals time[order], with no third per-event array
     records = np.zeros(time.size, _RECORD)
-    records["time"] = time[order]
+    records["time"] = time
     records["channel"] = order >= len(streams[0])  # at most two channels
     records["flags"] = inexact[order]  # _FLAG_ROUNDED where rounded
     return resolution_ps, records

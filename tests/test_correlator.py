@@ -31,6 +31,15 @@ def random_pair(rng, max_events=2000, span=100_000):
     return np.sort(a), np.sort(b)
 
 
+def run_child(code, timeout=60):
+    """The JSON printed by ``code`` in a child process, so a hung call is
+    killed after ``timeout`` seconds instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(co.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True)
+    return json.loads(done.stdout)
+
+
 def random_config(rng):
     width = int(rng.integers(1, 64))
     n_bins = int(rng.integers(1, 64))
@@ -168,10 +177,7 @@ class TestCrossCorrelate:
             "                    CorrelationConfig(1, -8, 8), chunk_ticks=2**62)\n"
             "print(json.dumps([time.perf_counter() - start, h.counts.tolist()]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(co.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=30, check=True)
-        elapsed, counts = json.loads(done.stdout)
+        elapsed, counts = run_child(code, timeout=30)
         want = co.cross_correlate_bruteforce(
             np.array([2**63 - 10]), np.array([2**63 - 5]), co.CorrelationConfig(1, -8, 8)
         )
@@ -201,6 +207,46 @@ class TestCrossCorrelate:
                 co.cross_correlate(a, b, config, chunk_ticks=chunk).counts, whole
             )
 
+    @pytest.mark.parametrize("partition", [1, 2, 7])
+    @pytest.mark.parametrize("chunked", [False, True])
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           chunk=st.integers(min_value=1, max_value=200_000))
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_equality_across_partitions(self, partition, chunked, seed, chunk):
+        # partitions of 1, 2 and 7 events split runs of tied a times and put
+        # neighbouring partitions on different threads
+        rng = np.random.default_rng(seed)
+        a, b = random_pair(rng)
+        config = random_config(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(co, "_PARTITION_EVENTS", partition)
+            got = co.cross_correlate(
+                stream(a), stream(b), config, chunk_ticks=chunk if chunked else None
+            ).counts
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
+    def test_partition_cuts_through_ties_keep_every_pair(self, monkeypatch):
+        # a run of six equal a times straddles each 2^16-event cut, and b holds
+        # that time, the window's edges from it and one tick past the upper edge
+        rng = np.random.default_rng(41)
+        n, cut = 200_000, co._PARTITION_EVENTS
+        config = co.CorrelationConfig(40, -4_000, 4_000)
+        a = np.sort(rng.integers(0, 2 * 10**8, n))
+        edges = np.arange(cut, n, cut)
+        assert edges.size == 3
+        for edge in edges:
+            a[edge - 3 : edge + 3] = a[edge]
+        ties = a[edges]
+        b = np.sort(np.concatenate([
+            rng.integers(0, 2 * 10**8, n),
+            ties, ties, ties + config.tau_min_ticks, ties + config.tau_max_ticks - 1,
+            ties + config.tau_max_ticks,
+        ]))
+        split = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        monkeypatch.setattr(co, "_PARTITION_EVENTS", n + 1)
+        whole = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        assert whole.sum() > n and np.array_equal(split, whole)
+
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_time_reversal(self, seed):
@@ -218,6 +264,81 @@ class TestCrossCorrelate:
             stream(b), stream(a), co.CorrelationConfig(width, -window + 1, window + 1)
         ).counts
         assert np.array_equal(forward, backward[::-1])
+
+
+# Child-process preamble of the thread tests: a tie-rich pair, a window and
+# the brute-force counts.
+_THREAD_SETUP = """
+import json, sys, threading
+import numpy as np
+from bunchlidar import correlator as co
+from bunchlidar.photonsim import EventStream
+rng = np.random.default_rng(5)
+a = np.sort(rng.integers(0, 10**6, 10_000))
+b = rng.integers(0, 10**6, 10_000)
+b[:1_000] = a[rng.integers(0, a.size, 1_000)]
+b.sort()
+config = co.CorrelationConfig(7, -700, 700)
+want = co.cross_correlate_bruteforce(a, b, config)
+pair = EventStream(0, a), EventStream(1, b)
+"""
+
+
+class TestThreads:
+    def test_stress_switching_matches_oracle(self):
+        # three concurrent callers, each with its helper, switching every
+        # microsecond over 3,334 three-event partitions: six threads, two cores
+        code = _THREAD_SETUP + (
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "co._PARTITION_EVENTS = 3\n"
+            "interval = sys.getswitchinterval()\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "try:\n"
+            "    with ThreadPoolExecutor(max_workers=3) as callers:\n"
+            "        calls = [callers.submit(co.cross_correlate, *pair, config) for _ in range(3)]\n"
+            "        got = [call.result().counts for call in calls]\n"
+            "finally:\n"
+            "    sys.setswitchinterval(interval)\n"
+            "print(json.dumps([bool(np.array_equal(g, want)) for g in got] + [int(want.sum())]))\n"
+        )
+        *equal, pairs = run_child(code)
+        assert equal == [True, True, True] and pairs > 0
+
+    def test_helper_thread_is_gone_after_the_call(self):
+        code = _THREAD_SETUP + (
+            "co._PARTITION_EVENTS = 1_000\n"
+            "sweep, seen = co._sweep_counts, set()\n"
+            "def watched(*args):\n"
+            "    seen.add(threading.get_ident())\n"
+            "    return sweep(*args)\n"
+            "co._sweep_counts = watched\n"
+            "before = threading.active_count()\n"
+            "got = co.cross_correlate(*pair, config).counts\n"
+            "print(json.dumps([len(seen), before, threading.active_count(),\n"
+            "                  bool(np.array_equal(got, want))]))\n"
+        )
+        threads, before, after, equal = run_child(code)
+        assert threads == 2 and after == before and equal
+
+    def test_helper_failure_surfaces_and_joins(self):
+        code = _THREAD_SETUP + (
+            "co._PARTITION_EVENTS = 1_000\n"
+            "sweep = co._sweep_counts\n"
+            "def failing(*args):\n"
+            "    if threading.current_thread() is not threading.main_thread():\n"
+            "        raise RuntimeError('helper partition failed')\n"
+            "    return sweep(*args)\n"
+            "co._sweep_counts = failing\n"
+            "before = threading.active_count()\n"
+            "try:\n"
+            "    co.cross_correlate(*pair, config)\n"
+            "    error = None\n"
+            "except RuntimeError as exc:\n"
+            "    error = str(exc)\n"
+            "print(json.dumps([error, before, threading.active_count()]))\n"
+        )
+        error, before, after = run_child(code)
+        assert error == "helper partition failed" and after == before
 
 
 class TestNormalize:

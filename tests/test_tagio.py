@@ -182,6 +182,20 @@ class TestBinaryRoundTrip:
             tracemalloc.stop()
         assert peak <= 1.75 * path.stat().st_size
 
+    def test_encode_peak_memory_bounded(self):
+        # at its peak the encoder holds the rounded times (8 B per event),
+        # the sort order (8), the records (16), the rounding flags (1) and a
+        # channel verdict (1): 34 B. A sorted copy of the times would add 8.
+        rng = np.random.default_rng(16)
+        streams = [EventStream(ch, np.sort(rng.integers(0, 10**12, 500_000))) for ch in (0, 1)]
+        tracemalloc.start()
+        try:
+            tagio._encode(streams, 1, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 37.5 * 1_000_000
+
     def test_exact_mode_rejects_offgrid(self, tmp_path):
         with pytest.raises(tagio.UnrepresentableTimeError):
             tagio.write_tags(make_streams([[1001]]), 2000, tmp_path / "x.bin")
