@@ -6,7 +6,9 @@ perfbench/workloads.py itself: benchmark seed 1, first op), runs simulate ->
 correlate -> range through ``cli.main`` and prints the digest of the tag
 file, the histogram CSV and the ``range --out`` JSON. Two more rows write the
 replay-wide scenario at 25 ps, and as binary then ``convert --to text``, so
-the tag writer's rounding path and the text writer are pinned too. A change
+the tag writer's rounding path and the text writer are pinned too. A third
+correlates the replay-wide tags in 262,144 bins of 4 ps, where every other
+row has at most 500 bins, so the many-bins regime is pinned as well. A change
 meant to keep the bytes prints the same table before and after; run it
 against another checkout by pointing PYTHONPATH at its src.
 
@@ -73,6 +75,11 @@ def _workload_runs(directory):
                                    ["convert", "--in", tags + ".binary", "--out", tags,
                                     "--to", "text"],
                                    workloads.correlate_argv(spec, tags, csv)]
+            # the first row's tags in 262,144 bins of 4 ps over +-524 ns
+            tags, csv, _ = _paths(directory, f"{name}-fine")
+            yield f"{name}-fine", [workloads.simulate_argv(spec, seed, tags, config),
+                                   ["correlate", "--bin-width-ps", "4",
+                                    "--window-ps=-524288:524288", "--in", tags, "--out", csv]]
 
 
 def _sha256(path):

@@ -6,9 +6,10 @@ nearest-neighbor). The production path is an offset-major sweep over the
 sorted streams: two binary searches give each event of a its run of partners
 in b, then pass d gathers the d-th partner of every run still live. Stream a
 is swept in partitions of at most ``_PARTITION_EVENTS`` events, which
-alternate between the calling thread and one helper thread. It takes
-O(N_a log N_b + P) time in the number of in-window pairs P, and per thread
-O(partition) memory plus a fixed lag buffer, whatever N_a and P. The
+alternate between the calling thread and one helper thread; each thread
+sweeps all its partitions into one histogram through one lag buffer. It
+takes O(N_a log N_b + P + n_bins) time in the number of in-window pairs P,
+and per thread O(partition + n_bins) memory, whatever N_a and P. The
 brute-force O(N_a * N_b) implementation in this module is the defining
 reference and the sweep must match it bin for bin, exactly, at any thread
 count.
@@ -31,7 +32,7 @@ _MAX_BINS = 2**24
 _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
 # Below this many live rows the sweep may copy each remaining run as a slice.
 _SWEEP_MIN_ROWS = 4096
-# Lags binned per bincount call, at least (the buffer also holds n_bins and one pass).
+# Lags binned per bincount call, at least (the buffer also holds n_bins and one partition).
 _SWEEP_BUFFER = 1 << 19
 # Events of stream a per partition; partitions alternate between two threads.
 _PARTITION_EVENTS = 1 << 16
@@ -119,30 +120,26 @@ def _count_below(times: np.ndarray, limit: int) -> int:
 def _sweep_counts(
     a: np.ndarray,
     b: np.ndarray,
+    parts: list[tuple[int, int]],
     config: CorrelationConfig,
 ) -> np.ndarray:
-    """Offset-major sweep; exact integer binning of in-window pairs.
+    """Offset-major sweep of the partitions ``a[start:stop]`` into one histogram.
 
-    Row i (an event of a with pairs) owns the run b[j_i:stop_i]. Pass d takes
-    the d-th element of every live row with one gather, in time order, and
-    drops the rows whose run has ended. Once fewer than ``_SWEEP_MIN_ROWS``
-    rows are live and some run is longer than the live row count, each
-    remaining run is copied as one slice. Lags (minus tau_min) collect in one
-    int64 buffer that holds the first (largest) pass and is binned when the
-    next pass or run does not fit; only a run longer than the buffer is cut.
+    Each partition meets only the b events its first and last a time reach.
+    Row i (an event of the partition with pairs) owns the run b[j_i:end_i].
+    Pass d takes the d-th element of every live row with one gather, in time
+    order, and drops the rows whose run has ended. Once fewer than
+    ``_SWEEP_MIN_ROWS`` rows are live and some run is longer than the live
+    row count, each remaining run is copied as one slice. Lags (minus
+    tau_min) of all partitions collect in one int64 buffer that holds the
+    largest partition and at least n_bins lags, and is binned when the next
+    pass or run does not fit; only a run longer than the buffer is cut. So
+    memory is O(partition + n_bins) and binning costs O(P + n_bins).
     """
     n_bins, width = config.n_bins, config.bin_width_ticks
     counts = np.zeros(n_bins, dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        return counts
-    lo = _search_shifted(b, a, config.tau_min_ticks)
-    hi = _search_shifted(b, a, config.tau_max_ticks)
-    rows = np.flatnonzero(hi > lo)
-    # b[j] >= a + tau_min on every live row, so base cannot wrap
-    j, stop, base = lo[rows], hi[rows], a[rows] + config.tau_min_ticks
-    del lo, hi, rows
-    pairs = int((stop - j).sum())
-    buf = np.empty(min(pairs, max(_SWEEP_BUFFER, n_bins, j.size)), dtype=np.int64)
+    buf = np.empty(max(_SWEEP_BUFFER, n_bins, *(stop - start for start, stop in parts)),
+                   dtype=np.int64)
     fill = 0
 
     def flush():
@@ -160,20 +157,30 @@ def _sweep_counts(
         fill += n
         return buf[fill - n : fill]
 
-    # a pass is one Python step for all live rows, a slice one step per row:
-    # below _SWEEP_MIN_ROWS rows, pass on only while no run outlasts the rows
-    while j.size >= _SWEEP_MIN_ROWS or 0 < (stop - j).max(initial=0) <= j.size:
-        out = room(j.size)
-        np.take(b, j, out=out)
-        np.subtract(out, base, out=out)
-        j += 1
-        live = j < stop
-        if not live.all():
-            j, stop, base = j[live], stop[live], base[live]
-    for first, last, origin in zip(j.tolist(), stop.tolist(), base.tolist()):
-        for start in range(first, last, buf.size):
-            run = b[start : min(start + buf.size, last)]
-            np.subtract(run, origin, out=room(run.size))
+    for start, stop in parts:
+        part = a[start:stop]
+        reach = b[_count_below(b, int(part[0]) + config.tau_min_ticks)
+                  : _count_below(b, int(part[-1]) + config.tau_max_ticks)]
+        lo = _search_shifted(reach, part, config.tau_min_ticks)
+        hi = _search_shifted(reach, part, config.tau_max_ticks)
+        rows = np.flatnonzero(hi > lo)
+        # reach[j] >= a + tau_min on every live row, so base cannot wrap
+        j, end, base = lo[rows], hi[rows], part[rows] + config.tau_min_ticks
+        del lo, hi, rows
+        # a pass is one Python step for all live rows, a slice one step per row:
+        # below _SWEEP_MIN_ROWS rows, pass on only while no run outlasts the rows
+        while j.size >= _SWEEP_MIN_ROWS or 0 < (end - j).max(initial=0) <= j.size:
+            out = room(j.size)
+            np.take(reach, j, out=out)
+            np.subtract(out, base, out=out)
+            j += 1
+            live = j < end
+            if not live.all():
+                j, end, base = j[live], end[live], base[live]
+        for first, last, origin in zip(j.tolist(), end.tolist(), base.tolist()):
+            for run_start in range(first, last, buf.size):
+                run = reach[run_start : min(run_start + buf.size, last)]
+                np.subtract(run, origin, out=room(run.size))
     if fill:
         flush()
     return counts
@@ -188,13 +195,13 @@ def cross_correlate(
     """Histogram t_b - t_a over all ordered pairs inside the window.
 
     Stream a is cut into partitions of at most ``_PARTITION_EVENTS`` events,
-    also cut at multiples of ``chunk_ticks`` when it is given, and each is
-    swept against the b events its first and last a time can reach. Even
-    partitions run on this thread and odd ones on one helper thread, each
-    summing its own counts; a single partition runs here, with no thread.
-    The sweep's memory is O(partition) per thread, whatever the stream
-    length. The result is bit-identical for any chunk size and either thread
-    count, because each pair belongs to exactly one partition of its a event.
+    also cut at multiples of ``chunk_ticks`` when it is given. This thread
+    sweeps the even partitions and one helper thread the odd ones, each into
+    one histogram through one lag buffer; a single partition runs here, with
+    no thread. Per thread, memory is O(partition + n_bins) whatever the
+    stream length, and binning costs O(n_bins) once. The result is
+    bit-identical for any chunk size and either thread count, because each
+    pair belongs to exactly one partition of its a event.
     """
     if chunk_ticks is None:
         chunk_ticks = _TICK_MAX + 1  # no time cut: every tick lies below it
@@ -208,21 +215,12 @@ def cross_correlate(
         stop = min(_count_below(t_a, edge + chunk_ticks), start + _PARTITION_EVENTS)
         parts.append((start, stop))
         start = stop
-
-    def sweep(own):
-        counts = np.zeros(config.n_bins, dtype=np.int64)
-        for start, stop in own:
-            b_lo = _count_below(t_b, int(t_a[start]) + config.tau_min_ticks)
-            b_hi = _count_below(t_b, int(t_a[stop - 1]) + config.tau_max_ticks)
-            counts += _sweep_counts(t_a[start:stop], t_b[b_lo:b_hi], config)
-        return counts
-
     if len(parts) < 2:
-        counts = sweep(parts)
+        counts = _sweep_counts(t_a, t_b, parts, config)
     else:
         with ThreadPoolExecutor(max_workers=1) as helper:
-            helped = helper.submit(sweep, parts[1::2])
-            counts = sweep(parts[0::2])
+            helped = helper.submit(_sweep_counts, t_a, t_b, parts[1::2], config)
+            counts = _sweep_counts(t_a, t_b, parts[0::2], config)
             counts += helped.result()
     duration = max(a.duration_ticks, b.duration_ticks)
     return CorrelationHistogram(

@@ -229,9 +229,8 @@ class _BlockWork:
     """
 
     def __init__(self):
-        self.tile_rows = _TILE_ROWS
         self.capacity = 0
-        self._scratch = (_TileScratch(self.tile_rows), _TileScratch(self.tile_rows))
+        self._scratch = (_TileScratch(_TILE_ROWS), _TileScratch(_TILE_ROWS))
         self.helper = ThreadPoolExecutor(max_workers=1)
 
     def __enter__(self):
@@ -267,12 +266,12 @@ class _BlockWork:
         This thread takes the first half of the tiles, the helper the rest;
         each writes only its own rows, with its own scratch.
         """
-        starts = range(0, rows, self.tile_rows)
+        starts = range(0, rows, _TILE_ROWS)
         cut = (len(starts) + 1) // 2
 
         def run(part, scratch):
             for r0 in part:
-                fn(self, scratch, r0, min(r0 + self.tile_rows, rows))
+                fn(self, scratch, r0, min(r0 + _TILE_ROWS, rows))
 
         helped = None
         if cut < len(starts):

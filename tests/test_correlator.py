@@ -127,19 +127,22 @@ class TestCrossCorrelate:
         want = co.cross_correlate_bruteforce(a, b, config)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("partition", [3, co._PARTITION_EVENTS])
     @pytest.mark.parametrize("min_rows", [1, 2, 7])
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
-    def test_oracle_equality_offset_passes(self, min_rows, seed):
+    def test_oracle_equality_offset_passes(self, min_rows, partition, seed):
         # a tiny row threshold and a buffer floor of 1 force the offset passes,
         # compaction, mid-sweep flushes and tail runs split across flushes
-        # on inputs this small
+        # on inputs this small; 3-event partitions leave one buffer holding
+        # lags of several partitions at a flush
         rng = np.random.default_rng(seed)
         a, b = random_pair(rng)
         config = random_config(rng)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
             mp.setattr(co, "_SWEEP_BUFFER", 1)
+            mp.setattr(co, "_PARTITION_EVENTS", partition)
             got = co.cross_correlate(stream(a), stream(b), config).counts
         assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
 
@@ -246,6 +249,27 @@ class TestCrossCorrelate:
         monkeypatch.setattr(co, "_PARTITION_EVENTS", n + 1)
         whole = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
         assert whole.sum() > n and np.array_equal(split, whole)
+
+    def test_bins_once_per_thread(self, monkeypatch):
+        # twenty 1,000-event partitions whose lags fit one buffer: each thread
+        # bins all its partitions with one bincount call
+        rng = np.random.default_rng(17)
+        a = np.sort(rng.integers(0, 10**8, 20_000))
+        b = np.sort(rng.integers(0, 10**8, 20_000))
+        pair = EventStream(0, a), EventStream(1, b)
+        config = co.CorrelationConfig(40, -4_000, 4_000)
+        whole = co.cross_correlate(*pair, config).counts
+        calls, bincount = [], np.bincount
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(co, "_PARTITION_EVENTS", 1_000)
+        monkeypatch.setattr(np, "bincount", counted)
+        split = co.cross_correlate(*pair, config).counts
+        assert whole.sum() > 20_000 and np.array_equal(split, whole)
+        assert 1 <= len(calls) <= 2 and sum(calls) == whole.sum()
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
