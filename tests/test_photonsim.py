@@ -13,6 +13,7 @@ from bunchlidar import photonsim as ps
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
 from bunchlidar.estimator import fit_g2
 from bunchlidar.quantities import DomainError, SourceSpec, TickOverflowError
+from test_correlator import run_child
 
 TAU_C = 23.2e-9
 
@@ -271,14 +272,21 @@ class TestGenerateArrivals:
             # a float draw at this span would land on multiples of 2**10
             assert np.any(times % 1024 != 0)
 
-    def test_golden_bytes(self, monkeypatch):
-        # several blocks and many tiles per block; the
+    @pytest.mark.parametrize("tile_rows", [1, 2, 3])
+    def test_golden_bytes(self, monkeypatch, tile_rows):
+        # several blocks and many tiles per block, the two threads switching
+        # every microsecond while the noise streams into the scan; the
         # digests are those of the full-block scan this kernel replaced, so
         # a change that alters the random stream must update them on purpose
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
-        monkeypatch.setattr(ps, "_TILE_ROWS", 2)
+        monkeypatch.setattr(ps, "_TILE_ROWS", tile_rows)
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
-        streams = ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streams = ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
+        finally:
+            sys.setswitchinterval(interval)
         assert [s.size for s in streams] == [144, 2965]
         assert [hashlib.sha256(s.tobytes()).hexdigest() for s in streams] == [
             "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
@@ -288,6 +296,119 @@ class TestGenerateArrivals:
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
             SourceSpec(wavelength_m=518e-9, photon_rate_hz=-1.0, coherence_time_s=1e-9)
+
+
+# Child-process set-up for the sampler's two-thread schedule: blocks of ~5 K
+# candidates in ~40 tiles of 128, and generators whose draws go through hooks.
+_SCHEDULE_SETUP = """
+import json, threading
+import numpy as np
+from bunchlidar import photonsim as ps
+ps._CANDIDATE_BLOCK = 5_000
+ps._TILE_ROWS = 2
+TILE = ps._TILE_ROWS * ps._SCAN_COLUMNS
+
+class Hooked:
+    def __init__(self, rng, **hooks):
+        self.rng = rng
+        vars(self).update(hooks)
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+def rngs():
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
+
+def sample(candidates, field, accept):
+    return ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, candidates, field, accept)
+
+candidates, field, accept = rngs()
+fills, next_block_noise = [], threading.Event()
+
+def fill(out):
+    # a block's x fill is larger than a tile; the first after a y tile is block 2's
+    if out.size > TILE and fills and fills[-1] <= TILE:
+        next_block_noise.set()
+    fills.append(out.size)
+    field.standard_normal(out=out)
+
+def failing_call(message, call):
+    before, surfaced = threading.active_count(), False
+    try:
+        call()
+    except RuntimeError as exc:
+        surfaced = str(exc) == message
+    print(json.dumps([surfaced, threading.active_count() == before, next_block_noise.is_set()]))
+"""
+
+
+class TestStreamedNoise:
+    def test_tiles_scan_while_the_noise_is_drawn(self):
+        # the helper's second y fill of a block waits for a tile scanned on
+        # the caller's thread: only a scan that starts on each tile's own
+        # noise lets it go on
+        code = _SCHEDULE_SETUP + (
+            "expected = sample(*rngs())\n"
+            "ran_here, waits, scan = threading.Event(), [], ps._scan_tile_rows\n"
+            "def watched(*args):\n"
+            "    if threading.current_thread() is threading.main_thread():\n"
+            "        ran_here.set()\n"
+            "    scan(*args)\n"
+            "ps._scan_tile_rows = watched\n"
+            "def second_y_fill_waits(out):\n"
+            "    if not waits and fills and fills[-1] == TILE >= out.size:\n"
+            "        waits.append(ran_here.wait(10))\n"
+            "    fill(out)\n"
+            "streams = sample(candidates, Hooked(field, standard_normal=second_y_fill_waits), accept)\n"
+            "print(json.dumps([waits, all(np.array_equal(a, b)\n"
+            "                             for a, b in zip(streams, expected, strict=True))]))\n"
+        )
+        waits, equal = run_child(code)
+        assert waits == [True] and equal
+
+    def test_helper_fault_mid_fill_surfaces_and_joins(self):
+        code = _SCHEDULE_SETUP + (
+            "def half_then_fail(out):\n"
+            "    if len(fills) == 2:  # block 1's second y tile\n"
+            "        fill(out[: out.size // 2])\n"
+            "        raise RuntimeError('field draw failed')\n"
+            "    fill(out)\n"
+            "failing_call('field draw failed', lambda: sample(\n"
+            "    candidates, Hooked(field, standard_normal=half_then_fail), accept))\n"
+        )
+        surfaced, joined, _ = run_child(code)
+        assert surfaced and joined
+
+    def test_caller_fault_while_helper_waits_surfaces_and_joins(self):
+        # block 2's candidate draw fails once the helper has its noise in hand
+        code = _SCHEDULE_SETUP + (
+            "calls = []\n"
+            "def integers(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    if len(calls) == 2:\n"
+            "        next_block_noise.wait(10)\n"
+            "        raise RuntimeError('candidate draw failed')\n"
+            "    return candidates.integers(*args, **kwargs)\n"
+            "failing_call('candidate draw failed', lambda: sample(\n"
+            "    Hooked(candidates, integers=integers), Hooked(field, standard_normal=fill), accept))\n"
+        )
+        surfaced, joined, helper_started = run_child(code)
+        assert surfaced and joined and helper_started
+
+    def test_routing_fault_after_next_noise_started_surfaces_and_joins(self):
+        # block 1's per-channel split waits for block 2's noise to start,
+        # then fails: its channel indices fail their first comparison
+        code = _SCHEDULE_SETUP + (
+            "class Channels(np.ndarray):\n"
+            "    def __eq__(self, other):\n"
+            "        next_block_noise.wait(10)\n"
+            "        raise RuntimeError('routing failed')\n"
+            "searchsorted = np.searchsorted\n"
+            "np.searchsorted = lambda *args, **kwargs: searchsorted(*args, **kwargs).view(Channels)\n"
+            "failing_call('routing failed', lambda: sample(\n"
+            "    candidates, Hooked(field, standard_normal=fill), accept))\n"
+        )
+        surfaced, joined, helper_started = run_child(code)
+        assert surfaced and joined and helper_started
 
 
 class TestSplitEvents:
