@@ -16,9 +16,9 @@ probability I/cap at its own time, routes the kept events to the channels
 by rate share, and delays the probe channel by the round-trip time. The
 field is sampled only where candidates fall, so second-scale acquisitions
 with nanosecond (or picosecond) coherence times stay practical. The sampler
-shares each block's work with one helper thread, which streams the field
-noise into the scan tile by tile; the streams it returns do not depend on
-that schedule (see `_gauss_markov_scan_pair`).
+shares each block's work with one helper thread that never waits: it draws
+the field noise as its own job, which streams into the scan tile by tile, and
+the streams returned do not depend on that schedule (see `_BlockWork`).
 """
 
 from __future__ import annotations
@@ -226,11 +226,12 @@ class _BlockWork:
     beyond the headroom grows them to exactly its size, dropping the old
     buffers first; there is no geometric growth. ``x``/``y`` take the noise
     in and the chains out, ``u`` the acceptance uniforms, ``keep`` the
-    thinning verdicts. This thread and the helper take each pass's tiles
-    from one cursor, each with its own scratch; a tile runs once its noise
-    is drawn and ``run_pass`` has released the pass. A fault on the helper
-    stops both; leaving the ``with`` block, on a fault of this thread too,
-    stops both, joins the helper and drops the buffers.
+    thinning verdicts. The helper runs one job at a time: a block's noise
+    fill (``draw_noise``), then its share of each pass's tiles (``run_pass``,
+    once the pass's other inputs are written), so it never waits; only this
+    thread waits, for tiles whose noise is not drawn yet. A helper fault
+    stops the pass and wakes this thread; leaving the ``with`` block joins
+    the helper and drops the buffers.
     """
 
     def __init__(self):
@@ -239,12 +240,12 @@ class _BlockWork:
         self.helper = ThreadPoolExecutor(max_workers=1)
         self._turn = threading.Condition()
         self._stopped = False
+        self._pending = []  # helper jobs not yet waited for
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._stop()  # a helper still waiting for its tiles returns
         self.helper.shutdown(wait=True)
         self.release()
 
@@ -268,59 +269,55 @@ class _BlockWork:
         )
         self.capacity = size
 
-    def begin_pass(self, fn, n: int, rng_field=None) -> None:
-        """Start the helper on a pass of ``fn(self, scratch, r0, r1)`` over
-        the tiles of an n-sample block. With ``rng_field`` it first draws the
-        block's noise, x in one fill and then y a tile at a time (the same
-        draws as two size=n fills)."""
+    def draw_noise(self, n: int, rng_field) -> None:
+        """Start the helper on an n-sample block's noise: x in one fill, then
+        y a tile at a time (the same draws as two size=n fills)."""
+        self._drawn = 0  # before the submit: the fill may publish tiles before it returns
+        self._pending.append(self.helper.submit(self._guarded, self._fill, n, rng_field))
+
+    def _fill(self, n: int, rng_field) -> None:
+        rng_field.standard_normal(out=self.x[:n])
+        step = _TILE_ROWS * _SCAN_COLUMNS
+        for tile, lo in enumerate(range(0, n, step), 1):
+            rng_field.standard_normal(out=self.y[lo : min(lo + step, n)])
+            with self._turn:
+                self._drawn = tile
+                self._turn.notify_all()
+
+    def run_pass(self, fn, n: int) -> None:
+        """Run a pass of ``fn(self, scratch, r0, r1)`` over the tiles of an
+        n-sample block whose inputs other than the noise are written: this
+        thread and the helper take tiles from one cursor, each with its own
+        scratch. Returns once the helper's jobs are done; raises their fault."""
         rows = -(-n // _SCAN_COLUMNS)
-        self._fn, self._rows, self._tiles = fn, rows, -(-rows // _TILE_ROWS)
-        self._next, self._released = 0, False
-        self._drawn = 0 if rng_field is not None else self._tiles
-        self._helped = self.helper.submit(self._help, n, rng_field)
-
-    def run_pass(self) -> None:
-        """Release the begun pass (its inputs other than the noise are all
-        written), run its tiles on this thread too, and wait for the helper's."""
-        with self._turn:
-            self._released = True
-            self._turn.notify_all()
+        self._fn, self._rows, self._tiles, self._next = fn, rows, -(-rows // _TILE_ROWS), 0
+        if not self._pending:
+            self._drawn = self._tiles  # no fill pending: the noise is in
+        self._pending.append(self.helper.submit(self._guarded, self._run, self._scratch[1]))
         self._run(self._scratch[0])
-        self._helped.result()  # raises the helper's fault, if any
+        while self._pending:
+            self._pending.pop(0).result()
 
-    def _help(self, n: int, rng_field) -> None:
+    def _guarded(self, job, *args) -> None:
         try:
-            if rng_field is not None:
-                rng_field.standard_normal(out=self.x[:n])
-                step = _TILE_ROWS * _SCAN_COLUMNS
-                for tile, lo in enumerate(range(0, n, step), 1):
-                    rng_field.standard_normal(out=self.y[lo : min(lo + step, n)])
-                    with self._turn:
-                        self._drawn = tile
-                        self._turn.notify_all()
-            self._run(self._scratch[1])
+            job(*args)
         except BaseException:
-            self._stop()  # this thread's fault wakes the other
+            with self._turn:  # a helper fault stops the pass and wakes this thread
+                self._stopped = True
+                self._turn.notify_all()
             raise
 
     def _run(self, scratch: _TileScratch) -> None:
-        """Take tiles from the cursor as they may run, until none is left or a stop."""
+        """Take tiles from the cursor as their noise is drawn, until none is left or a stop."""
         while True:
             with self._turn:
-                while not self._stopped and self._next < self._tiles and not (
-                    self._released and self._next < self._drawn
-                ):
+                while not self._stopped and self._drawn <= self._next < self._tiles:
                     self._turn.wait()
                 if self._stopped or self._next == self._tiles:
                     return
                 r0 = self._next * _TILE_ROWS
                 self._next += 1
             self._fn(self, scratch, r0, min(r0 + _TILE_ROWS, self._rows))
-
-    def _stop(self) -> None:
-        with self._turn:
-            self._stopped = True
-            self._turn.notify_all()
 
 
 def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
@@ -398,8 +395,9 @@ def _finish_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int)
 def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: float):
     """Sample two stationary unit-variance Gauss-Markov chains at shared lags.
 
-    On entry ``work.lags[:n]`` holds the lags, ``work.x[:n]``/``work.y[:n]``
-    standard normal noise and ``work.u[:n]`` uniforms (n >= 1, reserved).
+    On entry ``work.lags[:n]`` holds the lags and ``work.u[:n]`` uniforms
+    (n >= 1, reserved); ``work.x[:n]``/``work.y[:n]`` hold standard normal
+    noise, or are still taking it in from `_BlockWork.draw_noise`.
     ``lags[i]`` is the time since sample i-1 in units of the correlation time;
     ``lags[0]`` is measured from the carried-in state (pass ``np.inf`` to start
     from the stationary distribution). Each step applies the exact update
@@ -410,35 +408,26 @@ def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: f
 
     Vectorized as a blocked scan over rows of 64 consecutive samples, so
     total work is ~4 multiply-adds per sample. The rows are cut into tiles of
-    ``_TILE_ROWS``. Pass 1 runs per tile: a sequential sweep across the 64
-    columns of a transposed copy of the tile solves every row from a zero
-    entry state, and the tile records each row's end state and its decay
-    product. The affine scan then stitches the row-end states of the whole
-    block into each row's entry state, and pass 2 runs per tile again,
-    adding prefix*entry and thinning. This thread and the helper take the
-    tiles of each pass from one cursor (see `_BlockWork`); they write
-    disjoint rows, and every element goes through the same operations in
-    the same order whichever thread or tile computes it, so the output does
-    not depend on the scheduling or the thread count. The transcendental
-    ufuncs (exp, expm1, sqrt) see only C-contiguous arrays, as in the
-    full-block scan this replaced, so each element takes the same vector
-    loop as before.
+    ``_TILE_ROWS``. Pass 1 runs per tile, once the tile's noise is drawn: a
+    sequential sweep across the 64 columns of a transposed copy of the tile
+    solves every row from a zero entry state, and the tile records each
+    row's end state and its decay product. The affine scan then stitches the
+    row-end states of the whole block into each row's entry state, and pass
+    2 runs per tile again, adding prefix*entry and thinning. This thread and
+    the helper take the tiles of each pass from one cursor (see
+    `_BlockWork`); they write disjoint rows, and every element goes through
+    the same operations in the same order whichever thread or tile computes
+    it, so the output does not depend on the scheduling or the thread count.
+    The transcendental ufuncs (exp, expm1, sqrt) see only C-contiguous
+    arrays, as in the full-block scan this replaced, so each element takes
+    the same vector loop as before.
     """
-    work.begin_pass(_scan_tile_rows, n)  # the noise is in: every tile is drawn
-    return _scan_begun_block(work, n, carry_x, carry_y)
-
-
-def _scan_begun_block(work: _BlockWork, n: int, carry_x: float, carry_y: float):
-    """`_gauss_markov_scan_pair` on a block whose pass 1 is begun, so its
-    noise may still be being drawn; the lags and uniforms are written."""
     cols = _SCAN_COLUMNS
     rows = -(-n // cols)
     pad = slice(n, rows * cols)
     work.lags[pad] = np.inf
-    work.x[pad] = 0.0
-    work.y[pad] = 0.0
-    work.u[pad] = 0.0
-    work.run_pass()
+    work.x[pad] = work.y[pad] = work.u[pad] = 0.0
+    work.run_pass(_scan_tile_rows, n)
     # stitch rows: entry state of row r is the composed map of rows 0..r-1
     # applied to the carry
     gain, end_x, end_y = work.gain[:rows], work.end_x[:rows], work.end_y[:rows]
@@ -448,8 +437,7 @@ def _scan_begun_block(work: _BlockWork, n: int, carry_x: float, carry_y: float):
     entry_y[0] = carry_y
     entry_x[1:] = gain[:-1] * carry_x + end_x[:-1]
     entry_y[1:] = gain[:-1] * carry_y + end_y[:-1]
-    work.begin_pass(_finish_tile_rows, n)
-    work.run_pass()
+    work.run_pass(_finish_tile_rows, n)
     return work.x[:n], work.y[:n]
 
 
@@ -537,12 +525,12 @@ def _sample_cox_channels(
     candidate times, which end with the block. The workspace is dropped
     before the per-channel join.
 
-    The helper draws a block's noise while this thread draws its candidates
-    and joins the scan after its last fill. It starts on the next block's
-    noise before this block's events are split by channel, unless that block
-    needs a larger workspace. Per block, ``rng_candidates`` gives poisson,
-    integers, routing. A fault on either thread surfaces here once both
-    have stopped.
+    Every block, the first included, starts at one point: its Poisson count
+    is drawn, the workspace reserved and the helper's noise fill started,
+    which streams into the scan while this thread draws the candidates; for
+    the next block, that is before this block's split by channel. Per block,
+    ``rng_candidates`` gives poisson, integers, routing. A fault on either
+    thread surfaces here once both have stopped.
     """
     n_channels = len(rates_hz)
     total_rate = sum(rates_hz)
@@ -560,22 +548,22 @@ def _sample_cox_channels(
     carry_x = carry_y = 0.0
     carry_time = None
 
-    def nonempty_blocks():
+    def started_blocks(work):
+        """The nonempty blocks, each with its noise started in ``work``."""
         for lo in range(0, duration_ticks, block_ticks):
             hi = min(lo + block_ticks, duration_ticks)
             n = rng_candidates.poisson(candidate_rate * (hi - lo) / TICKS_PER_SECOND)
             if n:
+                work.reserve(n)
+                work.draw_noise(n, rng_field)
                 yield lo, hi, n
 
-    blocks = nonempty_blocks()
     with _BlockWork() as work:
         work.reserve(math.ceil(block_mean + 10 * math.sqrt(block_mean)))
-        block, begun = next(blocks, None), False
+        blocks = started_blocks(work)
+        block = next(blocks, None)
         while block is not None:
             lo, hi, n = block
-            if not begun:
-                work.reserve(n)
-                work.begin_pass(_scan_tile_rows, n, rng_field)
             times = rng_candidates.integers(lo, hi, size=n, dtype=np.int64)
             times.sort()
             lags = work.lags[:n]
@@ -583,20 +571,18 @@ def _sample_cox_channels(
             np.subtract(times[1:], times[:-1], out=lags[1:])
             lags[1:] /= tau_c_ticks
             rng_accept.random(out=work.u[:n])
-            x, y = _scan_begun_block(work, n, carry_x, carry_y)
+            x, y = _gauss_markov_scan_pair(work, n, carry_x, carry_y)
             carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
             # gather kept before drawing the routing uniforms: the other
             # order left glibc's heap ~29 MB larger at 5e9 photons/s, with
             # the same live data
             kept = times[work.keep[:n]]
             channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
+            del lags, x, y  # views of the workspace, which the next block may grow
             block = next(blocks, None)
-            begun = block is not None and block[2] <= work.capacity
-            if begun:
-                work.begin_pass(_scan_tile_rows, block[2], rng_field)
             for ch in range(n_channels):
                 accepted[ch].append(kept[channels == ch])
-            del times, kept, channels, lags, x, y  # the block's arrays end with it
+            del times, kept, channels  # the block's arrays end with it
     # the workspace is dropped; block-local sorted segments concatenate
     # into globally sorted streams
     return [

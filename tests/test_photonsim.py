@@ -196,20 +196,35 @@ class TestWorkingSet:
 
         assert traced_peak(grow) <= workspace_bytes(2 * n) + tile_scratch_bytes() + 64 * 1024
 
-    def test_multi_block_peak_is_one_block(self, monkeypatch):
+    @pytest.mark.parametrize("first_reserve", [None, 1_000])
+    def test_multi_block_peak_is_one_block(self, monkeypatch, first_reserve):
         # four blocks of 100 K candidates on average; at seed 3 block 2 draws
-        # more candidates than block 1 (100,198 against 100,037)
+        # more candidates than block 1 (100,198 against 100,037). A first
+        # reserve cut to 1,000 makes the workspace grow mid-run, while the
+        # block before is still alive; the bound is then taken at the
+        # largest capacity
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 100_000)
         rates, duration_ticks = [2e8, 8e8], 33_333_333
         block_mean = ps.DEFAULT_INTENSITY_CAP * sum(rates) * duration_ticks / 4 / 1e12
         capacity = math.ceil(block_mean + 10 * math.sqrt(block_mean))
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(3)]
-        streams = []
+        streams, capacities = [], []
+        if first_reserve is not None:
+            reserve = ps._BlockWork.reserve
+
+            def cut_first(work, n):
+                reserve(work, n if capacities else first_reserve)
+                capacities.append(work.capacity)
+
+            monkeypatch.setattr(ps._BlockWork, "reserve", cut_first)
 
         def sample():
             streams.extend(ps._sample_cox_channels(rates, 1e-9, duration_ticks, *rngs))
 
         peak = traced_peak(sample)
+        if first_reserve is not None:
+            assert capacities[0] < capacities[1] < max(capacities)  # grown at least twice
+            capacity = max(capacities)
         output = sum(s.nbytes for s in streams)
         # one workspace, one block of candidate times, the streams being
         # joined and their parts, the tile scratch
@@ -236,6 +251,14 @@ class TestWorkingSet:
         streams = sample()
         assert len(set(capacities[1:])) > 1  # grown with blocks already drawn
         assert all(np.array_equal(a, b) for a, b in zip(streams, expected, strict=True))
+
+
+# SHA-256 of the two streams of `_sample_cox_channels([3e6, 6e7], 5e-9,
+# 50_000_000, ...)` at SeedSequence(2024) in blocks of 5,000 candidates
+GOLDEN_STREAMS = [
+    "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
+    "3a5625d5615ca82ef357bffbc1764e59b1169d09d681835be8ce12fd828fbfcf",
+]
 
 
 class TestGenerateArrivals:
@@ -288,10 +311,7 @@ class TestGenerateArrivals:
         finally:
             sys.setswitchinterval(interval)
         assert [s.size for s in streams] == [144, 2965]
-        assert [hashlib.sha256(s.tobytes()).hexdigest() for s in streams] == [
-            "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
-            "3a5625d5615ca82ef357bffbc1764e59b1169d09d681835be8ce12fd828fbfcf",
-        ]
+        assert [hashlib.sha256(s.tobytes()).hexdigest() for s in streams] == GOLDEN_STREAMS
 
     def test_negative_rate_rejected(self):
         with pytest.raises(DomainError):
@@ -364,6 +384,25 @@ class TestStreamedNoise:
         )
         waits, equal = run_child(code)
         assert waits == [True] and equal
+
+    def test_the_helper_never_waits(self):
+        # an executor whose submit runs the job to completion before it
+        # returns: a helper job that waited for the caller would hang here
+        code = _SCHEDULE_SETUP + (
+            "import concurrent.futures, hashlib\n"
+            "class Inline:\n"
+            "    def __init__(self, max_workers):\n"
+            "        pass\n"
+            "    def submit(self, job, *args):\n"
+            "        future = concurrent.futures.Future()\n"
+            "        future.set_result(job(*args))\n"
+            "        return future\n"
+            "    def shutdown(self, wait):\n"
+            "        pass\n"
+            "ps.ThreadPoolExecutor = Inline\n"
+            "print(json.dumps([hashlib.sha256(s.tobytes()).hexdigest() for s in sample(*rngs())]))\n"
+        )
+        assert run_child(code) == GOLDEN_STREAMS
 
     def test_helper_fault_mid_fill_surfaces_and_joins(self):
         code = _SCHEDULE_SETUP + (
