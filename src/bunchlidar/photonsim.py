@@ -17,8 +17,9 @@ by rate share, and delays the probe channel by the round-trip time. The
 field is sampled only where candidates fall, so second-scale acquisitions
 with nanosecond (or picosecond) coherence times stay practical. The sampler
 shares each block's work with one helper thread that never waits: it draws
-the field noise as its own job, which streams into the scan tile by tile, and
-the streams returned do not depend on that schedule (see `_BlockWork`).
+the field noise as its own job, which streams into the scan tile by tile;
+each tile forms its own lags and draws its own acceptance uniforms, and the
+streams returned do not depend on that schedule (see `_BlockWork`).
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _affine_scan(gain: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray):
 
 
 class _TileScratch:
-    """One thread's cache-sized scratch arrays for a tile of the scan."""
+    """One thread's cache-sized scratch arrays for a tile of the scan (``a``: pass 2's u)."""
 
     def __init__(self, tile_rows: int):
         size = tile_rows * _SCAN_COLUMNS
@@ -222,16 +223,17 @@ class _BlockWork:
     """Work buffers of one candidate block and the one helper thread.
 
     A sampler call sizes one of these once, for its blocks' Poisson mean
-    plus a fixed headroom, and reuses the buffers for every block. A block
-    beyond the headroom grows them to exactly its size, dropping the old
-    buffers first; there is no geometric growth. ``x``/``y`` take the noise
-    in and the chains out, ``u`` the acceptance uniforms, ``keep`` the
-    thinning verdicts. The helper runs one job at a time: a block's noise
-    fill (``draw_noise``), then its share of each pass's tiles (``run_pass``,
-    once the pass's other inputs are written), so it never waits; only this
-    thread waits, for tiles whose noise is not drawn yet. A helper fault
-    stops the pass and wakes this thread; leaving the ``with`` block joins
-    the helper and drops the buffers.
+    plus a fixed headroom, and reuses the buffers for every block; a block
+    beyond it grows them to exactly its size, dropping the old ones first.
+    ``x``/``y`` take the noise in and the chains out, ``prefix`` a tile's
+    lags and then its decay prefixes, ``keep`` the thinning verdicts; a scan
+    adds the block's ``times``, first lag, ticks per coherence time and
+    acceptance generator.
+    The helper runs one job at a time: a block's noise fill (``draw_noise``),
+    then its share of each pass's tiles (``run_pass``, once the pass's other
+    inputs are written), so it never waits; only this thread waits, for tiles
+    whose noise is not drawn yet. A fault on either thread stops the pass;
+    leaving the ``with`` block joins the helper and drops the buffers.
     """
 
     def __init__(self):
@@ -250,9 +252,9 @@ class _BlockWork:
         self.release()
 
     def release(self) -> None:
-        """Drop the block-sized buffers."""
+        """Drop the block-sized buffers and the block's candidate times."""
         self.capacity = 0
-        self.lags = self.x = self.y = self.u = self.prefix = self.keep = None
+        self.x = self.y = self.prefix = self.keep = self.times = None
         self.gain = self.end_x = self.end_y = self.entry_x = self.entry_y = None
 
     def reserve(self, n: int) -> None:
@@ -262,11 +264,9 @@ class _BlockWork:
             return
         self.release()  # the old buffers are gone before the new ones exist
         rows = size // _SCAN_COLUMNS
-        self.lags, self.x, self.y, self.u, self.prefix = (np.empty(size) for _ in range(5))
+        self.x, self.y, self.prefix = (np.empty(size) for _ in range(3))
         self.keep = np.empty(size, dtype=bool)
-        self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = (
-            np.empty(rows) for _ in range(5)
-        )
+        self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = np.empty((5, rows))
         self.capacity = size
 
     def draw_noise(self, n: int, rng_field) -> None:
@@ -284,17 +284,18 @@ class _BlockWork:
                 self._drawn = tile
                 self._turn.notify_all()
 
-    def run_pass(self, fn, n: int) -> None:
+    def run_pass(self, fn, n: int, take=None) -> None:
         """Run a pass of ``fn(self, scratch, r0, r1)`` over the tiles of an
         n-sample block whose inputs other than the noise are written: this
         thread and the helper take tiles from one cursor, each with its own
-        scratch. Returns once the helper's jobs are done; raises their fault."""
-        rows = -(-n // _SCAN_COLUMNS)
-        self._fn, self._rows, self._tiles, self._next = fn, rows, -(-rows // _TILE_ROWS), 0
+        scratch, running ``take`` (same arguments) under its lock as they take
+        a tile. Returns once the helper's jobs are done; raises their fault."""
+        self._fn, self._take, self._rows = fn, take, -(-n // _SCAN_COLUMNS)
+        self._tiles, self._next = -(-self._rows // _TILE_ROWS), 0
         if not self._pending:
             self._drawn = self._tiles  # no fill pending: the noise is in
         self._pending.append(self.helper.submit(self._guarded, self._run, self._scratch[1]))
-        self._run(self._scratch[0])
+        self._guarded(self._run, self._scratch[0])
         while self._pending:
             self._pending.pop(0).result()
 
@@ -302,7 +303,7 @@ class _BlockWork:
         try:
             job(*args)
         except BaseException:
-            with self._turn:  # a helper fault stops the pass and wakes this thread
+            with self._turn:  # a fault stops the pass and wakes a waiting thread
                 self._stopped = True
                 self._turn.notify_all()
             raise
@@ -316,16 +317,26 @@ class _BlockWork:
                 if self._stopped or self._next == self._tiles:
                     return
                 r0 = self._next * _TILE_ROWS
+                r1 = min(r0 + _TILE_ROWS, self._rows)
                 self._next += 1
-            self._fn(self, scratch, r0, min(r0 + _TILE_ROWS, self._rows))
+                if self._take is not None:
+                    self._take(self, scratch, r0, r1)
+            self._fn(self, scratch, r0, r1)
 
 
 def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
-    """Pass 1 on rows r0..r1: row-local chains, decay prefixes, row-end states."""
+    """Pass 1 on rows r0..r1: the lags, row-local chains, decay prefixes, row-end states."""
     cols = _SCAN_COLUMNS
     t = r1 - r0
     span = slice(r0 * cols, r1 * cols)
-    lags = work.lags[span].reshape(t, cols)
+    # the tile's lags go into its prefix rows, until the decay prefix
+    # overwrites them: sample 0's is the first lag, the padded tail's inf
+    lo, hi = max(span.start, 1), min(span.stop, work.times.size)
+    np.subtract(work.times[lo:hi], work.times[lo - 1 : hi - 1], out=work.prefix[lo:hi])
+    work.prefix[lo:hi] /= work.tau_c_ticks
+    work.prefix[span.start : lo] = work.first_lag
+    work.prefix[hi : span.stop] = np.inf
+    lags = work.prefix[span].reshape(t, cols)
     # transposed (cols, t) copies keep each column's step contiguous; x and y
     # are interleaved so one multiply-add per column serves both chains
     lags_t = scratch.lags[: cols * t].reshape(cols, t)
@@ -387,57 +398,65 @@ def _finish_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int)
     np.multiply(y, y, out=y_squared)
     intensity += y_squared
     intensity *= 0.5
-    u = work.u[span].reshape(t, cols)
+    u = scratch.a[: t * cols].reshape(t, cols)
     u *= DEFAULT_INTENSITY_CAP
     np.less(u, intensity, out=work.keep[span].reshape(t, cols))
 
 
-def _gauss_markov_scan_pair(work: _BlockWork, n: int, carry_x: float, carry_y: float):
+def _draw_uniforms(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
+    """Pass 2's uniforms u for rows r0..r1 into ``scratch.a``; 0 in the padded tail."""
+    m = min(r1 * _SCAN_COLUMNS, work.times.size) - r0 * _SCAN_COLUMNS
+    work.rng_accept.random(out=scratch.a[:m])
+    scratch.a[m : (r1 - r0) * _SCAN_COLUMNS] = 0.0
+
+
+def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: float,
+                            tau_c_ticks: float, rng_accept, carry_x: float, carry_y: float):
     """Sample two stationary unit-variance Gauss-Markov chains at shared lags.
 
-    On entry ``work.lags[:n]`` holds the lags and ``work.u[:n]`` uniforms
-    (n >= 1, reserved); ``work.x[:n]``/``work.y[:n]`` hold standard normal
-    noise, or are still taking it in from `_BlockWork.draw_noise`.
-    ``lags[i]`` is the time since sample i-1 in units of the correlation time;
-    ``lags[0]`` is measured from the carried-in state (pass ``np.inf`` to start
-    from the stationary distribution). Each step applies the exact update
-    x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lags[i]). On return
-    ``work.x[:n]``/``work.y[:n]`` hold the chains and ``work.keep[:n]`` the
-    thinning verdicts u*DEFAULT_INTENSITY_CAP < (x^2 + y^2)/2; the returned
-    views are overwritten by the next call.
+    ``times`` are a block's n >= 1 sorted int64 candidate ticks (``work``
+    reserved for n); ``work.x[:n]``/``work.y[:n]`` hold standard normal
+    noise, or are still taking it in from `_BlockWork.draw_noise`. Sample i's
+    lag is (times[i] - times[i-1]) / tau_c_ticks coherence times; sample 0's,
+    ``first_lag``, is from the carried-in state (``np.inf`` starts from the
+    stationary distribution). Each step applies the exact update
+    x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lag_i). Returns views
+    of the chains in ``work.x``/``work.y``, overwritten by the next call,
+    with the verdicts u*DEFAULT_INTENSITY_CAP < (x^2 + y^2)/2 in
+    ``work.keep[:n]``, u drawn from ``rng_accept`` in sample order.
 
-    Vectorized as a blocked scan over rows of 64 consecutive samples, so
-    total work is ~4 multiply-adds per sample. The rows are cut into tiles of
-    ``_TILE_ROWS``. Pass 1 runs per tile, once the tile's noise is drawn: a
-    sequential sweep across the 64 columns of a transposed copy of the tile
-    solves every row from a zero entry state, and the tile records each
-    row's end state and its decay product. The affine scan then stitches the
-    row-end states of the whole block into each row's entry state, and pass
-    2 runs per tile again, adding prefix*entry and thinning. This thread and
-    the helper take the tiles of each pass from one cursor (see
-    `_BlockWork`); they write disjoint rows, and every element goes through
-    the same operations in the same order whichever thread or tile computes
-    it, so the output does not depend on the scheduling or the thread count.
-    The transcendental ufuncs (exp, expm1, sqrt) see only C-contiguous
-    arrays, as in the full-block scan this replaced, so each element takes
-    the same vector loop as before.
+    A blocked scan over rows of 64 consecutive samples (~4 multiply-adds per
+    sample), cut into tiles of ``_TILE_ROWS`` rows. Pass 1 runs per tile once
+    its noise is drawn: it forms the tile's lags, a sequential sweep across
+    the 64 columns of a transposed copy solves every row from a zero entry
+    state, and the tile records each row's end state and decay product. The
+    affine scan stitches the row-end states into each row's entry state, and
+    pass 2 runs per tile: uniforms drawn as the tile is taken, prefix*entry
+    added, thinning. This thread and the helper take each pass's tiles from
+    one cursor (see `_BlockWork`), so the draws stay in tile order; they
+    write disjoint rows, and every element goes through the same operations
+    in the same order whichever thread or tile computes it, so the output
+    does not depend on the schedule. The transcendental ufuncs (exp, expm1,
+    sqrt) see only C-contiguous arrays, as in the full-block scan this
+    replaced, so each element takes the same vector loop as before.
     """
+    n = times.size
     cols = _SCAN_COLUMNS
     rows = -(-n // cols)
-    pad = slice(n, rows * cols)
-    work.lags[pad] = np.inf
-    work.x[pad] = work.y[pad] = work.u[pad] = 0.0
+    work.x[n : rows * cols] = work.y[n : rows * cols] = 0.0
+    work.times, work.first_lag, work.tau_c_ticks = times, first_lag, tau_c_ticks
+    work.rng_accept = rng_accept
     work.run_pass(_scan_tile_rows, n)
     # stitch rows: entry state of row r is the composed map of rows 0..r-1
     # applied to the carry
     gain, end_x, end_y = work.gain[:rows], work.end_x[:rows], work.end_y[:rows]
     _affine_scan(gain, end_x, end_y)
     entry_x, entry_y = work.entry_x[:rows], work.entry_y[:rows]
-    entry_x[0] = carry_x
-    entry_y[0] = carry_y
+    entry_x[0], entry_y[0] = carry_x, carry_y
     entry_x[1:] = gain[:-1] * carry_x + end_x[:-1]
     entry_y[1:] = gain[:-1] * carry_y + end_y[:-1]
-    work.run_pass(_finish_tile_rows, n)
+    work.run_pass(_finish_tile_rows, n, take=_draw_uniforms)
+    work.times = None  # the block's candidate times end with the block
     return work.x[:n], work.y[:n]
 
 
@@ -519,18 +538,17 @@ def _sample_cox_channels(
     I(t)/cap, which is exact for intensities below the cap. Kept events are
     then routed by rate share.
 
-    The working set is one block's: a workspace sized once per call, for
-    the block's Poisson mean plus a headroom of 10 standard deviations (a
-    block beyond it grows the buffers to exactly its size), and that block's
-    candidate times, which end with the block. The workspace is dropped
-    before the per-channel join.
-
-    Every block, the first included, starts at one point: its Poisson count
-    is drawn, the workspace reserved and the helper's noise fill started,
-    which streams into the scan while this thread draws the candidates; for
-    the next block, that is before this block's split by channel. Per block,
-    ``rng_candidates`` gives poisson, integers, routing. A fault on either
-    thread surfaces here once both have stopped.
+    The working set is one block's: a workspace of 25 B per candidate,
+    sized once per call for the block's Poisson mean plus a headroom of 10
+    standard deviations (a block beyond it grows it to exactly its size),
+    and the block's candidate times, which end with the block. The workspace
+    is dropped before the per-channel join. Every block starts at one point:
+    its Poisson count is drawn, the workspace reserved and the helper's
+    noise fill started, which streams into the scan while this thread draws
+    the candidates (for the next block, before this block's split by
+    channel). Per block, ``rng_candidates`` gives poisson, integers, routing;
+    the scan draws the ``rng_accept`` uniforms. A fault on either thread
+    surfaces here once both have stopped.
     """
     n_channels = len(rates_hz)
     total_rate = sum(rates_hz)
@@ -566,19 +584,16 @@ def _sample_cox_channels(
             lo, hi, n = block
             times = rng_candidates.integers(lo, hi, size=n, dtype=np.int64)
             times.sort()
-            lags = work.lags[:n]
-            lags[0] = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
-            np.subtract(times[1:], times[:-1], out=lags[1:])
-            lags[1:] /= tau_c_ticks
-            rng_accept.random(out=work.u[:n])
-            x, y = _gauss_markov_scan_pair(work, n, carry_x, carry_y)
+            first_lag = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
+            x, y = _gauss_markov_scan_pair(work, times, first_lag, tau_c_ticks, rng_accept,
+                                           carry_x, carry_y)
             carry_x, carry_y, carry_time = x[-1], y[-1], int(times[-1])
             # gather kept before drawing the routing uniforms: the other
             # order left glibc's heap ~29 MB larger at 5e9 photons/s, with
             # the same live data
             kept = times[work.keep[:n]]
             channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
-            del lags, x, y  # views of the workspace, which the next block may grow
+            del x, y  # views of the workspace, which the next block may grow
             block = next(blocks, None)
             for ch in range(n_channels):
                 accepted[ch].append(kept[channels == ch])

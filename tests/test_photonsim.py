@@ -18,23 +18,43 @@ from test_correlator import run_child
 TAU_C = 23.2e-9
 
 
-def scan_block(work, lags, noise_x, noise_y, carry_x, carry_y, uniforms=None):
-    """Run the block kernel on one block in ``work``; returns views of x, y, keep."""
-    n = lags.size
+def scan_block(work, times, tau_c_ticks, first_lag, noise_x, noise_y, carry_x, carry_y,
+               rng_accept):
+    """Run the block kernel on one block of sorted int64 candidate times in
+    ``work``, drawing the uniforms from ``rng_accept``; returns views of x, y, keep."""
+    n = times.size
     work.reserve(n)
-    work.lags[:n] = lags
     work.x[:n] = noise_x
     work.y[:n] = noise_y
-    work.u[:n] = 0.0 if uniforms is None else uniforms
-    x, y = ps._gauss_markov_scan_pair(work, n, carry_x, carry_y)
+    x, y = ps._gauss_markov_scan_pair(work, times, first_lag, tau_c_ticks, rng_accept,
+                                      carry_x, carry_y)
     return x, y, work.keep[:n]
+
+
+def kernel_lags(times, tau_c_ticks, first_lag):
+    """The lags the kernel forms from sorted candidate times, formed for the
+    whole block at once, as the sampler did before the scan tiles did."""
+    lags = np.empty(times.size)
+    lags[0] = first_lag
+    np.subtract(times[1:], times[:-1], out=lags[1:])
+    lags[1:] /= tau_c_ticks
+    return lags
+
+
+def random_times(rng, n, mean_gap):
+    """n sorted int64 candidate times with rounded exponential gaps, 20% of
+    them zero, as candidates that share a tick give."""
+    gaps = np.rint(rng.exponential(mean_gap, n)).astype(np.int64)
+    gaps[rng.random(n) < 0.2] = 0
+    return int(rng.integers(0, 2**40)) + np.cumsum(gaps)
 
 
 def field_intensity(tau_c_steps, n_steps, seed, chunk=1_000_000):
     """Normalized intensity of the scenario path's field on a uniform step grid.
 
     Chains the block kernel over chunks through its carried-in state,
-    starting from the stationary distribution.
+    starting from the stationary distribution. A candidate on every tick at
+    ``tau_c_steps`` ticks per coherence time makes every lag 1/tau_c_steps.
     """
     rng = np.random.default_rng(seed)
     intensity = np.empty(n_steps)
@@ -42,10 +62,10 @@ def field_intensity(tau_c_steps, n_steps, seed, chunk=1_000_000):
     with ps._BlockWork() as work:
         for lo in range(0, n_steps, chunk):
             n = min(chunk, n_steps - lo)
-            lags = np.full(n, 1.0 / tau_c_steps)
-            if lo == 0:
-                lags[0] = np.inf
-            xs, ys, _ = scan_block(work, lags, rng.standard_normal(n), rng.standard_normal(n), x, y)
+            times = np.arange(lo, lo + n, dtype=np.int64)
+            first_lag = np.inf if lo == 0 else 1.0 / tau_c_steps
+            xs, ys, _ = scan_block(work, times, tau_c_steps, first_lag, rng.standard_normal(n),
+                                   rng.standard_normal(n), x, y, np.random.default_rng(seed))
             intensity[lo : lo + n] = 0.5 * (xs * xs + ys * ys)
             x, y = xs[-1], ys[-1]
     return intensity
@@ -86,6 +106,14 @@ class TestFieldIntensity:
     def test_deterministic(self):
         assert np.array_equal(field_intensity(100, 1000, seed=3), field_intensity(100, 1000, seed=3))
 
+    @pytest.mark.parametrize("tau_c_steps", [3, 100, 12_345])
+    def test_tick_grid_gives_the_step_grid_lags(self, tau_c_steps):
+        # the lags of field_intensity's candidate-per-tick times are those of
+        # a uniform step grid, bit for bit
+        times = np.arange(77, 77 + 1000, dtype=np.int64)
+        lags = kernel_lags(times, tau_c_steps, 1.0 / tau_c_steps)
+        assert np.array_equal(lags, np.full(1000, 1.0 / tau_c_steps))
+
 
 class TestGaussMarkovScan:
     @staticmethod
@@ -100,17 +128,19 @@ class TestGaussMarkovScan:
 
     @staticmethod
     def _random_block(n, seed):
+        """Candidate times, ticks per coherence time, first lag and noise."""
         rng = np.random.default_rng(seed)
-        lags = rng.exponential(rng.uniform(0.05, 30.0), n)
-        # candidates that share a tick give zero lags
-        lags[rng.random(n) < 0.2] = 0.0
-        if rng.random() < 0.5:
-            lags[0] = np.inf
-        return lags, rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
+        tau_c_ticks = rng.uniform(10.0, 1000.0)
+        times = random_times(rng, n, tau_c_ticks * rng.uniform(0.05, 30.0))
+        first_lag = np.inf if rng.random() < 0.5 else rng.exponential(1.0)
+        return times, tau_c_ticks, first_lag, rng.standard_normal(n), rng.standard_normal(n)
 
     def _check(self, work, n, seed):
-        lags, nx, ny, u = self._random_block(n, seed)
-        x, y, keep = scan_block(work, lags, nx, ny, 0.4, -1.1, uniforms=u)
+        times, tau_c_ticks, first_lag, nx, ny = self._random_block(n, seed)
+        x, y, keep = scan_block(work, times, tau_c_ticks, first_lag, nx, ny, 0.4, -1.1,
+                                np.random.default_rng((seed, 1)))
+        lags = kernel_lags(times, tau_c_ticks, first_lag)
+        u = np.random.default_rng((seed, 1)).random(n)  # the twin of the kernel's generator
         assert np.allclose(x, self._sequential(lags, nx, 0.4), atol=1e-9)
         assert np.allclose(y, self._sequential(lags, ny, -1.1), atol=1e-9)
         assert np.array_equal(keep, u * ps.DEFAULT_INTENSITY_CAP < 0.5 * (x * x + y * y))
@@ -137,23 +167,23 @@ class TestGaussMarkovScan:
             sys.setswitchinterval(interval)
 
     def test_golden_field_bytes(self, monkeypatch):
-        # the chains bit for bit, so a change to the kernel's arithmetic shows
-        # even where it flips no thinning verdict; the digest is that of the
-        # full-block scan this kernel replaced
+        # the chains and verdicts bit for bit, so a change to the kernel's
+        # arithmetic shows even where it flips no thinning verdict. The digest
+        # is that of the kernel fed whole-block lags (as `kernel_lags` forms
+        # them) and uniforms, which matched the full-block scan it replaced
         monkeypatch.setattr(ps, "_TILE_ROWS", 2)
         digest = hashlib.sha256()
         with ps._BlockWork() as work:
-            for n, seed, mean_lag in [(1000, 31, 0.003), (777, 32, 2.0)]:
+            for n, seed, mean_gap, first_lag in [(1000, 31, 15.0, np.inf), (777, 32, 1e4, 0.5)]:
                 rng = np.random.default_rng(seed)
-                lags = rng.exponential(mean_lag, n)
-                lags[rng.random(n) < 0.2] = 0.0
-                lags[0] = np.inf
+                times = random_times(rng, n, mean_gap)
                 nx, ny = rng.standard_normal(n), rng.standard_normal(n)
-                x, y, _ = scan_block(work, lags, nx, ny, 0.4, -1.1)
-                digest.update(x.tobytes())
-                digest.update(y.tobytes())
+                x, y, keep = scan_block(work, times, 5000.0, first_lag, nx, ny, 0.4, -1.1,
+                                        np.random.default_rng((seed, 1)))
+                for a in (x, y, keep):
+                    digest.update(a.tobytes())
         assert digest.hexdigest() == (
-            "c816d478aac549fecd8fae51b5b665462e37e6ceec9614fe9a158bc000d8870d"
+            "6cffc6327aa77ba2a5195b7362a1663e26726a5729882527e33fbeb6a46202bd"
         )
 
 
@@ -174,10 +204,10 @@ def traced_peak(fn):
 
 
 def workspace_bytes(n):
-    """Bytes of one block workspace for n samples: five float64 buffers and
+    """Bytes of one block workspace for n samples: three float64 buffers and
     the bool verdicts per padded sample, five float64 values per row."""
     rows = -(-n // ps._SCAN_COLUMNS)
-    return rows * ps._SCAN_COLUMNS * (5 * 8 + 1) + rows * 5 * 8
+    return rows * ps._SCAN_COLUMNS * (3 * 8 + 1) + rows * 5 * 8
 
 
 def tile_scratch_bytes():
@@ -448,6 +478,68 @@ class TestStreamedNoise:
         )
         surfaced, joined, helper_started = run_child(code)
         assert surfaced and joined and helper_started
+
+
+class TestTileUniforms:
+    def test_uniforms_follow_the_cursor(self):
+        # this thread's first pass-2 tile waits until the helper holds a
+        # tile (not a block's last), which it keeps until this thread has
+        # finished a later tile: uniforms drawn as a tile is taken still go
+        # out in sample order, and the streams keep their digests; uniforms
+        # drawn in the tile function would not
+        code = _SCHEDULE_SETUP + (
+            "import hashlib\n"
+            "finish, held = ps._finish_tile_rows, []\n"
+            "holding, later_done = threading.Event(), threading.Event()\n"
+            "def hooked(work, scratch, r0, r1):\n"
+            "    on_main = threading.current_thread() is threading.main_thread()\n"
+            "    if on_main and not holding.is_set():\n"
+            "        holding.wait(10)\n"
+            "    elif not on_main and not held and r1 * ps._SCAN_COLUMNS < work.times.size:\n"
+            "        held.append(r0)\n"
+            "        holding.set()\n"
+            "        held.append(later_done.wait(10))\n"
+            "    finish(work, scratch, r0, r1)\n"
+            "    if on_main and held and r0 > held[0]:\n"
+            "        later_done.set()\n"
+            "ps._finish_tile_rows = hooked\n"
+            "digests = [hashlib.sha256(s.tobytes()).hexdigest() for s in sample(*rngs())]\n"
+            "print(json.dumps([held[1:], digests]))\n"
+        )
+        held, digests = run_child(code)
+        assert held == [True] and digests == GOLDEN_STREAMS
+
+    @pytest.mark.parametrize("fail_on_main", [False, True], ids=["helper", "caller"])
+    def test_uniform_draw_fault_surfaces_and_joins(self, fail_on_main):
+        # the first draw on one thread fails; the other thread's pass-2
+        # tiles wait for that fault, so the failing thread takes a tile.
+        # Either way the fault stops the pass: no tile is taken after it
+        code = _SCHEDULE_SETUP + (
+            f"FAIL_ON_MAIN = {fail_on_main}\n"
+            "failed, after = threading.Event(), []\n"
+            "def random(out):\n"
+            "    on_main = threading.current_thread() is threading.main_thread()\n"
+            "    if failed.is_set():\n"
+            "        after.append(on_main)\n"
+            "    elif on_main == FAIL_ON_MAIN:\n"
+            "        failed.set()\n"
+            "        raise RuntimeError('uniform draw failed')\n"
+            "    return accept.random(out=out)\n"
+            "finish = ps._finish_tile_rows\n"
+            "def hooked(*args):\n"
+            "    if (threading.current_thread() is threading.main_thread()) != FAIL_ON_MAIN:\n"
+            "        failed.wait(10)\n"
+            "    finish(*args)\n"
+            "ps._finish_tile_rows = hooked\n"
+            "before, surfaced = threading.active_count(), False\n"
+            "try:\n"
+            "    sample(candidates, field, Hooked(accept, random=random))\n"
+            "except RuntimeError as exc:\n"
+            "    surfaced = str(exc) == 'uniform draw failed'\n"
+            "print(json.dumps([surfaced, threading.active_count() == before, after]))\n"
+        )
+        surfaced, joined, after = run_child(code)
+        assert surfaced and joined and after == []
 
 
 class TestSplitEvents:
