@@ -8,9 +8,12 @@ file, the histogram CSV and the ``range --out`` JSON. Two more rows write the
 replay-wide scenario at 25 ps, and as binary then ``convert --to text``, so
 the tag writer's rounding path and the text writer are pinned too. A third
 correlates the replay-wide tags in 262,144 bins of 4 ps, where every other
-row has at most 500 bins, so the many-bins regime is pinned as well. A change
-meant to keep the bytes prints the same table before and after; run it
-against another checkout by pointing PYTHONPATH at its src.
+row has at most 500 bins, so the many-bins regime is pinned as well. The
+short-range-convert row reads the short-range tags and writes them again
+(``convert --to binary``, exact mode): ~6.8 M records, ~100 chunks through the
+chunked tag reader and writer, so its tag digest equals the short-range row's.
+A change meant to keep the bytes prints the same table before and after; run
+it against another checkout by pointing PYTHONPATH at its src.
 
 Usage: PYTHONPATH=src python scripts/digests.py [NAME ...]
 """
@@ -47,6 +50,14 @@ def _preset_runs(directory):
         tags, csv, _ = _paths(directory, name)
         yield name, [["simulate", "--preset", name, "--out", tags],
                      ["correlate", "--preset", name, "--in", tags, "--out", csv]]
+
+
+def _round_trip_runs(directory):
+    tags, csv, _ = _paths(directory, "short-range-convert")
+    yield "short-range-convert", [
+        ["simulate", "--preset", "short-range", "--out", tags + ".original"],
+        ["convert", "--in", tags + ".original", "--out", tags, "--to", "binary"],
+        ["correlate", "--preset", "short-range", "--in", tags, "--out", csv]]
 
 
 def _workload_runs(directory):
@@ -96,7 +107,8 @@ def run(argv):
 
 def main(names):
     with tempfile.TemporaryDirectory() as directory:
-        runs = list(_preset_runs(directory)) + list(_workload_runs(directory))
+        runs = (list(_preset_runs(directory)) + list(_round_trip_runs(directory))
+                + list(_workload_runs(directory)))
         unknown = set(names) - {name for name, _ in runs}
         if unknown:
             print(f"unknown names {sorted(unknown)}", file=sys.stderr)

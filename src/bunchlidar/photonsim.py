@@ -225,9 +225,10 @@ class _BlockWork:
     A sampler call sizes one of these once, for its blocks' Poisson mean
     plus a fixed headroom, and reuses the buffers for every block; a block
     beyond it grows them to exactly its size, dropping the old ones first.
-    ``x``/``y`` take the noise in and the chains out, ``prefix`` a tile's
-    lags and then its decay prefixes, ``keep`` the thinning verdicts; a scan
-    adds the block's ``times``, first lag, ticks per coherence time and
+    ``ticks`` takes the block's sorted candidate times, ``x``/``y`` the
+    noise in and the chains out, ``prefix`` a tile's lags and then its decay
+    prefixes, ``keep`` the thinning verdicts; a scan adds a view of the
+    block's ``times``, its first lag, ticks per coherence time and
     acceptance generator.
     The helper runs one job at a time: a block's noise fill (``draw_noise``),
     then its share of each pass's tiles (``run_pass``, once the pass's other
@@ -254,7 +255,7 @@ class _BlockWork:
     def release(self) -> None:
         """Drop the block-sized buffers and the block's candidate times."""
         self.capacity = 0
-        self.x = self.y = self.prefix = self.keep = self.times = None
+        self.ticks = self.x = self.y = self.prefix = self.keep = self.times = None
         self.gain = self.end_x = self.end_y = self.entry_x = self.entry_y = None
 
     def reserve(self, n: int) -> None:
@@ -264,6 +265,7 @@ class _BlockWork:
             return
         self.release()  # the old buffers are gone before the new ones exist
         rows = size // _SCAN_COLUMNS
+        self.ticks = np.empty(size, dtype=np.int64)
         self.x, self.y, self.prefix = (np.empty(size) for _ in range(3))
         self.keep = np.empty(size, dtype=bool)
         self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = np.empty((5, rows))
@@ -538,11 +540,13 @@ def _sample_cox_channels(
     I(t)/cap, which is exact for intensities below the cap. Kept events are
     then routed by rate share.
 
-    The working set is one block's: a workspace of 25 B per candidate,
-    sized once per call for the block's Poisson mean plus a headroom of 10
-    standard deviations (a block beyond it grows it to exactly its size),
-    and the block's candidate times, which end with the block. The workspace
-    is dropped before the per-channel join. Every block starts at one point:
+    The working set is one block's: a workspace of 33 B per candidate (8 B
+    of them its time), sized once per call for the block's Poisson mean plus
+    a headroom of 10 standard deviations (a block beyond it grows it to
+    exactly its size). The times are drawn into it a tile's worth at a time
+    (the same draws as one call) and sorted in place, so no block-sized
+    array is made per block. The workspace is dropped before the per-channel
+    join. Every block starts at one point:
     its Poisson count is drawn, the workspace reserved and the helper's
     noise fill started, which streams into the scan while this thread draws
     the candidates (for the next block, before this block's split by
@@ -582,7 +586,11 @@ def _sample_cox_channels(
         block = next(blocks, None)
         while block is not None:
             lo, hi, n = block
-            times = rng_candidates.integers(lo, hi, size=n, dtype=np.int64)
+            times = work.ticks[:n]
+            step = _TILE_ROWS * _SCAN_COLUMNS
+            for start in range(0, n, step):
+                times[start : start + step] = rng_candidates.integers(
+                    lo, hi, size=min(step, n - start), dtype=np.int64)
             times.sort()
             first_lag = np.inf if carry_time is None else (times[0] - carry_time) / tau_c_ticks
             x, y = _gauss_markov_scan_pair(work, times, first_lag, tau_c_ticks, rng_accept,
@@ -593,11 +601,11 @@ def _sample_cox_channels(
             # the same live data
             kept = times[work.keep[:n]]
             channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
-            del x, y  # views of the workspace, which the next block may grow
+            del x, y, times  # views of the workspace, which the next block may grow
             block = next(blocks, None)
             for ch in range(n_channels):
                 accepted[ch].append(kept[channels == ch])
-            del times, kept, channels  # the block's arrays end with it
+            del kept, channels  # the block's arrays end with it
     # the workspace is dropped; block-local sorted segments concatenate
     # into globally sorted streams
     return [

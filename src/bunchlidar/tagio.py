@@ -26,18 +26,25 @@ The text twin is line-oriented: a ``# resolution_ps=N`` header followed by
 ``ticks_ps,channel`` rows of the records the binary writer's exact mode makes,
 lossless both ways (text has no flag column, and a time off the grid is refused).
 
-Both writers share one encoder and both readers one decoder, so a record rule
-is checked once: a bad channel, flags or padding, or a time past 2**63 - 1 ps,
-is a ``RecordFieldError`` and a regress a ``TimeOrderError``, named by byte
-offset in a binary file and by ``line N`` in a text file; the range fault names
-the first record past 2**63 - 1 ps. The binary reader decodes views of the
-file's bytes: its only copies of the times are the returned channels. A text
-field that fits no record (not an integer, a time outside 0..2**63 - 1 ps or
-off the resolution grid, a channel outside 0..255) is a ``TextFormatError``.
+Both writers share one encoder and both readers one decoder, each working in
+chunks of ``_CHUNK_RECORDS`` records: beyond the streams they write or return,
+the writers and the binary reader hold O(chunk) memory (the text reader, a
+debug path, parses its whole file first). A writer makes every refusal before
+it opens the file, then merges the two sorted channels one horizon at a time.
+The decoder checks each chunk, order across chunk boundaries included, and
+raises the file's first fault in this order: a bad channel, flags or padding
+is a ``RecordFieldError``, then a regress a ``TimeOrderError``, then a time
+past 2**63 - 1 ps a ``RecordFieldError``; each names its first record, by byte
+offset in a binary file and by ``line N`` in a text file. The binary reader
+reads one reused chunk at a time and puts the times straight into the
+returned channels, its only copies of them (a pipe is read whole first). A text field that fits no record
+(not an integer, a time outside 0..2**63 - 1 ps or off the resolution grid, a
+channel outside 0..255) is a ``TextFormatError``.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import struct
 
@@ -59,6 +66,8 @@ SUPPORTED_RESOLUTIONS = frozenset(m * 10**k for m in (1, 2, 25) for k in range(1
 MAX_CHANNELS = 2
 _FLAG_ROUNDED = 0x01
 _FIELDS_MASK = np.uint64(2**64 - 1 - (_FLAG_ROUNDED << 8))  # record word 1, all but flag bit 0
+_ROUNDED_WORD = np.uint64(_FLAG_ROUNDED << 8)  # record word 1 of a rounded channel-0 record
+_CHUNK_RECORDS = 1 << 16  # records per encoder or decoder step: 1 MiB of records
 
 
 class TagFileError(UserError, ValueError):
@@ -97,9 +106,26 @@ class TextFormatError(TagFileError):
     """Malformed text tag file; message names the line number."""
 
 
-def _encode(streams, resolution_ps, rounding: str):
-    """(resolution_ps, records) for ``write_tags``' arguments: the checked
-    resolution and a ``_RECORD`` array in file order."""
+def _rounded(ticks, resolution_ps: int):
+    """(grid ticks rounded half up, whether each was off the grid) of a tick
+    or an array of ticks, without forming ticks + resolution // 2, which could wrap."""
+    time, remainder = divmod(ticks, resolution_ps)
+    return time + (2 * remainder >= resolution_ps), remainder != 0
+
+
+def _first_off_grid(times, resolution_ps: int):
+    """The first time of a sorted stream that is off the grid, or None."""
+    for lo in range(0, times.size, _CHUNK_RECORDS):
+        chunk = times[lo : lo + _CHUNK_RECORDS]
+        off = np.flatnonzero(chunk % resolution_ps)
+        if off.size:
+            return int(chunk[off[0]])
+    return None
+
+
+def _encodable(streams, resolution_ps, rounding: str) -> int:
+    """The checked resolution of ``write_tags``' arguments: every refusal is
+    made here, before a file is opened."""
     resolution_ps = int(resolution_ps)
     if resolution_ps not in SUPPORTED_RESOLUTIONS:
         raise TagFileError(
@@ -112,29 +138,52 @@ def _encode(streams, resolution_ps, rounding: str):
         )
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
-    ticks = np.concatenate([stream.times for stream in streams])
-    time, remainder = np.divmod(ticks, resolution_ps)
-    inexact = remainder != 0
-    if rounding == "exact" and inexact.any():
-        raise UnrepresentableTimeError(
-            f"time {int(ticks[inexact].min())} ps is not a multiple of {resolution_ps} ps "
-            "(use rounding='round')"
-        )
-    # half up without forming ticks + resolution // 2, which could wrap
-    time += 2 * remainder >= resolution_ps
-    del ticks, remainder  # the sort and the records below are the encoder's peak
-    largest = int(time.max(initial=0))
+    if rounding == "exact" and resolution_ps != 1:
+        off_grid = [_first_off_grid(s.times, resolution_ps) for s in streams]
+        off_grid = [t for t in off_grid if t is not None]
+        if off_grid:
+            raise UnrepresentableTimeError(
+                f"time {min(off_grid)} ps is not a multiple of {resolution_ps} ps "
+                "(use rounding='round')"
+            )
+    # rounding is monotone: a stream's last time rounds to its largest tick
+    largest = max((_rounded(int(s.times[-1]), resolution_ps)[0] for s in streams if len(s)),
+                  default=0)
     if largest > _TICK_MAX // resolution_ps:
         raise UnrepresentableTimeError(
             f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
         )
-    order = np.argsort(time, kind="stable")  # ties stay in channel order
-    time.sort(kind="stable")  # equals time[order], with no third per-event array
-    records = np.zeros(time.size, _RECORD)
-    records["time"] = time
-    records["channel"] = order >= len(streams[0])  # at most two channels
-    records["flags"] = inexact[order]  # _FLAG_ROUNDED where rounded
-    return resolution_ps, records
+    return resolution_ps
+
+
+def _encode(streams, resolution_ps: int):
+    """The records of ``_encodable`` streams in file order, one horizon at a
+    time: ``(k, 2)`` arrays of each record's two words, k <= 2 * _CHUNK_RECORDS,
+    each overwritten by the next."""
+    a = streams[0].times
+    b = streams[-1].times if len(streams) == 2 else a[:0]
+    words = np.empty((2 * _CHUNK_RECORDS, 2), "<u8")
+    i = j = 0
+    while i < a.size or j < b.size:
+        ta, fa = _rounded(a[i : i + _CHUNK_RECORDS], resolution_ps)
+        tb, fb = _rounded(b[j : j + _CHUNK_RECORDS], resolution_ps)
+        # a chunk that stops short of its stream's end is known up to its last
+        # tick, the horizon; channel 0 comes first at a tick both channels hold
+        if i + ta.size < a.size and not (j + tb.size < b.size and tb[-1] < ta[-1]):
+            cut = np.searchsorted(tb, ta[-1], side="left")  # channel 0 may go on at ta[-1]
+            tb, fb = tb[:cut], fb[:cut]
+        elif j + tb.size < b.size:
+            cut = np.searchsorted(ta, tb[-1], side="right")
+            ta, fa = ta[:cut], fa[:cut]
+        i, j = i + ta.size, j + tb.size
+        # a stable sort of two sorted runs merges them, channel 0 first on a tie
+        ticks = np.concatenate((ta, tb))
+        order = np.argsort(ticks, kind="stable")
+        chunk = words[: ticks.size]
+        chunk[:, 0] = ticks[order]
+        chunk[:, 1] = np.concatenate((fa, fb))[order] * _ROUNDED_WORD
+        chunk[:, 1] += order >= ta.size
+        yield chunk
 
 
 def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> None:
@@ -143,50 +192,93 @@ def write_tags(streams, resolution_ps: int, path, rounding: str = "exact") -> No
     ``rounding='exact'`` refuses times that are not exact multiples of the
     resolution; ``rounding='round'`` rounds half up and sets flag bit 0 on
     each affected record. A time whose rounded tick count times the
-    resolution exceeds 2**63 - 1 ps is refused in either mode.
+    resolution exceeds 2**63 - 1 ps is refused in either mode. A refused
+    write leaves the path as it was.
     """
-    resolution_ps, records = _encode(streams, resolution_ps, rounding)
+    resolution_ps = _encodable(streams, resolution_ps, rounding)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, resolution_ps, len(streams), b""))
-        f.write(records)
+        for chunk in _encode(streams, resolution_ps):
+            f.write(chunk)
 
 
-def _decode(records, resolution_ps: int, channel_count: int, line_of=None):
-    """(streams, header) of a ``_RECORD`` array in file order.
+def _decode(chunks, n: int, resolution_ps: int, channel_count: int, line_of=None):
+    """(streams, header) of n records in file order, given as ``_RECORD``
+    chunks, each of which may be overwritten once the next is taken.
 
-    Checks channel, flags, padding, time order, then the 64-bit tick range. A
-    fault names its field's byte offset, or record i's line ``line_of(i)``.
+    Checks channel, flags, padding, time order, then the 64-bit tick range,
+    and raises the fault that comes first in that order over the whole file,
+    at its first record: its field's byte offset, or record i's line
+    ``line_of(i)``. The times go straight into one array of n: channel 0
+    from the front, channel 1 from the back, turned round at the end.
     """
-
-    def fault(error, message, index, byte=0):
-        if line_of is None:
-            return error(message, offset=HEADER_SIZE + RECORD_SIZE * int(index) + byte)
-        return error(f"line {line_of(int(index))}: {message}")
-
-    fields, channels, flags = records["fields"], records["channel"], records["flags"]
-    # Masking out the one legal flag bit leaves a value below channel_count
-    # exactly when channel, flags and padding are all valid.
-    if ((fields & _FIELDS_MASK) >= channel_count).any():
-        for byte, value, bad, message in (
-            (8, channels, channels >= channel_count, "record channel {v} >= channel count {n}"),
-            (9, flags, flags > _FLAG_ROUNDED, "record flags 0x{v:02x} has reserved bits set"),
-            (10, fields, fields >> 16 != 0, "record padding bytes are not zero"),
-        ):
-            if bad.any():  # the first faulty field in this order is named
-                i = np.argmax(bad)
-                message = message.format(v=int(value[i]), n=channel_count)
-                raise fault(RecordFieldError, message, i, byte)
-    times = records["time"]
-    regress = times[1:] < times[:-1]  # u64 neighbours: no cast, no wrap
-    if regress.any():
-        raise fault(TimeOrderError, "record times regress", np.argmax(regress) + 1)
+    times_out = np.empty(n, np.int64)
+    front, back, done, last = 0, n, 0, 0
     top = np.uint64(_TICK_MAX // resolution_ps)  # a Python int would compare as float64
-    if times.size and times[-1] > top:
-        raise fault(RecordFieldError, "event time overflows 64-bit picosecond ticks",
-                    np.searchsorted(times, top, side="right"))
-    cut = (times[channels == ch].view(np.int64) for ch in range(channel_count))  # the only copies
-    streams = [EventStream(ch, np.multiply(t, resolution_ps, out=t)) for ch, t in enumerate(cut)]
+    faults = {}  # rank in the order above -> the first (error, message, record, byte) of its kind
+    order_rank, range_rank = 3, 4  # after channel, flags and padding
+    for records in chunks:
+        fields, times = records["fields"], records["time"]
+        # Masking out the one legal flag bit leaves a value below channel_count
+        # exactly when channel, flags and padding are all valid.
+        if ((fields & _FIELDS_MASK) >= channel_count).any():
+            channels, flags = records["channel"], records["flags"]
+            for rank, (byte, value, bad, message) in enumerate((
+                (8, channels, channels >= channel_count, "record channel {v} >= channel count {n}"),
+                (9, flags, flags > _FLAG_ROUNDED, "record flags 0x{v:02x} has reserved bits set"),
+                (10, fields, fields >> 16 != 0, "record padding bytes are not zero"),
+            )):
+                if rank not in faults and bad.any():
+                    i = int(np.argmax(bad))
+                    message = message.format(v=int(value[i]), n=channel_count)
+                    faults[rank] = (RecordFieldError, message, done + i, byte)
+        if order_rank not in faults:
+            regress = times[1:] < times[:-1]  # u64 neighbours: no cast, no wrap
+            if times[0] < last or regress.any():  # the chunk before ended at last
+                i = 0 if times[0] < last else int(np.argmax(regress)) + 1
+                faults[order_rank] = (TimeOrderError, "record times regress", done + i, 0)
+            elif range_rank not in faults and times[-1] > top:
+                i = int(np.searchsorted(times, top, side="right"))
+                message = "event time overflows 64-bit picosecond ticks"
+                faults[range_rank] = (RecordFieldError, message, done + i, 0)
+        last = times[-1]
+        if not faults:  # checked: each channel is 0 or 1, each time below 2**63
+            ones = records["channel"].view(bool)
+            k = int(np.count_nonzero(ones))
+            head = times_out[front : front + times.size - k]
+            tail = times_out[back - k : back][::-1]
+            for part, where in ((head, ~ones), (tail, ones)):
+                np.compress(where, times.view("<i8"), out=part)
+                part *= resolution_ps
+            front, back = front + head.size, back - k
+        done += times.size
+    if faults:
+        error, message, index, byte = faults[min(faults)]
+        if line_of is None:
+            raise error(message, offset=HEADER_SIZE + RECORD_SIZE * index + byte)
+        raise error(f"line {line_of(index)}: {message}")
+    lo, hi = front, n
+    while hi - lo > 1:  # channel 1 came in reversed: turn it round a chunk at a time
+        c = min(_CHUNK_RECORDS, (hi - lo) // 2)
+        head = times_out[lo : lo + c].copy()
+        times_out[lo : lo + c] = times_out[hi - c : hi][::-1]
+        times_out[hi - c : hi] = head[::-1]
+        lo, hi = lo + c, hi - c
+    cut = (times_out[:front], times_out[front:])[:channel_count]
+    streams = [EventStream(ch, t) for ch, t in enumerate(cut)]
     return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
+
+
+def _read_chunks(f, n: int):
+    """The n records that follow the header in open file f, read into one reused chunk."""
+    raw = np.empty(min(n, _CHUNK_RECORDS) * RECORD_SIZE, np.uint8)
+    for lo in range(0, n, _CHUNK_RECORDS):
+        size = min(n - lo, _CHUNK_RECORDS) * RECORD_SIZE
+        got = f.readinto(raw[:size])
+        if got != size:
+            raise TruncatedRecordError("file shrank while read",
+                                       offset=HEADER_SIZE + lo * RECORD_SIZE + got)
+        yield raw[:size].view(_RECORD)
 
 
 def read_tags(path):
@@ -197,31 +289,36 @@ def read_tags(path):
     (files do not carry the acquisition duration), and a dict with
     ``resolution_ps`` and ``channel_count``.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if not MAGIC.startswith(data[:len(MAGIC)]):  # a prefix of the magic is a short header
-        raise BadMagicError("bad magic", offset=0)
-    if len(data) < HEADER_SIZE:
-        raise TruncatedRecordError(
-            f"header needs {HEADER_SIZE} bytes, file has {len(data)}", offset=len(data)
-        )
-    _, version, resolution_ps, channel_count, reserved = _HEADER.unpack_from(data)
-    if version != VERSION:
-        raise HeaderFieldError(f"unsupported version {version}", offset=8)
-    if resolution_ps not in SUPPORTED_RESOLUTIONS:
-        raise HeaderFieldError(f"unsupported resolution {resolution_ps} ps", offset=12)
-    if not 1 <= channel_count <= MAX_CHANNELS:
-        raise HeaderFieldError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}", offset=20)
-    if any(reserved):
-        bad = len(reserved) - len(reserved.lstrip(b"\0"))
-        raise HeaderFieldError("nonzero reserved byte", offset=22 + bad)
+    with open(path, "rb") as file:
+        # the decoder takes the record count first, from the size: a pipe is read whole for it
+        f = file if file.seekable() else io.BytesIO(file.read())
+        size = f.seek(0, io.SEEK_END)
+        f.seek(0)
+        data = f.read(HEADER_SIZE)
+        if not MAGIC.startswith(data[:len(MAGIC)]):  # a prefix of the magic is a short header
+            raise BadMagicError("bad magic", offset=0)
+        if len(data) < HEADER_SIZE:
+            raise TruncatedRecordError(
+                f"header needs {HEADER_SIZE} bytes, file has {len(data)}", offset=len(data)
+            )
+        _, version, resolution_ps, channel_count, reserved = _HEADER.unpack(data)
+        if version != VERSION:
+            raise HeaderFieldError(f"unsupported version {version}", offset=8)
+        if resolution_ps not in SUPPORTED_RESOLUTIONS:
+            raise HeaderFieldError(f"unsupported resolution {resolution_ps} ps", offset=12)
+        if not 1 <= channel_count <= MAX_CHANNELS:
+            raise HeaderFieldError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}",
+                                   offset=20)
+        if any(reserved):
+            bad = len(reserved) - len(reserved.lstrip(b"\0"))
+            raise HeaderFieldError("nonzero reserved byte", offset=22 + bad)
 
-    trailing = (len(data) - HEADER_SIZE) % RECORD_SIZE
-    if trailing:
-        raise TruncatedRecordError(
-            f"trailing {trailing} bytes are not a full record", offset=len(data) - trailing
-        )
-    return _decode(np.frombuffer(data, _RECORD, offset=HEADER_SIZE), resolution_ps, channel_count)
+        n, trailing = divmod(size - HEADER_SIZE, RECORD_SIZE)
+        if trailing:
+            raise TruncatedRecordError(
+                f"trailing {trailing} bytes are not a full record", offset=size - trailing
+            )
+        return _decode(_read_chunks(f, n), n, resolution_ps, channel_count)
 
 
 def write_text_tags(streams, resolution_ps: int, path) -> None:
@@ -230,13 +327,13 @@ def write_text_tags(streams, resolution_ps: int, path) -> None:
     The rows are the records ``write_tags`` would write in exact mode, so a
     time off the resolution grid is refused.
     """
-    resolution_ps, records = _encode(streams, resolution_ps, "exact")
-    ticks = (records["time"] * np.uint64(resolution_ps)).tolist()
-    channels = records["channel"].tolist()
+    resolution_ps = _encodable(streams, resolution_ps, "exact")
     with open(path, "w", newline="\n") as f:
         f.write(f"# resolution_ps={resolution_ps}\n")
         f.write(f"# channels={len(streams)}\n")
-        f.writelines(f"{t},{ch}\n" for t, ch in zip(ticks, channels))
+        for chunk in _encode(streams, resolution_ps):  # exact: the second word is the channel
+            ticks = (chunk[:, 0] * np.uint64(resolution_ps)).tolist()
+            f.writelines(f"{t},{ch}\n" for t, ch in zip(ticks, chunk[:, 1].tolist()))
 
 
 def read_text_tags(path):
@@ -302,4 +399,5 @@ def read_text_tags(path):
                               f"is not a multiple of resolution {resolution_ps}")
     if channel_count is None:
         channel_count = min(max(channels, default=0) + 1, MAX_CHANNELS)
-    return _decode(records, resolution_ps, channel_count, line_of)
+    chunks = (records[lo : lo + _CHUNK_RECORDS] for lo in range(0, records.size, _CHUNK_RECORDS))
+    return _decode(chunks, records.size, resolution_ps, channel_count, line_of)

@@ -204,10 +204,11 @@ def traced_peak(fn):
 
 
 def workspace_bytes(n):
-    """Bytes of one block workspace for n samples: three float64 buffers and
-    the bool verdicts per padded sample, five float64 values per row."""
+    """Bytes of one block workspace for n samples: the int64 candidate time,
+    three float64 buffers and the bool verdict per padded sample, five float64
+    values per row."""
     rows = -(-n // ps._SCAN_COLUMNS)
-    return rows * ps._SCAN_COLUMNS * (3 * 8 + 1) + rows * 5 * 8
+    return rows * ps._SCAN_COLUMNS * (4 * 8 + 1) + rows * 5 * 8
 
 
 def tile_scratch_bytes():
@@ -232,8 +233,10 @@ class TestWorkingSet:
         # more candidates than block 1 (100,198 against 100,037). A first
         # reserve cut to 1,000 makes the workspace grow mid-run, while the
         # block before is still alive; the bound is then taken at the
-        # largest capacity
+        # largest capacity. Tiles of 128 rows keep the one-tile draw of
+        # candidate times (8 B per sample of a tile) well below a block's
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 100_000)
+        monkeypatch.setattr(ps, "_TILE_ROWS", 128)
         rates, duration_ticks = [2e8, 8e8], 33_333_333
         block_mean = ps.DEFAULT_INTENSITY_CAP * sum(rates) * duration_ticks / 4 / 1e12
         capacity = math.ceil(block_mean + 10 * math.sqrt(block_mean))
@@ -256,9 +259,11 @@ class TestWorkingSet:
             assert capacities[0] < capacities[1] < max(capacities)  # grown at least twice
             capacity = max(capacities)
         output = sum(s.nbytes for s in streams)
-        # one workspace, one block of candidate times, the streams being
-        # joined and their parts, the tile scratch
-        bound = workspace_bytes(capacity) + 8 * capacity + 2 * output + tile_scratch_bytes()
+        # one workspace (the block's candidate times among it), one tile's
+        # draw of times, the streams being joined and their parts, the tile
+        # scratch
+        tile_draw = 8 * ps._TILE_ROWS * ps._SCAN_COLUMNS
+        bound = workspace_bytes(capacity) + tile_draw + 2 * output + tile_scratch_bytes()
         assert output > 0 and peak <= bound
 
     def test_growth_mid_run_keeps_the_stream(self, monkeypatch):
@@ -450,13 +455,13 @@ class TestStreamedNoise:
     def test_caller_fault_while_helper_waits_surfaces_and_joins(self):
         # block 2's candidate draw fails once the helper has its noise in hand
         code = _SCHEDULE_SETUP + (
-            "calls = []\n"
-            "def integers(*args, **kwargs):\n"
-            "    calls.append(args)\n"
-            "    if len(calls) == 2:\n"
+            "lows = set()\n"
+            "def integers(low, *args, **kwargs):\n"
+            "    lows.add(low)  # a block draws its times a tile at a time from its low tick\n"
+            "    if len(lows) == 2:\n"
             "        next_block_noise.wait(10)\n"
             "        raise RuntimeError('candidate draw failed')\n"
-            "    return candidates.integers(*args, **kwargs)\n"
+            "    return candidates.integers(low, *args, **kwargs)\n"
             "failing_call('candidate draw failed', lambda: sample(\n"
             "    Hooked(candidates, integers=integers), Hooked(field, standard_normal=fill), accept))\n"
         )

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bunchlidar import tagio
 from bunchlidar.correlator import CorrelationConfig, cross_correlate
 from bunchlidar.photonsim import EventStream
+from bunchlidar.quantities import _TICK_MAX as TICK_MAX
 
 
 def make_streams(times_by_channel, duration_s=None):
@@ -69,6 +71,197 @@ def encode_tags_reference(streams, resolution_ps, rounding):
     return bytes(header) + records.tobytes()
 
 
+def encode_oracle(streams, resolution_ps, rounding):
+    """The whole-array encoder the chunked one replaced: (resolution_ps,
+    records), a ``_RECORD`` array in file order, for ``write_tags``' arguments."""
+    resolution_ps = int(resolution_ps)
+    if resolution_ps not in tagio.SUPPORTED_RESOLUTIONS:
+        raise tagio.TagFileError(
+            f"unsupported resolution {resolution_ps} ps "
+            "(must be 1, 2, or 25 times a power of ten)"
+        )
+    if not 1 <= len(streams) <= tagio.MAX_CHANNELS:
+        raise tagio.TagFileError(
+            f"version-{tagio.VERSION} files carry 1 to {tagio.MAX_CHANNELS} channels, "
+            f"got {len(streams)}"
+        )
+    if rounding not in ("exact", "round"):
+        raise tagio.TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
+    ticks = np.concatenate([stream.times for stream in streams])
+    time, remainder = np.divmod(ticks, resolution_ps)
+    inexact = remainder != 0
+    if rounding == "exact" and inexact.any():
+        raise tagio.UnrepresentableTimeError(
+            f"time {int(ticks[inexact].min())} ps is not a multiple of {resolution_ps} ps "
+            "(use rounding='round')"
+        )
+    time += 2 * remainder >= resolution_ps
+    largest = int(time.max(initial=0))
+    if largest > TICK_MAX // resolution_ps:
+        raise tagio.UnrepresentableTimeError(
+            f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
+        )
+    order = np.argsort(time, kind="stable")  # ties stay in channel order
+    records = np.zeros(time.size, tagio._RECORD)
+    records["time"] = time[order]
+    records["channel"] = order >= len(streams[0])
+    records["flags"] = inexact[order]
+    return resolution_ps, records
+
+
+def decode_oracle(records, resolution_ps, channel_count):
+    """The whole-array decoder the chunked one replaced: (streams, header) of a
+    binary file's ``_RECORD`` array, or its fault at its byte offset."""
+
+    def fault(error, message, index, byte=0):
+        return error(message, offset=tagio.HEADER_SIZE + tagio.RECORD_SIZE * int(index) + byte)
+
+    fields, channels, flags = records["fields"], records["channel"], records["flags"]
+    if ((fields & tagio._FIELDS_MASK) >= channel_count).any():
+        for byte, value, bad, message in (
+            (8, channels, channels >= channel_count, "record channel {v} >= channel count {n}"),
+            (9, flags, flags > 1, "record flags 0x{v:02x} has reserved bits set"),
+            (10, fields, fields >> 16 != 0, "record padding bytes are not zero"),
+        ):
+            if bad.any():
+                i = np.argmax(bad)
+                raise fault(tagio.RecordFieldError,
+                            message.format(v=int(value[i]), n=channel_count), i, byte)
+    times = records["time"]
+    regress = times[1:] < times[:-1]
+    if regress.any():
+        raise fault(tagio.TimeOrderError, "record times regress", np.argmax(regress) + 1)
+    top = np.uint64(TICK_MAX // resolution_ps)
+    if times.size and times[-1] > top:
+        raise fault(tagio.RecordFieldError, "event time overflows 64-bit picosecond ticks",
+                    np.searchsorted(times, top, side="right"))
+    cut = (times[channels == ch].astype(np.int64) * resolution_ps for ch in range(channel_count))
+    streams = [EventStream(ch, t) for ch, t in enumerate(cut)]
+    return streams, {"resolution_ps": resolution_ps, "channel_count": channel_count}
+
+
+def outcome(fn, *args):
+    """fn's result, or the class, message and offset of the TagFileError it raised."""
+    try:
+        return fn(*args)
+    except tagio.TagFileError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def same_streams(a, b):
+    return ([(s.channel, s.times.tolist(), s.duration_ticks) for s in a]
+            == [(s.channel, s.times.tolist(), s.duration_ticks) for s in b])
+
+
+CHUNK_SIZES = [1, 2, 3, 7]
+
+
+@st.composite
+def chunked_writer_cases(draw):
+    """Streams near 0 or near 2**63 - 1 ps, on or off the grid, with ties across
+    channels, runs of one tick longer than a chunk, and empty channels."""
+    resolution = draw(st.sampled_from([1, 2, 25, 2000]))
+    rounding = draw(st.sampled_from(["exact", "round"]))
+    step = resolution if draw(st.booleans()) else 1
+    span = 40 * resolution // step
+    low = draw(st.sampled_from([0, TICK_MAX // step - span])) * step
+    tick = st.integers(0, span).map(lambda k: low + k * step)
+    times = []
+    for _ in range(draw(st.integers(1, 2))):
+        t = draw(st.lists(tick, max_size=30))
+        if t and draw(st.booleans()):
+            t += [draw(st.sampled_from(t))] * draw(st.integers(1, 10))  # a run of one tick
+        times.append(sorted(t))
+    if len(times) == 2 and times[0] and draw(st.booleans()):
+        times[1] = sorted(times[1] + draw(st.lists(st.sampled_from(times[0]), max_size=8)))
+    streams = [EventStream(ch, np.array(t, np.int64)) for ch, t in enumerate(times)]
+    return resolution, rounding, streams
+
+
+@st.composite
+def faulty_record_files(draw):
+    """Records whose faults of every kind may fall in different chunks: bad
+    channels, flags and padding, regresses, and times past the 64-bit range."""
+    resolution = draw(st.sampled_from([1, 2, 25, 2000, 10**12]))
+    channel_count = draw(st.integers(1, 2))
+    top = TICK_MAX // resolution
+    time = st.one_of(st.integers(0, 20), st.integers(top - 10, top + 3))
+    times = sorted(draw(st.lists(time, max_size=24)))
+    words = [draw(st.integers(0, channel_count - 1)) | draw(st.integers(0, 1)) << 8 for _ in times]
+    if times:
+        index = st.integers(0, len(times) - 1)
+        for _ in range(draw(st.integers(0, 2))):  # regresses
+            i = draw(index)
+            times[i] = draw(time)
+        fault = st.one_of(st.integers(channel_count, 255),  # channel, flags, padding
+                          st.integers(2, 255).map(lambda f: f << 8),
+                          st.integers(1, 2**48 - 1).map(lambda p: p << 16))
+        for _ in range(draw(st.integers(0, 3))):
+            words[draw(index)] |= draw(fault)
+    return resolution, channel_count, list(zip(times, words))
+
+
+class TestChunkedCodecMatchesOracle:
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @given(case=chunked_writer_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_written_bytes_match(self, tmp_path_factory, chunk, case):
+        resolution, rounding, streams = case
+        path = tmp_path_factory.mktemp("w") / "t.bin"
+        expected = outcome(encode_oracle, streams, resolution, rounding)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tagio, "_CHUNK_RECORDS", chunk)
+            written = outcome(tagio.write_tags, streams, resolution, path, rounding)
+        if written is not None:  # refused, as the oracle was, before opening the file
+            assert written == expected and not path.exists()
+            return
+        header = tagio._HEADER.pack(tagio.MAGIC, tagio.VERSION, resolution, len(streams), b"")
+        assert path.read_bytes() == header + expected[1].tobytes()
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @given(case=faulty_record_files())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_match(self, tmp_path_factory, chunk, case):
+        resolution, channel_count, records = case
+        path = tmp_path_factory.mktemp("r") / "t.bin"
+        write_raw_records(path, records, resolution, channel_count)
+        raw = np.frombuffer(path.read_bytes(), tagio._RECORD, offset=tagio.HEADER_SIZE)
+        expected = outcome(decode_oracle, raw, resolution, channel_count)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tagio, "_CHUNK_RECORDS", chunk)
+            read = outcome(tagio.read_tags, path)
+        if isinstance(expected[0], type):
+            assert read == expected
+        else:
+            assert read[1] == expected[1] and same_streams(read[0], expected[0])
+
+    # one record per chunk at 1; each fault sits in its own chunk
+    @pytest.mark.parametrize("chunk, records, error, record, byte", [
+        (2, [(1, 0x8000), (2, 0), (3, 0), (4, 7)], tagio.RecordFieldError, 3, 8),
+        (2, [(1, 1 << 20), (2, 0), (3, 0), (4, 7)], tagio.RecordFieldError, 3, 8),
+        (1, [(5, 0), (1, 0), (3, 0), (4, 9)], tagio.RecordFieldError, 3, 8),
+        (2, [(5, 0), (1, 0), (3, 0), (4, 0x100 | 1 << 16)], tagio.RecordFieldError, 3, 10),
+        (2, [(1, 1 << 16), (2, 0), (3, 0x200)], tagio.RecordFieldError, 2, 9),
+        (2, [(1, 0), (5, 0), (4, 0), (6, 0)], tagio.TimeOrderError, 2, 0),
+        (3, [(1, 0), (2, 0), (5, 0), (4, 0)], tagio.TimeOrderError, 3, 0),
+        (1, [(2**63, 0), (1, 0)], tagio.TimeOrderError, 1, 0),
+        (1, [(1, 0), (2**63 - 1, 1), (2**63, 0), (2**63 + 1, 0)], tagio.RecordFieldError, 2, 0),
+    ], ids=["channel-beats-earlier-flags", "channel-beats-earlier-padding",
+            "channel-beats-earlier-regress", "padding-after-flags-in-one-record",
+            "flags-beat-earlier-padding", "regress-on-a-chunk-boundary",
+            "regress-on-the-next-boundary", "regress-beats-earlier-range",
+            "range-in-a-later-chunk"])
+    def test_fault_precedence_across_chunks(self, tmp_path, monkeypatch, chunk, records, error,
+                                            record, byte):
+        path = tmp_path / "t.bin"
+        write_raw_records(path, records)
+        raw = np.frombuffer(path.read_bytes(), tagio._RECORD, offset=tagio.HEADER_SIZE)
+        expected = outcome(decode_oracle, raw, 1, 2)
+        monkeypatch.setattr(tagio, "_CHUNK_RECORDS", chunk)
+        assert outcome(tagio.read_tags, path) == expected
+        assert expected[0] is error and expected[2] == tagio.HEADER_SIZE + 16 * record + byte
+
+
 @st.composite
 def encoder_cases(draw):
     """Streams of 1 or 2 channels whose ticks crowd within a few resolution
@@ -126,6 +319,21 @@ class TestBinaryRoundTrip:
         assert header == {"resolution_ps": 1, "channel_count": 2}
         assert [len(s) for s in streams] == [0, 0]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe has no size to take the record count from: it is read whole
+        path = tmp_path / "t.bin"
+        tagio.write_tags(make_streams([[0, 5, 9], [2]]), 1, path)
+        read, write = os.pipe()
+        try:
+            os.write(write, path.read_bytes())
+            os.close(write)
+            streams, header = tagio.read_tags(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert header == {"resolution_ps": 1, "channel_count": 2}
+        assert [s.times.tolist() for s in streams] == [[0, 5, 9], [2]]
+
     def test_single_event_resolution_scaling(self, tmp_path):
         path = tmp_path / "one.bin"
         tagio.write_tags(make_streams([[2000]]), 2000, path)
@@ -167,8 +375,9 @@ class TestBinaryRoundTrip:
             assert np.array_equal(original.times, loaded.times)
 
     def test_read_peak_memory_bounded(self, tmp_path):
-        # the reader decodes views of the file's bytes; beyond them it holds
-        # one validity temporary at a time and the returned channels
+        # the returned channels (8 B per record: half the file) and the order
+        # check of EventStream (1 B per event of a channel), plus the reader's
+        # chunk: its raw records and their decode temporaries, under 3 chunks
         rng = np.random.default_rng(16)
         streams = [EventStream(ch, np.sort(rng.integers(0, 10**12, 500_000))) for ch in (0, 1)]
         path = tmp_path / "big.bin"
@@ -180,21 +389,26 @@ class TestBinaryRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * path.stat().st_size
+        chunk = tagio._CHUNK_RECORDS * tagio.RECORD_SIZE
+        assert peak <= 0.5 * path.stat().st_size + 500_000 + 3 * chunk
 
-    def test_encode_peak_memory_bounded(self):
-        # at its peak the encoder holds the rounded times (8 B per event),
-        # the sort order (8), the records (16), the rounding flags (1) and a
-        # channel verdict (1): 34 B. A sorted copy of the times would add 8.
-        rng = np.random.default_rng(16)
-        streams = [EventStream(ch, np.sort(rng.integers(0, 10**12, 500_000))) for ch in (0, 1)]
-        tracemalloc.start()
-        try:
-            tagio._encode(streams, 1, "exact")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 37.5 * 1_000_000
+    def test_encode_peak_memory_bounded(self, tmp_path):
+        # the writer holds one merge step: a buffer of two chunks of records
+        # and the step's temporaries, under 8 chunks in all, whatever the
+        # stream length, at 1 ps and where it rounds
+        chunk = tagio._CHUNK_RECORDS * tagio.RECORD_SIZE
+        for resolution, rounding in ((1, "exact"), (25, "round"), (2000, "round")):
+            peaks = []
+            for n in (500_000, 2_000_000):
+                rng = np.random.default_rng(16)
+                streams = [EventStream(ch, np.sort(rng.integers(0, 10**12, n))) for ch in (0, 1)]
+                tracemalloc.start()
+                try:
+                    tagio.write_tags(streams, resolution, tmp_path / "big.bin", rounding=rounding)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) <= chunk and max(peaks) <= 8 * chunk
 
     def test_exact_mode_rejects_offgrid(self, tmp_path):
         with pytest.raises(tagio.UnrepresentableTimeError):
@@ -244,6 +458,32 @@ class TestBinaryRoundTrip:
             tagio.write_tags(make_streams([[1]]), 3, tmp_path / "x.bin")
 
 
+@pytest.mark.parametrize("write, times, resolution, rounding, error", [
+    (tagio.write_tags, [[1]], 3, "exact", tagio.TagFileError),
+    (tagio.write_text_tags, [[1]], 3, None, tagio.TagFileError),
+    (tagio.write_tags, [[1], [2], [3]], 1, "exact", tagio.TagFileError),
+    (tagio.write_text_tags, [[1], [2], [3]], 1, None, tagio.TagFileError),
+    (tagio.write_tags, [[1]], 1, "nearest", tagio.TagFileError),
+    (tagio.write_tags, [[2000], [4000, 5001]], 2000, "exact", tagio.UnrepresentableTimeError),
+    (tagio.write_text_tags, [[2000], [4000, 5001]], 2000, None, tagio.UnrepresentableTimeError),
+    (tagio.write_tags, [[0], [2**63 - 1]], 2000, "round", tagio.UnrepresentableTimeError),
+], ids=["resolution", "resolution-text", "three-channels", "three-channels-text",
+        "rounding-mode", "off-grid", "off-grid-text", "rounds-past-2**63-1"])
+@pytest.mark.parametrize("existing", [False, True], ids=["no-file", "existing-file"])
+def test_refusal_leaves_the_path_as_it_was(tmp_path, write, times, resolution, rounding, error,
+                                           existing):
+    # every refusal comes before the file is opened: none is made, and one
+    # already there keeps its bytes
+    path = tmp_path / "out"
+    if existing:
+        path.write_bytes(b"earlier contents")
+    args = () if rounding is None else (rounding,)
+    with pytest.raises(error):
+        write([EventStream(ch, np.array(t, np.int64)) for ch, t in enumerate(times)],
+              resolution, path, *args)
+    assert path.read_bytes() == b"earlier contents" if existing else not path.exists()
+
+
 @pytest.mark.parametrize("last", [2**53 + 1, 2**62 + 1, 2**63 - 2])
 def test_full_tick_range_reads_back_exactly(tmp_path, last):
     times = [[0, last - 3, last], [1, last - 1]]
@@ -276,8 +516,19 @@ def raw_record_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_text_and_binary_decode_alike(tmp_path_factory, case):
     # the same records read back the same, or fail with the same class at the same record
+    check_decode_alike(tmp_path_factory.mktemp("same"), case)
+
+
+@given(raw_record_cases())
+@settings(max_examples=200, deadline=None)
+def test_text_and_binary_decode_alike_one_record_a_chunk(tmp_path_factory, case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tagio, "_CHUNK_RECORDS", 1)
+        check_decode_alike(tmp_path_factory.mktemp("same"), case)
+
+
+def check_decode_alike(directory, case):
     resolution, channel_count, records = case
-    directory = tmp_path_factory.mktemp("same")
     binary, text = directory / "t.bin", directory / "t.txt"
     write_raw_records(binary, records, resolution, channel_count)
     write_raw_text(text, [(t * resolution, ch) for t, ch in records], resolution, channel_count)
