@@ -162,7 +162,7 @@ def _read_any_tags(path):
 def cmd_simulate(args) -> int:
     doc = _resolve_document(args)
     scenario = presets.scenario_from_document(doc)
-    resolution_ps = presets.output_from_document(doc)
+    resolution_ps = tagio.checked_resolution(presets.output_from_document(doc))
     truth_path = args.truth_out or f"{args.out}.truth.json"
 
     reference, probe, truth = simulate_ranging_scenario(scenario)

@@ -16,10 +16,8 @@ probability I/cap at its own time, routes the kept events to the channels
 by rate share, and delays the probe channel by the round-trip time. The
 field is sampled only where candidates fall, so second-scale acquisitions
 with nanosecond (or picosecond) coherence times stay practical. The sampler
-shares each block's work with one helper thread that never waits: it draws
-the field noise as its own job, which streams into the scan tile by tile;
-each tile forms its own lags and draws its own acceptance uniforms, and the
-streams returned do not depend on that schedule (see `_BlockWork`).
+runs on this thread and one helper; the streams returned do not depend on
+that schedule (see `_BlockWork`).
 """
 
 from __future__ import annotations
@@ -220,7 +218,7 @@ class _TileScratch:
 
 
 class _BlockWork:
-    """Work buffers of one candidate block and the one helper thread.
+    """Work buffers of one candidate block, and the sampler's thread schedule.
 
     A sampler call sizes one of these once, for its blocks' Poisson mean
     plus a fixed headroom, and reuses the buffers for every block; a block
@@ -230,11 +228,25 @@ class _BlockWork:
     prefixes, ``keep`` the thinning verdicts; a scan adds a view of the
     block's ``times``, its first lag, ticks per coherence time and
     acceptance generator.
-    The helper runs one job at a time: a block's noise fill (``draw_noise``),
-    then its share of each pass's tiles (``run_pass``, once the pass's other
-    inputs are written), so it never waits; only this thread waits, for tiles
-    whose noise is not drawn yet. A fault on either thread stops the pass;
-    leaving the ``with`` block joins the helper and drops the buffers.
+
+    The schedule: this thread and one helper, which runs one job at a time
+    and so never waits. Its first job is a block's noise fill
+    (``draw_noise``), started as soon as the block's count is drawn, so the
+    next block's noise is drawn while this thread splits this one by
+    channel. Its second is its share of each scan pass's tiles (``run_pass``,
+    once the pass's other inputs are written): both threads take tiles from
+    one cursor, and only this thread waits, for tiles whose noise is not
+    drawn yet. Pass 1 forms each tile's lags; pass 2 draws each tile's
+    acceptance uniforms under the cursor lock as the tile is taken, so they
+    follow sample order on either thread. A fault on either thread stops the
+    pass and surfaces on this thread once both have stopped; leaving the
+    ``with`` block joins the helper and drops the buffers.
+
+    Two conditions keep the output independent of the schedule, one core
+    included: the threads write disjoint rows, and every element goes
+    through the same operations in the same order whichever thread or tile
+    computes it; and the transcendental ufuncs (exp, expm1, sqrt) see only
+    C-contiguous arrays, so each element takes the same vector loop.
     """
 
     def __init__(self):
@@ -417,9 +429,8 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     """Sample two stationary unit-variance Gauss-Markov chains at shared lags.
 
     ``times`` are a block's n >= 1 sorted int64 candidate ticks (``work``
-    reserved for n); ``work.x[:n]``/``work.y[:n]`` hold standard normal
-    noise, or are still taking it in from `_BlockWork.draw_noise`. Sample i's
-    lag is (times[i] - times[i-1]) / tau_c_ticks coherence times; sample 0's,
+    reserved for n, its noise fill started). Sample i's lag is
+    (times[i] - times[i-1]) / tau_c_ticks coherence times; sample 0's,
     ``first_lag``, is from the carried-in state (``np.inf`` starts from the
     stationary distribution). Each step applies the exact update
     x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lag_i). Returns views
@@ -428,19 +439,12 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     ``work.keep[:n]``, u drawn from ``rng_accept`` in sample order.
 
     A blocked scan over rows of 64 consecutive samples (~4 multiply-adds per
-    sample), cut into tiles of ``_TILE_ROWS`` rows. Pass 1 runs per tile once
-    its noise is drawn: it forms the tile's lags, a sequential sweep across
-    the 64 columns of a transposed copy solves every row from a zero entry
-    state, and the tile records each row's end state and decay product. The
-    affine scan stitches the row-end states into each row's entry state, and
-    pass 2 runs per tile: uniforms drawn as the tile is taken, prefix*entry
-    added, thinning. This thread and the helper take each pass's tiles from
-    one cursor (see `_BlockWork`), so the draws stay in tile order; they
-    write disjoint rows, and every element goes through the same operations
-    in the same order whichever thread or tile computes it, so the output
-    does not depend on the schedule. The transcendental ufuncs (exp, expm1,
-    sqrt) see only C-contiguous arrays, as in the full-block scan this
-    replaced, so each element takes the same vector loop as before.
+    sample), cut into tiles of ``_TILE_ROWS`` rows. Pass 1, per tile: the
+    tile's lags, a sequential sweep across the 64 columns of a transposed
+    copy that solves every row from a zero entry state, and each row's end
+    state and decay product. The affine scan stitches the row-end states
+    into each row's entry state. Pass 2, per tile: prefix*entry added, then
+    thinning. The passes' tiles run on the threads of `_BlockWork`.
     """
     n = times.size
     cols = _SCAN_COLUMNS
@@ -546,13 +550,9 @@ def _sample_cox_channels(
     exactly its size). The times are drawn into it a tile's worth at a time
     (the same draws as one call) and sorted in place, so no block-sized
     array is made per block. The workspace is dropped before the per-channel
-    join. Every block starts at one point:
-    its Poisson count is drawn, the workspace reserved and the helper's
-    noise fill started, which streams into the scan while this thread draws
-    the candidates (for the next block, before this block's split by
-    channel). Per block, ``rng_candidates`` gives poisson, integers, routing;
-    the scan draws the ``rng_accept`` uniforms. A fault on either thread
-    surfaces here once both have stopped.
+    join. Per block, ``rng_candidates`` gives poisson, integers, routing;
+    ``rng_field`` the noise and the scan ``rng_accept``'s uniforms
+    (schedule: `_BlockWork`).
     """
     n_channels = len(rates_hz)
     total_rate = sum(rates_hz)

@@ -123,15 +123,19 @@ def _first_off_grid(times, resolution_ps: int):
     return None
 
 
+def checked_resolution(resolution_ps) -> int:
+    """``resolution_ps`` as an int, refused unless a tag file can carry it."""
+    resolution_ps = int(resolution_ps)
+    if resolution_ps not in SUPPORTED_RESOLUTIONS:
+        raise TagFileError(f"unsupported resolution {resolution_ps} ps "
+                           "(must be 1, 2, or 25 times a power of ten)")
+    return resolution_ps
+
+
 def _encodable(streams, resolution_ps, rounding: str) -> int:
     """The checked resolution of ``write_tags``' arguments: every refusal is
     made here, before a file is opened."""
-    resolution_ps = int(resolution_ps)
-    if resolution_ps not in SUPPORTED_RESOLUTIONS:
-        raise TagFileError(
-            f"unsupported resolution {resolution_ps} ps "
-            "(must be 1, 2, or 25 times a power of ten)"
-        )
+    resolution_ps = checked_resolution(resolution_ps)
     if not 1 <= len(streams) <= MAX_CHANNELS:
         raise TagFileError(
             f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"

@@ -299,6 +299,19 @@ class TestSimulate:
         assert sidecar["configuration"]["output"]["resolution_ps"] == 25
         assert tagio.read_tags(out)[1]["resolution_ps"] == 25
 
+    @pytest.mark.parametrize("value", ["3", "0", "-25"])
+    def test_bad_resolution_refused_before_simulating(self, tmp_path, mini_config, monkeypatch,
+                                                      value, capsys):
+        def simulate(scenario):
+            raise AssertionError("simulated before the resolution was checked")
+
+        monkeypatch.setattr(cli, "simulate_ranging_scenario", simulate)
+        code = cli.main(["simulate", "--config", mini_config, f"--resolution-ps={value}",
+                         "--out", str(tmp_path / "t.bin")])
+        assert code == 1
+        assert f"unsupported resolution {value} ps" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [Path(mini_config)]
+
     def test_wavelength_does_not_change_tags(self, tmp_path, capsys):
         outs = []
         for name in ("with", "without"):
@@ -793,9 +806,21 @@ def test_every_exception_derives_from_user_error(cls):
 
 
 class TestDependencies:
-    def test_cli_import_pulls_in_no_scipy(self):
+    @staticmethod
+    def _run(code):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = ("import bunchlidar.cli, sys; assert not any("
-                "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_cli_import_pulls_in_no_scipy(self):
+        self._run("import bunchlidar.cli, sys; assert not any("
+                  "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+
+    def test_package_root_is_one_path_per_name(self):
+        # each public name is imported from its module; the root re-exports nothing
+        self._run("import bunchlidar, sys\n"
+                  "loaded = [m for m in sys.modules if m.startswith('bunchlidar.')]\n"
+                  "assert not loaded, loaded\n"
+                  "public = [n for n in vars(bunchlidar) if not n.startswith('_')]\n"
+                  "assert not public, public\n"
+                  "assert bunchlidar.__version__")

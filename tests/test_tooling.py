@@ -1,11 +1,13 @@
-"""The benchmark's tracer wraps bunchlidar functions by name; each name must exist.
+"""The benchmark and the scripts reach bunchlidar by name; each name must exist.
 
-``perfbench/tracing.py`` lists them in ``_COUNTS`` as (module, function)
-pairs, some with a counter that reads the function's result. A deleted or
-renamed function, or a result field a counter reads, would otherwise surface
-only when the benchmark runs.
+``perfbench/tracing.py`` lists the functions its tracer wraps in ``_COUNTS``
+as (module, function) pairs, some with a counter that reads the function's
+result, and the scripts and the benchmark import bunchlidar modules and
+names. A deleted or renamed function, or a result field a counter reads,
+would otherwise surface only when the benchmark or the script runs.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +17,24 @@ import pytest
 
 from bunchlidar import estimator as est
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _bunchlidar_imports():
+    """(file:line, statement) of every absolute bunchlidar import in the scripts and perfbench."""
+    found = []
+    for path in [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "bunchlidar" or m.startswith("bunchlidar.") for m in modules):
+                found.append((path.relative_to(ROOT), node.lineno, ast.unparse(node)))
+    return [(f"{path}:{line}", statement) for path, line, statement in sorted(found)]
 
 
 def _tracing():
@@ -38,3 +57,14 @@ def test_fit_counts_read_a_real_fit():
     fit = est.fit_g2(*args)
     counts = _tracing()._COUNTS[("estimator", "fit_g2")](args, {}, fit)
     assert counts == {"iterations": fit.n_iterations, "points": 500, "converged": True}
+
+
+def test_imports_are_found():
+    statements = [statement for _, statement in _bunchlidar_imports()]
+    assert "from bunchlidar import cli" in statements
+    assert "from bunchlidar.photonsim import EventStream" in statements
+
+
+@pytest.mark.parametrize("where, statement", _bunchlidar_imports(), ids=lambda v: v)
+def test_script_import_resolves(where, statement):
+    exec(statement, {})
