@@ -3,12 +3,14 @@
 
 Runs N_OPS ops (default 3) of the named perfbench workload through
 ``cli.main`` in this one process, as a perfbench ops worker does, and prints
-``ru_maxrss`` after every command. The argv of each op comes from
+``ru_maxrss`` after every command, beside the current ``VmRSS`` (``-`` where
+``/proc/self/status`` has none): a peak far above the current RSS is heap
+the command freed, not data still live. The argv of each op comes from
 perfbench/workloads.py itself (benchmark seed ``--seed``, default 1), so the
 scenario seeds are those of a benchmark run with that seed. A replay workload
 first writes its input tag file in a child process, as perfbench's set-up
 worker does, so the ops' peak is not the set-up's; that line, op ``setup``,
-prints the child's own peak.
+prints the child's own peak, and ``-`` for the exited child's current RSS.
 
 Usage: PYTHONPATH=src python scripts/peak_rss.py WORKLOAD [N_OPS] [--seed S]
 """
@@ -26,6 +28,17 @@ from digests import BENCHMARK_SEED, load_workloads, run
 
 def _peak_rss_mb(who=resource.RUSAGE_SELF):
     return resource.getrusage(who).ru_maxrss * 1024 / 1e6
+
+
+def _current_rss_mb():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return f"{int(line.split()[1]) * 1024 / 1e6:.1f}"
+    except OSError:
+        pass
+    return "-"
 
 
 def _run_in_child(argv):
@@ -59,16 +72,16 @@ def main(argv):
     parser.add_argument("--seed", type=int, default=BENCHMARK_SEED)
     args = parser.parse_args(argv)
     spec = workloads.WORKLOADS[args.workload]
-    print(f"{'op':<6} {'command':<10} {'ru_maxrss_mb':>12}")
+    print(f"{'op':<6} {'command':<10} {'ru_maxrss_mb':>12} {'vm_rss_mb':>10}")
     with tempfile.TemporaryDirectory() as directory:
         for op, command in _ops(workloads, spec, args.seed, args.n_ops, directory):
             if op == "setup":
                 _run_in_child(command)
-                peak = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+                peak, current = _peak_rss_mb(resource.RUSAGE_CHILDREN), "-"
             else:
                 run(command)
-                peak = _peak_rss_mb()
-            print(f"{op!s:<6} {command[0]:<10} {peak:>12.1f}", flush=True)
+                peak, current = _peak_rss_mb(), _current_rss_mb()
+            print(f"{op!s:<6} {command[0]:<10} {peak:>12.1f} {current:>10}", flush=True)
     return 0
 
 

@@ -205,7 +205,7 @@ def _affine_scan(gain: np.ndarray, offset_x: np.ndarray, offset_y: np.ndarray):
 
 
 class _TileScratch:
-    """One thread's cache-sized scratch arrays for a tile of the scan (``a``: pass 2's u)."""
+    """One thread's cache-sized scan tile scratch (pass 2: ``xy`` the decay prefixes, ``a`` u)."""
 
     def __init__(self, tile_rows: int):
         size = tile_rows * _SCAN_COLUMNS
@@ -224,9 +224,9 @@ class _BlockWork:
     plus a fixed headroom, and reuses the buffers for every block; a block
     beyond it grows them to exactly its size, dropping the old ones first.
     ``ticks`` takes the block's sorted candidate times, ``x``/``y`` the
-    noise in and the chains out, ``prefix`` a tile's lags and then its decay
-    prefixes, ``keep`` the thinning verdicts; a scan adds a view of the
-    block's ``times``, its first lag, ticks per coherence time and
+    noise in and the chains out, ``keep`` the thinning verdicts (25 B per
+    candidate); a scan adds a view of the block's ``times`` (each pass forms
+    a tile's lags from it), its first lag, ticks per coherence time and
     acceptance generator.
 
     The schedule: this thread and one helper, which runs one job at a time
@@ -267,7 +267,7 @@ class _BlockWork:
     def release(self) -> None:
         """Drop the block-sized buffers and the block's candidate times."""
         self.capacity = 0
-        self.ticks = self.x = self.y = self.prefix = self.keep = self.times = None
+        self.ticks = self.x = self.y = self.keep = self.times = None
         self.gain = self.end_x = self.end_y = self.entry_x = self.entry_y = None
 
     def reserve(self, n: int) -> None:
@@ -278,7 +278,7 @@ class _BlockWork:
         self.release()  # the old buffers are gone before the new ones exist
         rows = size // _SCAN_COLUMNS
         self.ticks = np.empty(size, dtype=np.int64)
-        self.x, self.y, self.prefix = (np.empty(size) for _ in range(3))
+        self.x, self.y = np.empty(size), np.empty(size)
         self.keep = np.empty(size, dtype=bool)
         self.gain, self.end_x, self.end_y, self.entry_x, self.entry_y = np.empty((5, rows))
         self.capacity = size
@@ -338,21 +338,26 @@ class _BlockWork:
             self._fn(self, scratch, r0, r1)
 
 
+def _tile_lags(work: _BlockWork, out: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows r0..r1's lags as a (rows, columns) view of ``out``; the padded tail's are inf."""
+    start, stop = r0 * _SCAN_COLUMNS, r1 * _SCAN_COLUMNS
+    lo, hi = max(start, 1), min(stop, work.times.size)
+    lags = out[: stop - start]
+    np.subtract(work.times[lo:hi], work.times[lo - 1 : hi - 1], out=lags[lo - start : hi - start])
+    lags[lo - start : hi - start] /= work.tau_c_ticks
+    lags[: lo - start] = work.first_lag
+    lags[hi - start :] = np.inf
+    return lags.reshape(r1 - r0, _SCAN_COLUMNS)
+
+
 def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
-    """Pass 1 on rows r0..r1: the lags, row-local chains, decay prefixes, row-end states."""
+    """Pass 1 on rows r0..r1: the lags, row-local chains, row decay products, row-end states."""
     cols = _SCAN_COLUMNS
     t = r1 - r0
     span = slice(r0 * cols, r1 * cols)
-    # the tile's lags go into its prefix rows, until the decay prefix
-    # overwrites them: sample 0's is the first lag, the padded tail's inf
-    lo, hi = max(span.start, 1), min(span.stop, work.times.size)
-    np.subtract(work.times[lo:hi], work.times[lo - 1 : hi - 1], out=work.prefix[lo:hi])
-    work.prefix[lo:hi] /= work.tau_c_ticks
-    work.prefix[span.start : lo] = work.first_lag
-    work.prefix[hi : span.stop] = np.inf
-    lags = work.prefix[span].reshape(t, cols)
-    # transposed (cols, t) copies keep each column's step contiguous; x and y
-    # are interleaved so one multiply-add per column serves both chains
+    lags = _tile_lags(work, scratch.tmp, r0, r1)
+    # transposed (cols, t) copies keep each column's step contiguous (tmp then
+    # takes the scale); x and y are interleaved so one multiply-add serves both
     lags_t = scratch.lags[: cols * t].reshape(cols, t)
     a = scratch.a[: cols * t].reshape(cols, t)
     scale = scratch.tmp[: cols * t].reshape(cols, t)
@@ -372,37 +377,44 @@ def _scan_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -
     np.copyto(xy[:, 0], noise_x.T)
     np.copyto(xy[:, 1], noise_y.T)
     xy *= scale[:, None, :]
-    # within-row decay products in log space, flushed to zero past the
-    # restart threshold: never touches subnormal arithmetic
-    decay = scratch.tmp[: t * cols].reshape(t, cols)
-    mask = scratch.mask[: t * cols].reshape(t, cols)
-    prefix = work.prefix[span].reshape(t, cols)
-    np.cumsum(lags, axis=1, out=decay)
-    np.negative(decay, out=prefix)
-    np.exp(prefix, out=prefix)
-    np.greater(decay, _RESTART_LAG, out=mask)
-    prefix[mask] = 0.0
+    # each row's lags summed in column order, as pass 2's cumsum sums them,
+    # then its decay product, flushed to zero past the restart threshold
+    gain = work.gain[r0:r1]
+    np.copyto(gain, lags_t[0])
     step = scratch.step[: 2 * t].reshape(2, t)
     for k in range(1, cols):
         np.multiply(a[k], xy[k - 1], out=step)
         xy[k] += step
+        gain += lags_t[k]
     np.copyto(noise_x, xy[:, 0].T)
     np.copyto(noise_y, xy[:, 1].T)
-    work.gain[r0:r1] = prefix[:, -1]
     work.end_x[r0:r1] = xy[-1, 0]
     work.end_y[r0:r1] = xy[-1, 1]
+    np.greater(gain, _RESTART_LAG, out=scratch.mask[:t])
+    np.negative(gain, out=gain)
+    np.exp(gain, out=gain)
+    gain[scratch.mask[:t]] = 0.0
 
 
 def _finish_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
-    """Pass 2 on rows r0..r1: add each row's entry state, then thin at u*cap < I."""
+    """Pass 2 on rows r0..r1: the lags' decay prefixes, entry states added, thinning at u*cap < I."""
     cols = _SCAN_COLUMNS
     t = r1 - r0
     span = slice(r0 * cols, r1 * cols)
     x = work.x[span].reshape(t, cols)
     y = work.y[span].reshape(t, cols)
-    prefix = work.prefix[span].reshape(t, cols)
-    tmp = scratch.tmp[: t * cols].reshape(t, cols)
-    y_squared = scratch.lags[: t * cols].reshape(t, cols)
+    lags = _tile_lags(work, scratch.lags, r0, r1)
+    # within-row decay products in log space, flushed to zero past the
+    # restart threshold: never touches subnormal arithmetic
+    decay = scratch.tmp[: t * cols].reshape(t, cols)
+    mask = scratch.mask[: t * cols].reshape(t, cols)
+    prefix = scratch.xy[: t * cols].reshape(t, cols)
+    np.cumsum(lags, axis=1, out=decay)
+    np.negative(decay, out=prefix)
+    np.exp(prefix, out=prefix)
+    np.greater(decay, _RESTART_LAG, out=mask)
+    prefix[mask] = 0.0
+    tmp, y_squared = decay, lags
     np.multiply(prefix, work.entry_x[r0:r1, None], out=tmp)
     x += tmp
     np.multiply(prefix, work.entry_y[r0:r1, None], out=tmp)
@@ -443,8 +455,9 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     tile's lags, a sequential sweep across the 64 columns of a transposed
     copy that solves every row from a zero entry state, and each row's end
     state and decay product. The affine scan stitches the row-end states
-    into each row's entry state. Pass 2, per tile: prefix*entry added, then
-    thinning. The passes' tiles run on the threads of `_BlockWork`.
+    into each row's entry state. Pass 2, per tile: the lags again, their
+    decay prefixes, prefix*entry added, then thinning. The passes' tiles run
+    on the threads of `_BlockWork`.
     """
     n = times.size
     cols = _SCAN_COLUMNS
@@ -502,7 +515,8 @@ def _detector_noise(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Background merge, dead time, jitter, and clipping (everything after thinning);
-    ``background_mean`` is the expected count of ambient plus dark events."""
+    ``background_mean`` is the expected count of ambient plus dark events. Jitter
+    shifts a copy in place, its offsets drawn a tile at a time (the same draws)."""
     if background_mean > 0 and duration_ticks > 0:
         n_background = rng.poisson(background_mean)
         background = rng.integers(0, duration_ticks, size=n_background, dtype=np.int64)
@@ -511,16 +525,17 @@ def _detector_noise(
     times = dead_time_filter(times, spec.dead_time_ticks)
     if spec.jitter_fwhm_s > 0 and times.size:
         sigma_ticks = spec.jitter_fwhm_s * TICKS_PER_SECOND / _FWHM_PER_SIGMA
-        offsets = np.rint(sigma_ticks * rng.standard_normal(times.size))
-        # an offset of 2**63 ticks or more moves any event out; so does -2**63, which fits int64
-        offsets[np.abs(offsets) >= 2.0**63] = -(2.0**63)
-        # times are >= 0, so the sum wraps at most once, and read unsigned below
-        # it lies in [0, duration] exactly when t + offset does
-        times = times + offsets.astype(np.int64)
+        times = times.copy()
+        step = _TILE_ROWS * _SCAN_COLUMNS
+        for lo in range(0, times.size, step):
+            offsets = np.rint(sigma_ticks * rng.standard_normal(min(step, times.size - lo)))
+            # an offset of 2**63 ticks or more moves any event out; so does -2**63, which fits int64
+            offsets[np.abs(offsets) >= 2.0**63] = -(2.0**63)
+            # times are >= 0, so a sum wraps at most once, to below 0: sorted
+            # as int64, the events in [0, duration] are one slice
+            times[lo : lo + step] += offsets.astype(np.int64)
         times.sort(kind="stable")
-    if times.size:
-        times = times[times.view(np.uint64) <= duration_ticks]
-    return times
+    return times[np.searchsorted(times, 0) : np.searchsorted(times, duration_ticks, side="right")]
 
 
 def _sample_cox_channels(
@@ -544,7 +559,7 @@ def _sample_cox_channels(
     I(t)/cap, which is exact for intensities below the cap. Kept events are
     then routed by rate share.
 
-    The working set is one block's: a workspace of 33 B per candidate (8 B
+    The working set is one block's: a workspace of 25 B per candidate (8 B
     of them its time), sized once per call for the block's Poisson mean plus
     a headroom of 10 standard deviations (a block beyond it grows it to
     exactly its size). The times are drawn into it a tile's worth at a time

@@ -205,10 +205,10 @@ def traced_peak(fn):
 
 def workspace_bytes(n):
     """Bytes of one block workspace for n samples: the int64 candidate time,
-    three float64 buffers and the bool verdict per padded sample, five float64
-    values per row."""
+    the two float64 chains and the bool verdict per padded sample (25 B), five
+    float64 values per row (40 B)."""
     rows = -(-n // ps._SCAN_COLUMNS)
-    return rows * ps._SCAN_COLUMNS * (4 * 8 + 1) + rows * 5 * 8
+    return rows * ps._SCAN_COLUMNS * (3 * 8 + 1) + rows * 5 * 8
 
 
 def tile_scratch_bytes():
@@ -706,8 +706,87 @@ class TestDeadTime:
         assert kept.size == pytest.approx(expected, rel=0.03)
 
 
+def detector_noise_oracle(times, spec, background_mean, duration_ticks, rng):
+    """The detector chain as it was before the jitter was drawn in chunks:
+    whole-stream offsets and sum, clipped through an unsigned view."""
+    if background_mean > 0 and duration_ticks > 0:
+        background = rng.integers(0, duration_ticks, size=rng.poisson(background_mean),
+                                  dtype=np.int64)
+        times = np.sort(np.concatenate([times, background]), kind="stable")
+    times = ps.dead_time_filter(times, spec.dead_time_ticks)
+    if spec.jitter_fwhm_s > 0 and times.size:
+        sigma_ticks = spec.jitter_fwhm_s * 1e12 / ps._FWHM_PER_SIGMA
+        offsets = np.rint(sigma_ticks * rng.standard_normal(times.size))
+        offsets[np.abs(offsets) >= 2.0**63] = -(2.0**63)
+        times = np.sort(times + offsets.astype(np.int64), kind="stable")
+    if times.size:
+        times = times[times.view(np.uint64) <= duration_ticks]
+    return times
+
+
+def near_tick_max_times():
+    """Sorted ticks spanning the whole tick range, 500 of them within 1024
+    ticks of 0 and 500 within 1024 of 2**63 - 1."""
+    top = 2**63 - 1
+    rng = np.random.default_rng(8)
+    ends = rng.integers(0, 1024, 500)
+    return np.sort(np.concatenate([rng.integers(0, top, 2000), ends, top - ends]))
+
+
+def detector(fwhm_s, dead_time_s=0.0, dark_rate_hz=0.0):
+    return ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=fwhm_s, dead_time_s=dead_time_s,
+                           dark_rate_hz=dark_rate_hz)
+
+
+# (times, detector, background mean, duration ticks) for the chunked chain
+DURATION_TICKS = 10**9
+JITTER_CASES = {
+    **{f"near-tick-max-{fwhm_s:g}": (near_tick_max_times(), detector(fwhm_s), 0.0, 2**63 - 1)
+       for fwhm_s in (40e-12, 1e3, 9e6)},
+    "all-outside": (DURATION_TICKS + 10**6 + np.arange(0, 3_000_000, 1_000),
+                    detector(40e-12), 0.0, DURATION_TICKS),
+    "ends-at-duration": (np.repeat(np.linspace(0, DURATION_TICKS, 30, dtype=np.int64), 41),
+                         detector(1e-12), 0.0, DURATION_TICKS),
+    "background-and-dead-time": (
+        np.sort(np.random.default_rng(3).integers(0, DURATION_TICKS, 5_000)),
+        detector(40e-12, 20e-9, 1e4), 700.0, DURATION_TICKS),
+    "no-jitter": (np.arange(0, 2 * DURATION_TICKS, 997_001), detector(0.0), 0.0, DURATION_TICKS),
+}
+
+
 class TestApplyDetector:
     """The detector chain after thinning: background, dead time, jitter, clip."""
+
+    @pytest.mark.parametrize("tile_rows", [1, 2, 7])
+    @pytest.mark.parametrize("case", sorted(JITTER_CASES))
+    def test_chunked_jitter_matches_oracle(self, monkeypatch, case, tile_rows):
+        # chunks of 64, 128 and 448 offsets
+        monkeypatch.setattr(ps, "_TILE_ROWS", tile_rows)
+        times, spec, background_mean, duration_ticks = JITTER_CASES[case]
+        times = times.astype(np.int64)
+        before = times.copy()
+        want = detector_noise_oracle(times, spec, background_mean, duration_ticks,
+                                     np.random.default_rng(9))
+        got = ps._detector_noise(times, spec, background_mean, duration_ticks,
+                                 np.random.default_rng(9))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(times, before)  # the caller's array is left as it was
+        if case == "all-outside":
+            assert want.size == 0
+        if case == "ends-at-duration":
+            assert want[-1] == duration_ticks and 0 < want.size < times.size
+
+    def test_jitter_peak_memory_bounded(self):
+        # one copy of the stream (8 B per event), numpy's stable sort's merge
+        # buffer (half the stream, 4 B per event) and four chunks of 8 B per
+        # offset; the whole-stream offsets, their int64 cast and sum held at
+        # once took over 3 copies
+        n = 1_000_000
+        times = np.sort(np.random.default_rng(4).integers(0, DURATION_TICKS, n))
+        chunk = ps._TILE_ROWS * ps._SCAN_COLUMNS
+        peak = traced_peak(lambda: ps._detector_noise(times, detector(40e-12), 0.0, DURATION_TICKS,
+                                                      np.random.default_rng(5)))
+        assert peak <= 8 * n + 4 * n + 4 * 8 * chunk
 
     def _times(self, n=100_000, duration=1e-3, seed=0):
         return np.sort(np.random.default_rng(seed).integers(0, int(duration * 1e12), n))
@@ -749,9 +828,7 @@ class TestApplyDetector:
         # events within 1024 ticks of either end: each event is kept iff
         # 0 <= t + offset <= duration in exact integers
         top = 2**63 - 1
-        rng = np.random.default_rng(8)
-        ends = rng.integers(0, 1024, 500)
-        times = np.sort(np.concatenate([rng.integers(0, top, 2000), ends, top - ends]))
+        times = near_tick_max_times()
         spec = ps.DetectorSpec(efficiency=1.0, jitter_fwhm_s=fwhm_s, dead_time_s=0.0, dark_rate_hz=0.0)
         out = ps._detector_noise(times, spec, 0.0, top, np.random.default_rng(9))
         sigma_ticks = fwhm_s * 1e12 / ps._FWHM_PER_SIGMA
