@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,10 +133,10 @@ class TestCrossCorrelate:
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_oracle_equality_offset_passes(self, min_rows, partition, seed):
-        # a tiny row threshold and a buffer floor of 1 force the offset passes,
-        # compaction, mid-sweep flushes and tail runs split across flushes
-        # on inputs this small; 3-event partitions leave one buffer holding
-        # lags of several partitions at a flush
+        # a tiny row threshold and a buffer floor of 1 force the offset passes
+        # over rows sorted by run length, mid-sweep flushes and tail runs split
+        # across flushes on inputs this small; 3-event partitions leave one
+        # buffer holding lags of several partitions at a flush
         rng = np.random.default_rng(seed)
         a, b = random_pair(rng)
         config = random_config(rng)
@@ -154,6 +155,49 @@ class TestCrossCorrelate:
         config = co.CorrelationConfig(10, 0, 70)
         got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
         assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
+    @pytest.mark.parametrize("min_rows", [1, co._SWEEP_MIN_ROWS])
+    def test_sorted_passes_every_run_length(self, min_rows, monkeypatch):
+        # one partition whose rows have every run length from 0 to 40, each
+        # length on 10-30 rows with tied a times and tied b times, plus two
+        # rows with 200-pair runs; at the default threshold passes 0-31 run,
+        # then the two long runs outlast the 156 live rows, which go to the tail
+        monkeypatch.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
+        monkeypatch.setattr(co, "_SWEEP_BUFFER", 1)
+        config = co.CorrelationConfig(8, -5, 251)
+        a, b, origin = [], [], 0
+        for length in [*range(41)] * 10 + [200, 200]:
+            a += [origin] * (1 + length % 3)
+            b += [origin + i // 2 for i in range(length)]
+            origin += 1_000
+        a, b = np.array(a), np.array(b)
+        runs = (np.searchsorted(b, a + config.tau_max_ticks)
+                - np.searchsorted(b, a + config.tau_min_ticks))
+        assert set(runs.tolist()) == {*range(41), 200}
+        got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
+    def test_sweep_peak_memory_bounded(self):
+        # two replay-shaped 2^16-event partitions (~12 partners per event) in
+        # one call, so arrays one partition leaves behind count against the
+        # next. Bound: the int64 lag buffer, one bincount result, and 56 B per
+        # partition event. Six int64 arrays (lo, hi, the rows with pairs and
+        # their j, run length and base) are 48 B, so a seventh at once fails
+        rng = np.random.default_rng(29)
+        part = co._PARTITION_EVENTS
+        span = 2 * part * 100_000  # 1e7 events/s per stream
+        a = np.sort(rng.integers(0, span, 2 * part))
+        b = np.sort(rng.integers(0, span, 2 * part))
+        config = co.CorrelationConfig(12_000, -600_000, 600_000)
+        slots = max(co._SWEEP_BUFFER, config.n_bins, part)
+        tracemalloc.start()
+        try:
+            counts = co._sweep_counts(a, b, [(0, part), (part, 2 * part)], config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 11 < counts.sum() / a.size < 13
+        assert peak <= 8 * slots + 56 * part + 8 * config.n_bins
 
     def test_burst_is_fast(self):
         # one reference event against 1M probe events in a 2^24-bin window:
