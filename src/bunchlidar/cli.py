@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import traceback
 
@@ -159,11 +160,26 @@ def _read_any_tags(path):
     return tagio.read_tags(path)
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse a path that is a directory, lies in no directory or repeats another; open none."""
+    seen = set()
+    for path in paths:
+        full = os.path.realpath(path)
+        if os.path.isdir(full) or path.endswith(os.sep):
+            raise UserError(f"{path}: is a directory")
+        if not os.path.isdir(os.path.dirname(full)):
+            raise UserError(f"{path}: parent directory does not exist")
+        if full in seen:
+            raise UserError(f"{path}: --out and --truth-out name the same file")
+        seen.add(full)
+
+
 def cmd_simulate(args) -> int:
     doc = _resolve_document(args)
     scenario = presets.scenario_from_document(doc)
     resolution_ps = tagio.checked_resolution(presets.output_from_document(doc))
     truth_path = args.truth_out or f"{args.out}.truth.json"
+    _check_outputs(args.out, truth_path)
 
     reference, probe, truth = simulate_ranging_scenario(scenario)
     tagio.write_tags([reference, probe], resolution_ps, args.out, rounding="round")

@@ -32,10 +32,10 @@ _MAX_BINS = 2**24
 _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
 # Below this many live rows the sweep may copy each remaining run as a slice.
 _SWEEP_MIN_ROWS = 4096
-# Lags binned per bincount call, at least (the buffer also holds n_bins and one partition).
-_SWEEP_BUFFER = 1 << 19
 # Events of stream a per partition; partitions alternate between two threads.
 _PARTITION_EVENTS = 1 << 16
+# Lags binned per bincount call, at least: one partition's pass, or n_bins if more.
+_SWEEP_BUFFER = _PARTITION_EVENTS
 
 
 class CorrelationError(UserError, ValueError):
@@ -132,10 +132,10 @@ def _sweep_counts(
     n_i > d; bincount ignores the order of lags. Once fewer than
     ``_SWEEP_MIN_ROWS`` rows are live and some run outlasts the live row
     count, each remaining run is copied as one slice. Lags (minus tau_min)
-    of all partitions collect in one int64 buffer that holds the largest
-    partition and at least n_bins lags, and is binned when the next pass or
-    run does not fit; only a run longer than the buffer is cut. So memory is
-    O(partition + n_bins) and binning costs O(P + n_bins).
+    of all partitions collect in one int64 buffer of one partition's lags
+    (n_bins lags, if more), so any pass fits it; it is binned when the next
+    pass or run does not fit, and only a run longer than the buffer is cut.
+    So memory is O(partition + n_bins) and binning costs O(P + n_bins).
     """
     n_bins, width = config.n_bins, config.bin_width_ticks
     counts = np.zeros(n_bins, dtype=np.int64)

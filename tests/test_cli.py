@@ -299,18 +299,30 @@ class TestSimulate:
         assert sidecar["configuration"]["output"]["resolution_ps"] == 25
         assert tagio.read_tags(out)[1]["resolution_ps"] == 25
 
-    @pytest.mark.parametrize("value", ["3", "0", "-25"])
+    @pytest.mark.parametrize("flags, message", [
+        *[pytest.param([f"--resolution-ps={value}"], f"unsupported resolution {value} ps", id=value)
+          for value in ("3", "0", "-25")],
+        pytest.param(["--out", "{tmp}/no/t.bin"], "parent directory does not exist",
+                     id="out-parent-missing"),
+        pytest.param(["--out", "{tmp}"], "is a directory", id="out-is-directory"),
+        pytest.param(["--out", "{tmp}/new/"], "is a directory", id="out-names-directory"),
+        pytest.param(["--truth-out", "{tmp}/no/s.json"], "parent directory does not exist",
+                     id="truth-parent-missing"),
+        pytest.param(["--truth-out", "{tmp}"], "is a directory", id="truth-is-directory"),
+        pytest.param(["--truth-out", "{tmp}/t.bin"], "name the same file", id="truth-is-out"),
+    ])
     def test_bad_resolution_refused_before_simulating(self, tmp_path, mini_config, monkeypatch,
-                                                      value, capsys):
+                                                      flags, message, capsys):
+        # every output is checked too, so no file is opened and no simulation is wasted
         def simulate(scenario):
-            raise AssertionError("simulated before the resolution was checked")
+            raise AssertionError("simulated before the outputs were checked")
 
         monkeypatch.setattr(cli, "simulate_ranging_scenario", simulate)
-        code = cli.main(["simulate", "--config", mini_config, f"--resolution-ps={value}",
-                         "--out", str(tmp_path / "t.bin")])
+        argv = ["simulate", "--config", mini_config, "--out", str(tmp_path / "t.bin"), *flags]
+        code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
-        assert f"unsupported resolution {value} ps" in capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == [Path(mini_config)]
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [Path(mini_config)]  # no tag file either
 
     def test_wavelength_does_not_change_tags(self, tmp_path, capsys):
         outs = []

@@ -180,16 +180,17 @@ class TestCrossCorrelate:
     def test_sweep_peak_memory_bounded(self):
         # two replay-shaped 2^16-event partitions (~12 partners per event) in
         # one call, so arrays one partition leaves behind count against the
-        # next. Bound: the int64 lag buffer, one bincount result, and 56 B per
-        # partition event. Six int64 arrays (lo, hi, the rows with pairs and
-        # their j, run length and base) are 48 B, so a seventh at once fails
+        # next. Bound: the int64 lag buffer (one partition's lags, or n_bins
+        # if more), one bincount result, and 56 B per partition event. Six
+        # int64 arrays (lo, hi, the rows with pairs and their j, run length
+        # and base) are 48 B, so a seventh at once fails
         rng = np.random.default_rng(29)
         part = co._PARTITION_EVENTS
         span = 2 * part * 100_000  # 1e7 events/s per stream
         a = np.sort(rng.integers(0, span, 2 * part))
         b = np.sort(rng.integers(0, span, 2 * part))
         config = co.CorrelationConfig(12_000, -600_000, 600_000)
-        slots = max(co._SWEEP_BUFFER, config.n_bins, part)
+        slots = max(part, config.n_bins)
         tracemalloc.start()
         try:
             counts = co._sweep_counts(a, b, [(0, part), (part, 2 * part)], config)
