@@ -151,15 +151,6 @@ def _resolve_document(args) -> dict:
     return doc
 
 
-def _read_any_tags(path):
-    # a readable text file opens with its '#' header block; anything else is binary
-    with open(path, "rb") as f:
-        head = f.read(1)
-    if head == b"#":
-        return tagio.read_text_tags(path)
-    return tagio.read_tags(path)
-
-
 def _check_outputs(*paths) -> None:
     """Refuse a path that is a directory, lies in no directory or repeats another; open none."""
     seen = set()
@@ -192,7 +183,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_correlate(args) -> int:
     settings = presets.correlation_from_document(_resolve_document(args))
-    streams, header = _read_any_tags(args.input)
+    config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
+    streams, header = tagio.read_tags(args.input)
     if header["channel_count"] != 2:
         raise UserError(f"correlate needs a 2-channel file, got {header['channel_count']}")
     # Lags lie on the file's tick grid; off-grid bins hold unequal numbers of them.
@@ -203,7 +195,6 @@ def cmd_correlate(args) -> int:
                         f"{settings.window_ps[0]} ps must be multiples of the file's "
                         f"resolution, {resolution} ps")
     a, b = streams
-    config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
     hist = correlator.cross_correlate(a, b, config)
     correlator.write_histogram_csv(hist, args.out)
     print(f"events: {hist.n_a} x {hist.n_b}; acquisition {hist.duration_s} s; "
@@ -263,7 +254,7 @@ def cmd_snr(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    streams, header = _read_any_tags(args.input)
+    streams, header = tagio.read_tags(args.input)
     if args.to == "text":
         tagio.write_text_tags(streams, header["resolution_ps"], args.out)
     else:

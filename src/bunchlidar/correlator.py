@@ -34,8 +34,6 @@ _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
 _SWEEP_MIN_ROWS = 4096
 # Events of stream a per partition; partitions alternate between two threads.
 _PARTITION_EVENTS = 1 << 16
-# Lags binned per bincount call, at least: one partition's pass, or n_bins if more.
-_SWEEP_BUFFER = _PARTITION_EVENTS
 
 
 class CorrelationError(UserError, ValueError):
@@ -132,15 +130,15 @@ def _sweep_counts(
     n_i > d; bincount ignores the order of lags. Once fewer than
     ``_SWEEP_MIN_ROWS`` rows are live and some run outlasts the live row
     count, each remaining run is copied as one slice. Lags (minus tau_min)
-    of all partitions collect in one int64 buffer of one partition's lags
-    (n_bins lags, if more), so any pass fits it; it is binned when the next
+    of all partitions collect in one int64 buffer of the largest partition's
+    size (n_bins, if more), so any pass fits it; it is binned when the next
     pass or run does not fit, and only a run longer than the buffer is cut.
-    So memory is O(partition + n_bins) and binning costs O(P + n_bins).
+    So memory is O(partition + n_bins), and binning costs O(P + n_bins):
+    two consecutive flushes bin more than one buffer's worth of lags.
     """
     n_bins, width = config.n_bins, config.bin_width_ticks
     counts = np.zeros(n_bins, dtype=np.int64)
-    buf = np.empty(max(_SWEEP_BUFFER, n_bins, *(stop - start for start, stop in parts)),
-                   dtype=np.int64)
+    buf = np.empty(max([n_bins] + [stop - start for start, stop in parts]), dtype=np.int64)
     fill = 0
 
     def flush():
@@ -208,9 +206,9 @@ def cross_correlate(
     sweeps the even partitions and one helper thread the odd ones, each into
     one histogram through one lag buffer; a single partition runs here, with
     no thread. Per thread, memory is O(partition + n_bins) whatever the
-    stream length, and binning costs O(n_bins) once. The result is
-    bit-identical for any chunk size and either thread count, because each
-    pair belongs to exactly one partition of its a event.
+    stream length, and binning its P pairs costs O(P + n_bins). The result
+    is bit-identical for any chunk size and either thread count, because
+    each pair belongs to exactly one partition of its a event.
     """
     if chunk_ticks is None:
         chunk_ticks = _TICK_MAX + 1  # no time cut: every tick lies below it

@@ -9,11 +9,11 @@ sampling of that intensity, followed by a detector imperfection pipeline
 
 `simulate_ranging_scenario` is the one sampling path. It never materializes
 the intensity trace: it draws one time-ordered stream of rate-capped
-candidate events for all channels (the beamsplitter, path and efficiency
-losses are folded into each channel's rate), propagates the quadratures
+candidate events for both arms (the beamsplitter, path and efficiency
+losses are folded into each arm's rate), propagates the quadratures
 exactly from one candidate time to the next, keeps each candidate with
-probability I/cap at its own time, routes the kept events to the channels
-by rate share, and delays the probe channel by the round-trip time. The
+probability I/cap at its own time, and routes each kept event to the
+reference or, delayed by the round-trip time, to the probe by rate share. The
 field is sampled only where candidates fall, so second-scale acquisitions
 with nanosecond (or picosecond) coherence times stay practical. The sampler
 runs on this thread and one helper; the streams returned do not depend on
@@ -40,7 +40,6 @@ from .quantities import (
     delay_from_range,
     nonnegative,
     seconds_to_ticks,
-    shift_ticks,
 )
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
@@ -141,7 +140,8 @@ class ScenarioConfig:
     probe arm is additionally attenuated by ``probe_round_trip_transmission``
     and delayed by the round-trip time 2*d*n/c. Ambient rates are homogeneous
     Poisson backgrounds per channel, uncorrelated with the source field.
-    Construction sets the derived ``duration_ticks`` and ``delay_ticks``.
+    Construction sets the derived ``duration_ticks`` and ``delay_ticks``,
+    whose sum must fit 64-bit ticks.
     """
 
     source: SourceSpec
@@ -169,6 +169,9 @@ class ScenarioConfig:
         object.__setattr__(self, "duration_ticks", _field_ticks("duration_s", self.duration_s))
         delay_s = delay_from_range(self.distance_m, self.medium)
         object.__setattr__(self, "delay_ticks", _field_ticks("distance_m's round trip", delay_s))
+        if self.duration_ticks + self.delay_ticks > _TICK_MAX:  # the delayed probe's last tick
+            raise TickOverflowError("duration_s plus distance_m's round trip does not fit "
+                                    "in 64-bit picosecond ticks")
         nonnegative("photon_rate_hz", self.source.photon_rate_hz, _MAX_SOURCE_RATE_HZ)
         for side in ("ref", "probe"):
             ambient = nonnegative(f"ambient_rate_{side}_hz", getattr(self, f"ambient_rate_{side}_hz"))
@@ -539,49 +542,51 @@ def _detector_noise(
 
 
 def _sample_cox_channels(
-    rates_hz,
+    rate_ref: float,
+    rate_probe: float,
+    delay_ticks: int,
     coherence_time_s: float,
     duration_ticks: int,
     rng_candidates: np.random.Generator,
     rng_field: np.random.Generator,
     rng_accept: np.random.Generator,
-) -> list[np.ndarray]:
-    """Sample per-channel doubly stochastic streams sharing one latent field.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the reference and probe streams, sharing one latent field.
 
-    Conditioned on the intensity path, the channels are independent Poisson
-    processes with the per-channel rates, i.e. one Poisson process at the
-    summed rate whose events are routed to channel i with probability
-    rate_i/sum(rates). That merged stream is sampled by thinning (Lewis &
-    Shedler): candidates arrive homogeneously at cap*sum(rates) on integer
-    ticks (cap = ``DEFAULT_INTENSITY_CAP``), drawn and sorted per block, the
-    quadratures are propagated with the exact Gauss-Markov update to each
-    candidate's own time (Gillespie), and a candidate is kept with probability
-    I(t)/cap, which is exact for intensities below the cap. Kept events are
-    then routed by rate share.
+    Conditioned on the intensity path, the two arms are independent Poisson
+    processes at their rates, i.e. one Poisson process at the summed rate
+    whose events go to the probe with probability rate_probe/(rate_ref +
+    rate_probe). That merged stream is sampled by thinning (Lewis &
+    Shedler): candidates arrive homogeneously at cap*(rate_ref + rate_probe)
+    on integer ticks (cap = ``DEFAULT_INTENSITY_CAP``), drawn and sorted per
+    block, the quadratures are propagated with the exact Gauss-Markov update
+    to each candidate's own time (Gillespie), and a candidate is kept with
+    probability I(t)/cap, which is exact for intensities below the cap. A
+    kept event whose routing uniform u has u >= rate_ref/(rate_ref +
+    rate_probe) goes to the probe, shifted by ``delay_ticks`` (the caller
+    makes sure that duration_ticks + delay_ticks fits int64).
 
     The working set is one block's: a workspace of 25 B per candidate (8 B
     of them its time), sized once per call for the block's Poisson mean plus
     a headroom of 10 standard deviations (a block beyond it grows it to
     exactly its size). The times are drawn into it a tile's worth at a time
     (the same draws as one call) and sorted in place, so no block-sized
-    array is made per block. The workspace is dropped before the per-channel
+    array is made per block. The workspace is dropped before the per-arm
     join. Per block, ``rng_candidates`` gives poisson, integers, routing;
     ``rng_field`` the noise and the scan ``rng_accept``'s uniforms
     (schedule: `_BlockWork`).
     """
-    n_channels = len(rates_hz)
-    total_rate = sum(rates_hz)
+    total_rate = rate_ref + rate_probe
     if duration_ticks <= 0 or total_rate <= 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(n_channels)]
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     tau_c_ticks = coherence_time_s * TICKS_PER_SECOND
-    # a uniform u routes to the number of bounds at or below it
-    bounds = np.cumsum(rates_hz)[:-1] / total_rate
+    ref_share = rate_ref / total_rate
     candidate_rate = DEFAULT_INTENSITY_CAP * total_rate
     expected = candidate_rate * duration_ticks / TICKS_PER_SECOND
     n_blocks = max(1, math.ceil(expected / _CANDIDATE_BLOCK))
     block_ticks = -(-duration_ticks // n_blocks)  # ceil division
     block_mean = candidate_rate * block_ticks / TICKS_PER_SECOND
-    accepted: list[list[np.ndarray]] = [[] for _ in range(n_channels)]
+    reference, probe = [], []
     carry_x = carry_y = 0.0
     carry_time = None
 
@@ -615,17 +620,17 @@ def _sample_cox_channels(
             # order left glibc's heap ~29 MB larger at 5e9 photons/s, with
             # the same live data
             kept = times[work.keep[:n]]
-            channels = np.searchsorted(bounds, rng_candidates.random(kept.size), side="right")
+            to_probe = rng_candidates.random(kept.size) >= ref_share
             del x, y, times  # views of the workspace, which the next block may grow
             block = next(blocks, None)
-            for ch in range(n_channels):
-                accepted[ch].append(kept[channels == ch])
-            del kept, channels  # the block's arrays end with it
+            reference.append(kept[~to_probe])
+            probe.append(kept[to_probe])
+            probe[-1] += delay_ticks  # a fresh array: delayed in place
+            del kept, to_probe  # the block's arrays end with it
     # the workspace is dropped; block-local sorted segments concatenate
     # into globally sorted streams
-    return [
-        np.concatenate(parts) if parts else np.empty(0, dtype=np.int64) for parts in accepted
-    ]
+    return tuple(np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+                 for parts in (reference, probe))
 
 
 def simulate_ranging_scenario(config: ScenarioConfig):
@@ -653,14 +658,15 @@ def simulate_ranging_scenario(config: ScenarioConfig):
     root = np.random.SeedSequence(config.seed)
     seeds = root.spawn(5)
     signal_ref, signal_probe = _sample_cox_channels(
-        [rate_ref, rate_probe],
+        rate_ref,
+        rate_probe,
+        config.delay_ticks,
         src.coherence_time_s,
         config.duration_ticks,
         rng_candidates=np.random.default_rng(seeds[0]),
         rng_field=np.random.default_rng(seeds[1]),
         rng_accept=np.random.default_rng(seeds[2]),
     )
-    signal_probe = shift_ticks(signal_probe, config.delay_ticks)
 
     bg_ref = config.ambient_rate_ref_hz + config.detector_ref.dark_rate_hz
     bg_probe = config.ambient_rate_probe_hz + config.detector_probe.dark_rate_hz

@@ -49,16 +49,6 @@ def nonnegative(name: str, value: float, limit: float = math.inf) -> float:
     return value
 
 
-def shift_ticks(times: np.ndarray, delta: int) -> np.ndarray:
-    """Add ``delta`` ticks to an int64 time array, raising instead of wrapping."""
-    if times.size:
-        lo = int(times[0]) + delta
-        hi = int(times[-1]) + delta
-        if not (_TICK_MIN <= lo <= _TICK_MAX and _TICK_MIN <= hi <= _TICK_MAX):
-            raise TickOverflowError("time shift overflows 64-bit ticks")
-    return times + np.int64(delta)
-
-
 @dataclass(frozen=True)
 class Medium:
     """Propagation medium, reduced to a single scalar refractive index."""

@@ -37,9 +37,10 @@ is a ``RecordFieldError``, then a regress a ``TimeOrderError``, then a time
 past 2**63 - 1 ps a ``RecordFieldError``; each names its first record, by byte
 offset in a binary file and by ``line N`` in a text file. The binary reader
 reads one reused chunk at a time and puts the times straight into the
-returned channels, its only copies of them (a pipe is read whole first). A text field that fits no record
-(not an integer, a time outside 0..2**63 - 1 ps or off the resolution grid, a
-channel outside 0..255) is a ``TextFormatError``.
+returned channels, its only copies of them (a pipe is read whole first);
+``read_tags`` decodes text instead when the first byte is '#'. A text field
+that fits no record (not an integer, a time outside 0..2**63 - 1 ps or off
+the resolution grid, a channel outside 0..255) is a ``TextFormatError``.
 """
 
 from __future__ import annotations
@@ -286,16 +287,21 @@ def _read_chunks(f, n: int):
 
 
 def read_tags(path):
-    """Read and validate a binary tag file.
+    """Read and validate a tag file: text (``read_text_tags``) if its first
+    byte is '#', else binary.
 
     Returns (streams, header): per-channel sorted ``EventStream`` objects in
     picosecond ticks (time * resolution_ps), each lasting to its latest event
     (files do not carry the acquisition duration), and a dict with
-    ``resolution_ps`` and ``channel_count``.
+    ``resolution_ps`` and ``channel_count``. The path is opened once, so it
+    may be a pipe.
     """
     with open(path, "rb") as file:
         # the decoder takes the record count first, from the size: a pipe is read whole for it
         f = file if file.seekable() else io.BytesIO(file.read())
+        if f.read(1) == b"#":  # a text file opens with its '#' header block
+            f.seek(0)
+            return _text_tags(f.read(), path)
         size = f.seek(0, io.SEEK_END)
         f.seek(0)
         data = f.read(HEADER_SIZE)
@@ -347,7 +353,11 @@ def read_text_tags(path):
     ``channels`` is optional (inferred from the data when absent).
     """
     with open(path, "rb") as f:
-        data = f.read()
+        return _text_tags(f.read(), path)
+
+
+def _text_tags(data: bytes, path):
+    """``read_text_tags`` of the bytes ``data`` read from ``path``."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

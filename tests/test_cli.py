@@ -411,6 +411,15 @@ class TestCorrelateFitRange:
         else:
             assert code == 0 and csv.exists()
 
+    def test_bad_window_refused_before_the_input_is_opened(self, tmp_path, capsys):
+        # 10,015 ps is no whole number of 40 ps bins; the input does not exist
+        code = cli.main(["correlate", "--preset", "short-range", "--window-ps=-10000:10015",
+                         "--in", str(tmp_path / "missing.bin"), "--out", str(tmp_path / "h.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "window [-10000, 10015) must be a positive exact multiple" in err
+        assert "missing.bin" not in err
+
     def test_correlate_empty_file_errors(self, tmp_path, mini_config, capsys):
         empty = tmp_path / "empty.bin"
         cli.main(["simulate", "--config", mini_config, "--duration-s", "0", "--out", str(empty)])
@@ -557,6 +566,27 @@ class TestSnrCommand:
                 f.write(f"{tau!r},100,{1.0 + 0.1 * i!r},{0.01!r}\n")
         assert cli.main(["snr", "--in", str(path), "--rate-hz", "1e6", "--dt-ms", "1"]) == 1
         assert "not uniformly spaced" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipedInput:
+    def test_piped_tags_match_the_path(self, tmp_path, mini_config, capsys):
+        # a binary and a text tag file piped to a child's /dev/stdin give
+        # correlate and convert the bytes their file path gives
+        binary, text = tmp_path / "t.bin", tmp_path / "t.txt"
+        assert cli.main(["simulate", "--config", mini_config, "--out", str(binary)]) == 0
+        assert cli.main(["convert", "--in", str(binary), "--out", str(text), "--to", "text"]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for tags, other in ((binary, "text"), (text, "binary")):
+            for command in (["correlate", "--config", mini_config], ["convert", "--to", other]):
+                by_path, by_pipe = tmp_path / "by_path", tmp_path / "by_pipe"
+                assert cli.main([*command, "--in", str(tags), "--out", str(by_path)]) == 0
+                subprocess.run([sys.executable, "-m", "bunchlidar.cli", *command,
+                                "--in", "/dev/stdin", "--out", str(by_pipe)],
+                               input=tags.read_bytes(), env=env, check=True, capture_output=True)
+                assert by_pipe.read_bytes() == by_path.read_bytes(), (tags.name, command[0])
+        capsys.readouterr()
 
 
 class TestConvert:

@@ -133,24 +133,23 @@ class TestCrossCorrelate:
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_oracle_equality_offset_passes(self, min_rows, partition, seed):
-        # a tiny row threshold and a buffer floor of 1 force the offset passes
-        # over rows sorted by run length, mid-sweep flushes and tail runs split
-        # across flushes on inputs this small; 3-event partitions leave one
-        # buffer holding lags of several partitions at a flush
+        # a tiny row threshold and a buffer of the larger of n_bins and one
+        # partition force the offset passes over rows sorted by run length,
+        # mid-sweep flushes and tail runs split across flushes on inputs this
+        # small; 3-event partitions leave one buffer holding lags of several
+        # partitions at a flush
         rng = np.random.default_rng(seed)
         a, b = random_pair(rng)
         config = random_config(rng)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
-            mp.setattr(co, "_SWEEP_BUFFER", 1)
             mp.setattr(co, "_PARTITION_EVENTS", partition)
             got = co.cross_correlate(stream(a), stream(b), config).counts
         assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
 
-    def test_tail_runs_split_across_flushes(self, monkeypatch):
+    def test_tail_runs_split_across_flushes(self):
         # two rows with 70-pair runs go to the slice tail, and a 7-lag buffer
         # (n_bins) splits each run over ten flushes
-        monkeypatch.setattr(co, "_SWEEP_BUFFER", 1)
         a, b = np.array([0, 3]), np.arange(200)
         config = co.CorrelationConfig(10, 0, 70)
         got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
@@ -163,7 +162,6 @@ class TestCrossCorrelate:
         # rows with 200-pair runs; at the default threshold passes 0-31 run,
         # then the two long runs outlast the 156 live rows, which go to the tail
         monkeypatch.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
-        monkeypatch.setattr(co, "_SWEEP_BUFFER", 1)
         config = co.CorrelationConfig(8, -5, 251)
         a, b, origin = [], [], 0
         for length in [*range(41)] * 10 + [200, 200]:
@@ -295,26 +293,49 @@ class TestCrossCorrelate:
         whole = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
         assert whole.sum() > n and np.array_equal(split, whole)
 
-    def test_bins_once_per_thread(self, monkeypatch):
-        # twenty 1,000-event partitions whose lags fit one buffer: each thread
-        # bins all its partitions with one bincount call
-        rng = np.random.default_rng(17)
-        a = np.sort(rng.integers(0, 10**8, 20_000))
-        b = np.sort(rng.integers(0, 10**8, 20_000))
-        pair = EventStream(0, a), EventStream(1, b)
-        config = co.CorrelationConfig(40, -4_000, 4_000)
-        whole = co.cross_correlate(*pair, config).counts
+    @staticmethod
+    def _bincount_sizes(monkeypatch):
+        """The sizes of the lag arrays np.bincount is called on, from now on."""
         calls, bincount = [], np.bincount
 
         def counted(*args, **kwargs):
             calls.append(args[0].size)
             return bincount(*args, **kwargs)
 
-        monkeypatch.setattr(co, "_PARTITION_EVENTS", 1_000)
         monkeypatch.setattr(np, "bincount", counted)
+        return calls
+
+    def test_bins_once_per_thread(self, monkeypatch):
+        # twenty 1,000-event partitions whose lags fit one buffer of n_bins
+        # (~20,000 lags per thread in 100,000 bins): each thread bins all its
+        # partitions with one bincount call
+        rng = np.random.default_rng(17)
+        a = np.sort(rng.integers(0, 10**10, 20_000))
+        b = np.sort(rng.integers(0, 10**10, 20_000))
+        pair = EventStream(0, a), EventStream(1, b)
+        config = co.CorrelationConfig(10, -500_000, 500_000)
+        whole = co.cross_correlate(*pair, config).counts
+        monkeypatch.setattr(co, "_PARTITION_EVENTS", 1_000)
+        calls = self._bincount_sizes(monkeypatch)
         split = co.cross_correlate(*pair, config).counts
         assert whole.sum() > 20_000 and np.array_equal(split, whole)
         assert 1 <= len(calls) <= 2 and sum(calls) == whole.sum()
+
+    def test_consecutive_flushes_bin_a_buffer(self, monkeypatch):
+        # ten 1,000-event partitions of ~800 lags each on one thread, through
+        # a buffer of one partition (n_bins is 200): any two flushes in a row
+        # bin more than 1,000 lags, so binning costs O(P + n_bins)
+        rng = np.random.default_rng(17)
+        a = np.sort(rng.integers(0, 10**8, 10_000))
+        b = np.sort(rng.integers(0, 10**8, 20_000))
+        config = co.CorrelationConfig(40, -4_000, 4_000)
+        parts = [(lo, lo + 1_000) for lo in range(0, a.size, 1_000)]
+        want = co.cross_correlate_bruteforce(a, b, config)
+        calls = self._bincount_sizes(monkeypatch)
+        counts = co._sweep_counts(a, b, parts, config)
+        assert np.array_equal(counts, want)
+        assert len(calls) > 2 and sum(calls) == counts.sum()
+        assert all(x + y > 1_000 for x, y in zip(calls, calls[1:]))
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)

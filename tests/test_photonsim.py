@@ -187,10 +187,11 @@ class TestGaussMarkovScan:
         )
 
 
-def cox_arrivals(rates_hz, coherence_time_s, duration_s, seed):
-    """Per-channel signal streams from the scenario path's sampler."""
+def cox_arrivals(rate_ref, rate_probe, coherence_time_s, duration_s, seed):
+    """Undelayed reference and probe signal streams from the scenario path's sampler."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    return ps._sample_cox_channels(rates_hz, coherence_time_s, round(duration_s * 1e12), *rngs)
+    return ps._sample_cox_channels(rate_ref, rate_probe, 0, coherence_time_s,
+                                   round(duration_s * 1e12), *rngs)
 
 
 def traced_peak(fn):
@@ -252,7 +253,7 @@ class TestWorkingSet:
             monkeypatch.setattr(ps._BlockWork, "reserve", cut_first)
 
         def sample():
-            streams.extend(ps._sample_cox_channels(rates, 1e-9, duration_ticks, *rngs))
+            streams.extend(ps._sample_cox_channels(*rates, 0, 1e-9, duration_ticks, *rngs))
 
         peak = traced_peak(sample)
         if first_reserve is not None:
@@ -273,7 +274,7 @@ class TestWorkingSet:
 
         def sample():
             rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
-            return ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
+            return ps._sample_cox_channels(3e6, 6e7, 0, 5e-9, 50_000_000, *rngs)
 
         expected = sample()
         reserve, capacities = ps._BlockWork.reserve, []
@@ -288,7 +289,7 @@ class TestWorkingSet:
         assert all(np.array_equal(a, b) for a, b in zip(streams, expected, strict=True))
 
 
-# SHA-256 of the two streams of `_sample_cox_channels([3e6, 6e7], 5e-9,
+# SHA-256 of the two streams of `_sample_cox_channels(3e6, 6e7, 0, 5e-9,
 # 50_000_000, ...)` at SeedSequence(2024) in blocks of 5,000 candidates
 GOLDEN_STREAMS = [
     "ac1f409b3037bf6a98b7aeaee95b377907b273c67480c1706487538ddb35dca5",
@@ -298,20 +299,21 @@ GOLDEN_STREAMS = [
 
 class TestGenerateArrivals:
     def test_zero_rate_empty(self):
-        (times,) = cox_arrivals([0.0], 1e-9, 1e-6, seed=2)
-        assert times.size == 0
+        for times in cox_arrivals(0.0, 0.0, 1e-9, 1e-6, seed=2):
+            assert times.size == 0
 
     def test_homogeneous_counts(self):
         # Cox counts: Poisson variance plus the thermal excess rate*tau_c
         rate, duration = 5e6, 0.01
-        (times,) = cox_arrivals([rate], 1e-9, duration, seed=7)
+        times, probe = cox_arrivals(rate, 0.0, 1e-9, duration, seed=7)
+        assert probe.size == 0
         expected = rate * duration
         assert abs(times.size - expected) < 5 * math.sqrt(expected * (1 + rate * 1e-9))
 
     def test_times_sorted_within_duration(self, monkeypatch):
         # small blocks: block-local sorted segments must still concatenate sorted
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 1_000)
-        for times in cox_arrivals([1e8, 3e8], 1e-9, 1e-4, seed=5):
+        for times in cox_arrivals(1e8, 3e8, 1e-9, 1e-4, seed=5):
             assert times.size > 0
             assert np.all(np.diff(times) >= 0)
             assert times[0] >= 0
@@ -322,7 +324,7 @@ class TestGenerateArrivals:
         monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 1_000)
         duration_ticks = 2**63 - 1
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(8).spawn(3)]
-        streams = ps._sample_cox_channels([4e-5, 8e-5], 1e-9, duration_ticks, *rngs)
+        streams = ps._sample_cox_channels(4e-5, 8e-5, 0, 1e-9, duration_ticks, *rngs)
         for times in streams:
             assert times.dtype == np.int64 and times.size > 50
             assert np.all(np.diff(times) >= 0)
@@ -342,7 +344,7 @@ class TestGenerateArrivals:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streams = ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, *rngs)
+            streams = ps._sample_cox_channels(3e6, 6e7, 0, 5e-9, 50_000_000, *rngs)
         finally:
             sys.setswitchinterval(interval)
         assert [s.size for s in streams] == [144, 2965]
@@ -374,7 +376,7 @@ def rngs():
     return [np.random.default_rng(s) for s in np.random.SeedSequence(2024).spawn(3)]
 
 def sample(candidates, field, accept):
-    return ps._sample_cox_channels([3e6, 6e7], 5e-9, 50_000_000, candidates, field, accept)
+    return ps._sample_cox_channels(3e6, 6e7, 0, 5e-9, 50_000_000, candidates, field, accept)
 
 candidates, field, accept = rngs()
 fills, next_block_noise = [], threading.Event()
@@ -469,17 +471,20 @@ class TestStreamedNoise:
         assert surfaced and joined and helper_started
 
     def test_routing_fault_after_next_noise_started_surfaces_and_joins(self):
-        # block 1's per-channel split waits for block 2's noise to start,
-        # then fails: its channel indices fail their first comparison
+        # block 1's split into reference and probe waits for block 2's noise
+        # to start, then fails: its probe verdicts fail their first negation
         code = _SCHEDULE_SETUP + (
-            "class Channels(np.ndarray):\n"
-            "    def __eq__(self, other):\n"
+            "class Verdicts(np.ndarray):\n"
+            "    def __invert__(self):\n"
             "        next_block_noise.wait(10)\n"
             "        raise RuntimeError('routing failed')\n"
-            "searchsorted = np.searchsorted\n"
-            "np.searchsorted = lambda *args, **kwargs: searchsorted(*args, **kwargs).view(Channels)\n"
+            "class Uniforms(np.ndarray):\n"
+            "    def __ge__(self, other):\n"
+            "        return (np.asarray(self) >= other).view(Verdicts)\n"
+            "def random(*args, **kwargs):\n"
+            "    return candidates.random(*args, **kwargs).view(Uniforms)\n"
             "failing_call('routing failed', lambda: sample(\n"
-            "    candidates, Hooked(field, standard_normal=fill), accept))\n"
+            "    Hooked(candidates, random=random), Hooked(field, standard_normal=fill), accept))\n"
         )
         surfaced, joined, helper_started = run_child(code)
         assert surfaced and joined and helper_started
@@ -633,6 +638,37 @@ class TestDelayEvents:
         # a round trip beyond the 64-bit tick range raises instead of wrapping
         with pytest.raises(TickOverflowError):
             self._probe(2e15)
+
+    def test_duration_plus_round_trip_overflow_refused(self):
+        # each fits 64-bit ticks alone, but the delayed probe's last tick
+        # would not: refused when the configuration is built, before sampling
+        source = SourceSpec(photon_rate_hz=1e6, coherence_time_s=1e-9)
+        half_range_s = 2**62 / 1e12
+        distance_m = half_range_s * 299792458.0 / 2
+        config = ps.ScenarioConfig(source=source, duration_s=0.9 * half_range_s, seed=1,
+                                   distance_m=distance_m)
+        assert config.duration_ticks + config.delay_ticks <= 2**63 - 1
+        with pytest.raises(TickOverflowError, match="duration_s plus distance_m's round trip"):
+            ps.ScenarioConfig(source=source, duration_s=1.1 * half_range_s, seed=1,
+                              distance_m=distance_m)
+
+    def test_sampler_delays_probe_to_top_of_tick_range(self, monkeypatch):
+        # the probe is shifted in place up to duration + delay = 2**63 - 1
+        # without a wrap, and the reference and the routing do not depend on
+        # the delay
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 1_000)
+        duration_ticks, delay_ticks = 2**62, 2**62 - 1
+
+        def sample(delay):
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(8).spawn(3)]
+            return ps._sample_cox_channels(8e-5, 8e-5, delay, 1e-9, duration_ticks, *rngs)
+
+        ref, probe = sample(0)
+        ref_delayed, probe_delayed = sample(delay_ticks)
+        assert ref.size > 50 and probe.size > 50
+        assert np.array_equal(ref_delayed, ref)
+        assert np.array_equal(probe_delayed, probe + delay_ticks)
+        assert probe_delayed[0] >= delay_ticks and np.all(np.diff(probe_delayed) >= 0)
 
 
 def dead_time_filter_sequential(times, dead_ticks):

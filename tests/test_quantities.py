@@ -144,8 +144,3 @@ class TestTicks:
     def test_overflow_raises(self):
         with pytest.raises(q.TickOverflowError):
             q.seconds_to_ticks(1e10)
-
-    def test_shift_overflow_raises(self):
-        times = np.array([2**62], dtype=np.int64)
-        with pytest.raises(q.TickOverflowError):
-            q.shift_ticks(times, 2**62)
