@@ -3,8 +3,10 @@
 Every flag's help text names its unit. Subcommands are pure functions of
 their inputs and flags; nothing reads the clock or global state, and a fresh
 seed is passed as ``--seed N``. Data files are written only to the paths
-given as flags (``--out``, ``--truth-out``); human-readable summaries go to
-stdout. Text tag files come from ``convert --to text``.
+given as flags (``--out``, ``--truth-out``), each checked before any input
+is read or simulated: a directory, a missing parent directory or the input
+file itself is refused. Human-readable summaries go to stdout. Text tag
+files come from ``convert --to text``.
 
 Exit codes: 0 success; 1 for a ``UserError`` (the root of every typed input
 fault: bad flags, values or files, a fit that fails) or an ``OSError``; 2 for
@@ -151,10 +153,12 @@ def _resolve_document(args) -> dict:
     return doc
 
 
-def _check_outputs(*paths) -> None:
-    """Refuse a path that is a directory, lies in no directory or repeats another; open none."""
+def _check_outputs(*paths, source=None) -> None:
+    """Refuse an output path that is a directory, lies in no directory, repeats
+    another or is the input file ``source`` (symlinks and hard links too); a
+    path of None is skipped. Opens no file."""
     seen = set()
-    for path in paths:
+    for path in filter(None, paths):
         full = os.path.realpath(path)
         if os.path.isdir(full) or path.endswith(os.sep):
             raise UserError(f"{path}: is a directory")
@@ -162,6 +166,8 @@ def _check_outputs(*paths) -> None:
             raise UserError(f"{path}: parent directory does not exist")
         if full in seen:
             raise UserError(f"{path}: --out and --truth-out name the same file")
+        if source is not None and os.path.isfile(full) and os.path.samefile(full, source):
+            raise UserError(f"{path}: --out is the input file {source}")
         seen.add(full)
 
 
@@ -184,6 +190,7 @@ def cmd_simulate(args) -> int:
 def cmd_correlate(args) -> int:
     settings = presets.correlation_from_document(_resolve_document(args))
     config = correlator.CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
+    _check_outputs(args.out, source=args.input)
     streams, header = tagio.read_tags(args.input)
     if header["channel_count"] != 2:
         raise UserError(f"correlate needs a 2-channel file, got {header['channel_count']}")
@@ -225,6 +232,7 @@ def _report(record: dict, path, *summary: str) -> int:
 def cmd_range(args) -> int:
     doc = _resolve_document(args)
     medium = presets.medium_from_document(doc)
+    _check_outputs(args.out, source=args.input)
     fit, _, _ = _fit_from_csv(args, doc)
     record = estimator.fit_to_dict(fit)
     distance, distance_err = estimator.estimate_range(fit, medium)
@@ -234,6 +242,7 @@ def cmd_range(args) -> int:
 
 
 def cmd_snr(args) -> int:
+    _check_outputs(args.out, source=args.input)
     dt_s = args.dt_ms * 1e-3
     if args.input is None:
         if args.v2 is None or args.tauc_ns is None:
@@ -254,6 +263,7 @@ def cmd_snr(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    _check_outputs(args.out, source=args.input)
     streams, header = tagio.read_tags(args.input)
     if args.to == "text":
         tagio.write_text_tags(streams, header["resolution_ps"], args.out)

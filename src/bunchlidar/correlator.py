@@ -4,13 +4,13 @@ Semantics: counts[k] is the number of ordered pairs (i, j) with
 tau_min + k*w <= t_b[j] - t_a[i] < tau_min + (k+1)*w, over all pairs (not
 nearest-neighbor). The production path is an offset-major sweep over the
 sorted streams: two binary searches give each event of a its run of partners
-in b, the events are sorted by run length, and pass d gathers the d-th
-partner of every run longer than d. Stream a is swept in partitions of at
-most ``_PARTITION_EVENTS`` events, which alternate between the calling
-thread and one helper thread; each thread sweeps all its partitions into
-one histogram through one lag buffer. It takes O(N_a (log N_b + log
-partition) + P + n_bins) time in the number of in-window pairs P, and per
-thread O(partition + n_bins) memory, whatever N_a and P. The brute-force
+in b, the events are sorted once by run length (a radix sort on a 16-bit
+key), and pass d gathers the d-th partner of every run longer than d. Stream
+a is swept in partitions of at most ``_PARTITION_EVENTS`` events, which
+alternate between the calling thread and one helper thread; each thread
+sweeps all its partitions into one histogram through one lag buffer. It
+takes O(N_a log N_b + P + n_bins) time in the number of in-window pairs P,
+and per thread O(partition + n_bins) memory, whatever N_a and P. The brute-force
 O(N_a * N_b) implementation in this module is the defining reference and
 the sweep must match it bin for bin, exactly, at any thread count.
 
@@ -33,7 +33,7 @@ _PAIR_CHUNK = 8_000_000  # max in-flight pairs per brute-force block
 # Below this many live rows the sweep may copy each remaining run as a slice.
 _SWEEP_MIN_ROWS = 4096
 # Events of stream a per partition; partitions alternate between two threads.
-_PARTITION_EVENTS = 1 << 16
+_PARTITION_EVENTS = 1 << 15
 
 
 class CorrelationError(UserError, ValueError):
@@ -124,22 +124,26 @@ def _sweep_counts(
     """Offset-major sweep of the partitions ``a[start:stop]`` into one histogram.
 
     Each partition meets only the b events its first and last a time reach.
-    Row i (an event of the partition with pairs) owns the run b[j_i:j_i+n_i].
-    Pass 0 gathers every row's first lag; the rows with n_i >= 2 are then
-    sorted by n_i, so pass d gathers the d-th lag of the suffix of rows with
-    n_i > d; bincount ignores the order of lags. Once fewer than
-    ``_SWEEP_MIN_ROWS`` rows are live and some run outlasts the live row
-    count, each remaining run is copied as one slice. Lags (minus tau_min)
-    of all partitions collect in one int64 buffer of the largest partition's
-    size (n_bins, if more), so any pass fits it; it is binned when the next
-    pass or run does not fit, and only a run longer than the buffer is cut.
-    So memory is O(partition + n_bins), and binning costs O(P + n_bins):
-    two consecutive flushes bin more than one buffer's worth of lags.
+    Row i (an event of the partition) owns the run b[j_i:j_i+n_i]. The rows
+    are sorted once by n_i, clipped to a uint16 key (a stable radix sort),
+    and the live rows (n_i > 0) gather j, n and base once; pass d then
+    gathers the d-th lag of the suffix of rows with n_i > d, and bincount
+    ignores the order of lags. Passes stop before d reaches the key's clip,
+    once fewer than ``_SWEEP_MIN_ROWS`` rows are live and some run outlasts
+    the live row count, or when no row is live; each remaining run is then
+    copied as one slice. Lags (minus tau_min) of all partitions collect in
+    one int64 buffer of the largest partition's size (n_bins, if more), so
+    any pass fits it; it is binned when the next pass or run does not fit,
+    and only a run longer than the buffer is cut. Besides the buffer, a
+    partition holds at most four 8-byte values per event at once. So memory
+    is O(partition + n_bins), and binning costs O(P + n_bins): two
+    consecutive flushes bin more than one buffer's worth of lags.
     """
     n_bins, width = config.n_bins, config.bin_width_ticks
     counts = np.zeros(n_bins, dtype=np.int64)
     buf = np.empty(max([n_bins] + [stop - start for start, stop in parts]), dtype=np.int64)
     fill = 0
+    clip = np.iinfo(np.uint16).max
 
     def flush():
         nonlocal counts, fill
@@ -162,28 +166,31 @@ def _sweep_counts(
                   : _count_below(b, int(part[-1]) + config.tau_max_ticks)]
         lo = _search_shifted(reach, part, config.tau_min_ticks)
         hi = _search_shifted(reach, part, config.tau_max_ticks)
-        rows = np.flatnonzero(hi > lo)
-        # reach[j] >= a + tau_min on every live row, so base cannot wrap
-        j, n, base = lo[rows], hi[rows], part[rows] + config.tau_min_ticks
-        del lo, hi, rows
-        n -= j  # run lengths
-        out = np.take(reach, j, out=room(j.size), mode="clip")  # "raise" would copy out
-        np.subtract(out, base, out=out)
-        # sort the rows pass 0 leaves by run length: pass d's live rows are the suffix k:
-        d, k, longest = 1, 0, int(n.max(initial=0))
-        rows = np.flatnonzero(n > 1)
-        rows = rows[np.argsort(n[rows])]
-        j, n = j[rows], n[rows]  # base apart: three new arrays at once would set the peak
-        base = base[rows]
-        # a pass is one Python step for all live rows, a slice one step per row:
-        # below _SWEEP_MIN_ROWS rows, pass on only while no run outlasts the rows
-        while n.size - k >= _SWEEP_MIN_ROWS or 0 < longest - d <= n.size - k:
-            out = np.take(reach[d:], j[k:], out=room(n.size - k), mode="clip")
+        hi -= lo  # run lengths
+        key = np.minimum(hi, clip, out=np.empty(hi.size, np.uint16), casting="unsafe")
+        rows = np.argsort(key, kind="stable")
+        rows = rows[rows.size - np.count_nonzero(key) :]  # the live rows, by run length
+        del key
+        # one new array at a time: the partition's peak is four 8-byte values per event
+        j = lo[rows]
+        del lo
+        n = hi[rows]
+        del hi
+        base = part[rows]
+        base += config.tau_min_ticks  # reach[j] >= a + tau_min on live rows: no wrap
+        del rows
+        # n is sorted below the clip (rows at it keep a's order), so pass d's
+        # live rows are the suffix k: while d < clip. A pass is one Python step
+        # for all live rows, a slice one step per row: below _SWEEP_MIN_ROWS
+        # rows, pass on only while no run outlasts the rows
+        d, k, longest = 0, 0, int(n.max(initial=0))
+        while d < clip - 1 and (n.size - k >= _SWEEP_MIN_ROWS or 0 < longest - d <= n.size - k):
+            out = np.take(reach[d:], j[k:], out=room(n.size - k), mode="clip")  # "raise" copies out
             np.subtract(out, base[k:], out=out)
             d += 1
             k = int(np.searchsorted(n, d, side="right"))
         tail = zip((j[k:] + d).tolist(), (j[k:] + n[k:]).tolist(), base[k:].tolist())
-        del j, n, base, rows
+        del j, n, base
         for first, last, origin in tail:
             for run_start in range(first, last, buf.size):
                 run = reach[run_start : min(run_start + buf.size, last)]

@@ -568,6 +568,41 @@ class TestSnrCommand:
         assert "not uniformly spaced" in capsys.readouterr().err
 
 
+class TestOutputChecks:
+    @pytest.mark.parametrize("command", [
+        pytest.param(["correlate", "--bin-width-ps", "10", "--window-ps=0:100"], id="correlate"),
+        pytest.param(["range"], id="range"),
+        pytest.param(["snr", "--rate-hz", "1e6", "--dt-ms", "50"], id="snr"),
+        pytest.param(["convert", "--to", "text"], id="convert"),
+    ])
+    @pytest.mark.parametrize("out, message", [
+        pytest.param("{input}", "--out is the input file {input}", id="same-path"),
+        pytest.param("{tmp}/symlink", "--out is the input file {input}", id="symlink"),
+        pytest.param("{tmp}/hardlink", "--out is the input file {input}", id="hard-link"),
+        pytest.param("{tmp}", "is a directory", id="directory"),
+        pytest.param("{tmp}/no/out", "parent directory does not exist", id="parent-missing"),
+    ])
+    def test_bad_out_refused_before_the_input_is_read(self, tmp_path, monkeypatch, command,
+                                                      out, message, capsys):
+        # the check needs only the paths, so the input is never read and keeps its bytes
+        source = tmp_path / "input"
+        source.write_bytes(b"recorded data\n")
+        (tmp_path / "symlink").symlink_to(source)
+        os.link(source, tmp_path / "hardlink")
+
+        def read(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+
+        monkeypatch.setattr(tagio, "read_tags", read)
+        monkeypatch.setattr(correlator, "read_histogram_csv", read)
+        out, message = (text.format(tmp=tmp_path, input=source) for text in (out, message))
+        code = cli.main([*command, "--in", str(source), "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{out}: {message}" in err
+        assert source.read_bytes() == b"recorded data\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 class TestPipedInput:
     def test_piped_tags_match_the_path(self, tmp_path, mini_config, capsys):

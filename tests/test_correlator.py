@@ -175,13 +175,34 @@ class TestCrossCorrelate:
         got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
         assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
 
+    @pytest.mark.parametrize("min_rows", [1, co._SWEEP_MIN_ROWS])
+    def test_runs_past_the_sort_key_clip(self, min_rows, monkeypatch):
+        # runs of 65,534 to 70,000 partners, at and past the uint16 sort key's
+        # clip of 65,535, beside tied short runs of 0-3 partners in one
+        # partition; with one live row enough, passes run up to the clip and
+        # the runs left go to the slice tail. The clipped rows keep a's order,
+        # so twenty 65,535-partner rows after the longer ones leave run
+        # lengths unsorted past the clip
+        monkeypatch.setattr(co, "_SWEEP_MIN_ROWS", min_rows)
+        b = np.arange(80_000)
+        long_times = [0, 0, 10_000, 14_464] + [14_465] * 20 + [14_466]
+        short_times = [79_997, 79_997, 79_998, 79_999, 80_000, 80_000]
+        a = np.array(long_times + short_times)
+        config = co.CorrelationConfig(1_000, 0, 70_000)
+        runs = np.searchsorted(b, a + config.tau_max_ticks) - np.searchsorted(b, a)
+        assert runs.tolist() == ([70_000] * 3 + [65_536] + [65_535] * 20 + [65_534]
+                                 + [3, 3, 2, 1, 0, 0])
+        got = co.cross_correlate(EventStream(0, a), EventStream(1, b), config).counts
+        assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
+
     def test_sweep_peak_memory_bounded(self):
-        # two replay-shaped 2^16-event partitions (~12 partners per event) in
-        # one call, so arrays one partition leaves behind count against the
-        # next. Bound: the int64 lag buffer (one partition's lags, or n_bins
-        # if more), one bincount result, and 56 B per partition event. Six
-        # int64 arrays (lo, hi, the rows with pairs and their j, run length
-        # and base) are 48 B, so a seventh at once fails
+        # two replay-shaped partitions (~12 partners per event) in one call,
+        # so arrays one partition leaves behind count against the next.
+        # Bound: the int64 lag buffer (one partition's lags, or n_bins if
+        # more), one bincount result, and 33 B per partition event. Four
+        # int64 arrays (lo, hi and the sort order, then j, run length and
+        # base in turn) are 32 B, so the uint16 sort key kept beside them
+        # fails, and so does a fifth int64 array
         rng = np.random.default_rng(29)
         part = co._PARTITION_EVENTS
         span = 2 * part * 100_000  # 1e7 events/s per stream
@@ -196,7 +217,7 @@ class TestCrossCorrelate:
         finally:
             tracemalloc.stop()
         assert 11 < counts.sum() / a.size < 13
-        assert peak <= 8 * slots + 56 * part + 8 * config.n_bins
+        assert peak <= 8 * slots + 33 * part + 8 * config.n_bins
 
     def test_burst_is_fast(self):
         # one reference event against 1M probe events in a 2^24-bin window:
@@ -272,19 +293,20 @@ class TestCrossCorrelate:
         assert np.array_equal(got, co.cross_correlate_bruteforce(a, b, config))
 
     def test_partition_cuts_through_ties_keep_every_pair(self, monkeypatch):
-        # a run of six equal a times straddles each 2^16-event cut, and b holds
+        # a run of six equal a times straddles each partition cut, and b holds
         # that time, the window's edges from it and one tick past the upper edge
         rng = np.random.default_rng(41)
-        n, cut = 200_000, co._PARTITION_EVENTS
+        cut = co._PARTITION_EVENTS
+        n = 3 * cut + cut // 2
         config = co.CorrelationConfig(40, -4_000, 4_000)
-        a = np.sort(rng.integers(0, 2 * 10**8, n))
+        a = np.sort(rng.integers(0, 1_000 * n, n))
         edges = np.arange(cut, n, cut)
         assert edges.size == 3
         for edge in edges:
             a[edge - 3 : edge + 3] = a[edge]
         ties = a[edges]
         b = np.sort(np.concatenate([
-            rng.integers(0, 2 * 10**8, n),
+            rng.integers(0, 1_000 * n, n),
             ties, ties, ties + config.tau_min_ticks, ties + config.tau_max_ticks - 1,
             ties + config.tau_max_ticks,
         ]))
