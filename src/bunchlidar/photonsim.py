@@ -230,7 +230,7 @@ class _BlockWork:
     noise in and the chains out, ``keep`` the thinning verdicts (25 B per
     candidate); a scan adds a view of the block's ``times`` (each pass forms
     a tile's lags from it), its first lag, ticks per coherence time and
-    acceptance generator.
+    accept-stream state at the block's start.
 
     The schedule: this thread and one helper, which runs one job at a time
     and so never waits. Its first job is a block's noise fill
@@ -239,11 +239,10 @@ class _BlockWork:
     channel. Its second is its share of each scan pass's tiles (``run_pass``,
     once the pass's other inputs are written): both threads take tiles from
     one cursor, and only this thread waits, for tiles whose noise is not
-    drawn yet. Pass 1 forms each tile's lags; pass 2 draws each tile's
-    acceptance uniforms under the cursor lock as the tile is taken, so they
-    follow sample order on either thread. A fault on either thread stops the
-    pass and surfaces on this thread once both have stopped; leaving the
-    ``with`` block joins the helper and drops the buffers.
+    drawn yet. The cursor lock guards only the cursor, the noise frontier
+    and the stop flag: no random draw runs under it. A fault on either
+    thread stops the pass and surfaces on this thread once both have
+    stopped; leaving the ``with`` block joins the helper and drops the buffers.
 
     Two conditions keep the output independent of the schedule, one core
     included: the threads write disjoint rows, and every element goes
@@ -301,13 +300,12 @@ class _BlockWork:
                 self._drawn = tile
                 self._turn.notify_all()
 
-    def run_pass(self, fn, n: int, take=None) -> None:
+    def run_pass(self, fn, n: int) -> None:
         """Run a pass of ``fn(self, scratch, r0, r1)`` over the tiles of an
         n-sample block whose inputs other than the noise are written: this
         thread and the helper take tiles from one cursor, each with its own
-        scratch, running ``take`` (same arguments) under its lock as they take
-        a tile. Returns once the helper's jobs are done; raises their fault."""
-        self._fn, self._take, self._rows = fn, take, -(-n // _SCAN_COLUMNS)
+        scratch. Returns once the helper's jobs are done; raises their fault."""
+        self._fn, self._rows = fn, -(-n // _SCAN_COLUMNS)
         self._tiles, self._next = -(-self._rows // _TILE_ROWS), 0
         if not self._pending:
             self._drawn = self._tiles  # no fill pending: the noise is in
@@ -336,8 +334,6 @@ class _BlockWork:
                 r0 = self._next * _TILE_ROWS
                 r1 = min(r0 + _TILE_ROWS, self._rows)
                 self._next += 1
-                if self._take is not None:
-                    self._take(self, scratch, r0, r1)
             self._fn(self, scratch, r0, r1)
 
 
@@ -427,16 +423,14 @@ def _finish_tile_rows(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int)
     np.multiply(y, y, out=y_squared)
     intensity += y_squared
     intensity *= 0.5
-    u = scratch.a[: t * cols].reshape(t, cols)
+    # u drawn at the tile's own place in the accept stream (one PCG64 output
+    # per double), whichever thread takes the tile; the padded tail keeps none
+    bits = np.random.PCG64(0)
+    bits.state = work.accept_state
+    bits.advance(r0 * cols)
+    u = np.random.Generator(bits).random(out=scratch.a[: t * cols]).reshape(t, cols)
     u *= DEFAULT_INTENSITY_CAP
     np.less(u, intensity, out=work.keep[span].reshape(t, cols))
-
-
-def _draw_uniforms(work: _BlockWork, scratch: _TileScratch, r0: int, r1: int) -> None:
-    """Pass 2's uniforms u for rows r0..r1 into ``scratch.a``; 0 in the padded tail."""
-    m = min(r1 * _SCAN_COLUMNS, work.times.size) - r0 * _SCAN_COLUMNS
-    work.rng_accept.random(out=scratch.a[:m])
-    scratch.a[m : (r1 - r0) * _SCAN_COLUMNS] = 0.0
 
 
 def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: float,
@@ -451,7 +445,8 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     x_i = a*x_{i-1} + sqrt(1-a^2)*noise_i with a = exp(-lag_i). Returns views
     of the chains in ``work.x``/``work.y``, overwritten by the next call,
     with the verdicts u*DEFAULT_INTENSITY_CAP < (x^2 + y^2)/2 in
-    ``work.keep[:n]``, u drawn from ``rng_accept`` in sample order.
+    ``work.keep[:n]``, u the next n doubles of ``rng_accept`` (a PCG64
+    generator) in sample order; ``rng_accept`` is left past them.
 
     A blocked scan over rows of 64 consecutive samples (~4 multiply-adds per
     sample), cut into tiles of ``_TILE_ROWS`` rows. Pass 1, per tile: the
@@ -459,15 +454,15 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     copy that solves every row from a zero entry state, and each row's end
     state and decay product. The affine scan stitches the row-end states
     into each row's entry state. Pass 2, per tile: the lags again, their
-    decay prefixes, prefix*entry added, then thinning. The passes' tiles run
-    on the threads of `_BlockWork`.
+    decay prefixes, prefix*entry added, then thinning by u drawn from the
+    block's start state advanced to the tile's first sample. The passes'
+    tiles run on the threads of `_BlockWork`.
     """
     n = times.size
     cols = _SCAN_COLUMNS
     rows = -(-n // cols)
     work.x[n : rows * cols] = work.y[n : rows * cols] = 0.0
     work.times, work.first_lag, work.tau_c_ticks = times, first_lag, tau_c_ticks
-    work.rng_accept = rng_accept
     work.run_pass(_scan_tile_rows, n)
     # stitch rows: entry state of row r is the composed map of rows 0..r-1
     # applied to the carry
@@ -477,7 +472,9 @@ def _gauss_markov_scan_pair(work: _BlockWork, times: np.ndarray, first_lag: floa
     entry_x[0], entry_y[0] = carry_x, carry_y
     entry_x[1:] = gain[:-1] * carry_x + end_x[:-1]
     entry_y[1:] = gain[:-1] * carry_y + end_y[:-1]
-    work.run_pass(_finish_tile_rows, n, take=_draw_uniforms)
+    work.accept_state = rng_accept.bit_generator.state
+    work.run_pass(_finish_tile_rows, n)
+    rng_accept.bit_generator.advance(n)  # as n sequential draws would leave it
     work.times = None  # the block's candidate times end with the block
     return work.x[:n], work.y[:n]
 
@@ -573,8 +570,8 @@ def _sample_cox_channels(
     (the same draws as one call) and sorted in place, so no block-sized
     array is made per block. The workspace is dropped before the per-arm
     join. Per block, ``rng_candidates`` gives poisson, integers, routing;
-    ``rng_field`` the noise and the scan ``rng_accept``'s uniforms
-    (schedule: `_BlockWork`).
+    ``rng_field`` the noise (schedule: `_BlockWork`); ``rng_accept`` one
+    uniform per candidate in time order, drawn by the scan's pass-2 tiles.
     """
     total_rate = rate_ref + rate_probe
     if duration_ticks <= 0 or total_rate <= 0:

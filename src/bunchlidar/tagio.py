@@ -109,7 +109,10 @@ class TextFormatError(TagFileError):
 
 def _rounded(ticks, resolution_ps: int):
     """(grid ticks rounded half up, whether each was off the grid) of a tick
-    or an array of ticks, without forming ticks + resolution // 2, which could wrap."""
+    or an array of ticks, without forming ticks + resolution // 2, which could wrap;
+    on the 1 ps grid, where no tick is off it, (ticks, None) with no arithmetic."""
+    if resolution_ps == 1:
+        return ticks, None
     time, remainder = divmod(ticks, resolution_ps)
     return time + (2 * remainder >= resolution_ps), remainder != 0
 
@@ -175,19 +178,18 @@ def _encode(streams, resolution_ps: int):
         # a chunk that stops short of its stream's end is known up to its last
         # tick, the horizon; channel 0 comes first at a tick both channels hold
         if i + ta.size < a.size and not (j + tb.size < b.size and tb[-1] < ta[-1]):
-            cut = np.searchsorted(tb, ta[-1], side="left")  # channel 0 may go on at ta[-1]
-            tb, fb = tb[:cut], fb[:cut]
+            tb = tb[: np.searchsorted(tb, ta[-1], side="left")]  # channel 0 may go on at ta[-1]
         elif j + tb.size < b.size:
-            cut = np.searchsorted(ta, tb[-1], side="right")
-            ta, fa = ta[:cut], fa[:cut]
+            ta = ta[: np.searchsorted(ta, tb[-1], side="right")]
         i, j = i + ta.size, j + tb.size
         # a stable sort of two sorted runs merges them, channel 0 first on a tie
         ticks = np.concatenate((ta, tb))
         order = np.argsort(ticks, kind="stable")
         chunk = words[: ticks.size]
         chunk[:, 0] = ticks[order]
-        chunk[:, 1] = np.concatenate((fa, fb))[order] * _ROUNDED_WORD
-        chunk[:, 1] += order >= ta.size
+        chunk[:, 1] = order >= ta.size
+        if fa is not None:  # a grid coarser than 1 ps: flag the rounded times
+            chunk[:, 1] |= np.concatenate((fa[: ta.size], fb[: tb.size]))[order] * _ROUNDED_WORD
         yield chunk
 
 
@@ -254,7 +256,8 @@ def _decode(chunks, n: int, resolution_ps: int, channel_count: int, line_of=None
             tail = times_out[back - k : back][::-1]
             for part, where in ((head, ~ones), (tail, ones)):
                 np.compress(where, times.view("<i8"), out=part)
-                part *= resolution_ps
+                if resolution_ps != 1:
+                    part *= resolution_ps
             front, back = front + head.size, back - k
         done += times.size
     if faults:

@@ -494,9 +494,10 @@ class TestTileUniforms:
     def test_uniforms_follow_the_cursor(self):
         # this thread's first pass-2 tile waits until the helper holds a
         # tile (not a block's last), which it keeps until this thread has
-        # finished a later tile: uniforms drawn as a tile is taken still go
-        # out in sample order, and the streams keep their digests; uniforms
-        # drawn in the tile function would not
+        # finished a later tile: each tile draws its uniforms from the
+        # block's accept-stream state advanced to its own first sample, so
+        # tiles finished out of order still thin by the uniforms of their
+        # own samples, and the streams keep their digests
         code = _SCHEDULE_SETUP + (
             "import hashlib\n"
             "finish, held = ps._finish_tile_rows, []\n"
@@ -521,35 +522,57 @@ class TestTileUniforms:
 
     @pytest.mark.parametrize("fail_on_main", [False, True], ids=["helper", "caller"])
     def test_uniform_draw_fault_surfaces_and_joins(self, fail_on_main):
-        # the first draw on one thread fails; the other thread's pass-2
-        # tiles wait for that fault, so the failing thread takes a tile.
-        # Either way the fault stops the pass: no tile is taken after it
+        # the first pass-2 tile on one thread fails; the other thread's first
+        # pass-2 tile waits until the pass is stopped, so the failing thread
+        # takes a tile. Either way the fault stops the pass: no tile is
+        # entered after it
         code = _SCHEDULE_SETUP + (
             f"FAIL_ON_MAIN = {fail_on_main}\n"
             "failed, after = threading.Event(), []\n"
-            "def random(out):\n"
+            "finish = ps._finish_tile_rows\n"
+            "def hooked(work, *args):\n"
             "    on_main = threading.current_thread() is threading.main_thread()\n"
             "    if failed.is_set():\n"
             "        after.append(on_main)\n"
             "    elif on_main == FAIL_ON_MAIN:\n"
             "        failed.set()\n"
-            "        raise RuntimeError('uniform draw failed')\n"
-            "    return accept.random(out=out)\n"
-            "finish = ps._finish_tile_rows\n"
-            "def hooked(*args):\n"
-            "    if (threading.current_thread() is threading.main_thread()) != FAIL_ON_MAIN:\n"
-            "        failed.wait(10)\n"
-            "    finish(*args)\n"
+            "        raise RuntimeError('pass-2 tile failed')\n"
+            "    else:\n"
+            "        with work._turn:\n"
+            "            work._turn.wait_for(lambda: work._stopped, 10)\n"
+            "    finish(work, *args)\n"
             "ps._finish_tile_rows = hooked\n"
             "before, surfaced = threading.active_count(), False\n"
             "try:\n"
-            "    sample(candidates, field, Hooked(accept, random=random))\n"
+            "    sample(candidates, field, accept)\n"
             "except RuntimeError as exc:\n"
-            "    surfaced = str(exc) == 'uniform draw failed'\n"
+            "    surfaced = str(exc) == 'pass-2 tile failed'\n"
             "print(json.dumps([surfaced, threading.active_count() == before, after]))\n"
         )
         surfaced, joined, after = run_child(code)
         assert surfaced and joined and after == []
+
+    def test_accept_stream_left_past_every_candidate(self, monkeypatch):
+        # after several blocks, the accept generator is where n sequential
+        # draws per block of n candidates leave it, though no tile drew
+        # from it
+        monkeypatch.setattr(ps, "_CANDIDATE_BLOCK", 5_000)
+        monkeypatch.setattr(ps, "_TILE_ROWS", 2)
+        sizes, scan = [], ps._gauss_markov_scan_pair
+
+        def counted(work, times, *args):
+            sizes.append(times.size)
+            return scan(work, times, *args)
+
+        monkeypatch.setattr(ps, "_gauss_markov_scan_pair", counted)
+        seeds = np.random.SeedSequence(2024).spawn(3)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        ps._sample_cox_channels(3e6, 6e7, 0, 5e-9, 50_000_000, *rngs)
+        twin = np.random.default_rng(seeds[2])
+        for n in sizes:
+            twin.random(n)
+        assert len(sizes) > 1
+        assert rngs[2].bit_generator.state == twin.bit_generator.state
 
 
 class TestSplitEvents:
@@ -953,7 +976,7 @@ class TestScenario:
         # (the 23.2 ns twin runs at full scale in the acceptance suite)
         config = self._config(
             source=SourceSpec(wavelength_m=518e-9, photon_rate_hz=4.4e7, coherence_time_s=1e-9),
-            duration_s=0.012, seed=91,
+            duration_s=0.08, seed=91,
         )
         ref, probe, _ = ps.simulate_ranging_scenario(config)
         hist = cross_correlate(ref, probe, CorrelationConfig(40, -8_000, 8_000))
