@@ -12,12 +12,16 @@ reports how many failed. A sampler change that keeps the distribution keeps
 these numbers within their standard errors; one lucky fixed seed shows
 nothing of the kind.
 
-For the distance (the three ranging scenarios) and for tau_c (ideal-thermal,
-bunching-1ns) it also prints the mean, its standard error and the standard
-deviation of the pull, (fit - truth) / sigma_fit: 0 and 1 when the fit is
-unbiased and its sigma is right. For the ranging scenarios it prints, for
-each fit parameter (baseline, amplitude, delay, tau_c), the scatter over
-seeds divided by the median sigma_fit: 1 when the fit's sigma is right.
+For the distance (the ranging and synthetic scenarios) and for tau_c
+(ideal-thermal, bunching-1ns) it also prints the mean, its standard error and
+the standard deviation of the pull, (fit - truth) / sigma_fit: 0 and 1 when
+the fit is unbiased and its sigma is right. Beside each pull's standard
+deviation it prints the robust spread, 1.4826 * MAD (1 for a normal pull,
+and blind to a few wrong peaks), and how many converged fits lie more than
+5 sigma_fit from the truth. For the ranging and synthetic scenarios it
+prints, for each fit parameter (baseline, amplitude, delay, tau_c), the
+scatter over seeds divided by the median sigma_fit: 1 when the fit's sigma is
+right.
 
 Scenarios (all by default, or name a subset):
   ideal-thermal   criterion 1: g2(0) and tau_c
@@ -26,6 +30,11 @@ Scenarios (all by default, or name a subset):
   long-range-2km  criterion 3 at 1851 m, the paper's headline range
   washout         criterion 4: raw peak-bin amplitude ratio at 2 ns bins
   bunching-1ns    the 1 ns fine-bin ground-truth scenario of the unit tests
+  synthetic-21    criterion 3's distance band on long-range-2km's 400 bins of
+                  2 ns, fitted as `range` does, but the counts are a Poisson
+                  draw of the bin-averaged model at 21 counts per bin (a
+                  10 ms acquisition), so no simulator runs
+  synthetic-101   the same at 101 counts per bin (a 50 ms acquisition)
 
 Usage: PYTHONPATH=src python scripts/seed_sweep.py SEED0 N [SCENARIO ...]
 """
@@ -41,7 +50,7 @@ import numpy as np
 
 from bunchlidar import presets
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
-from bunchlidar.estimator import FitError, bin_attenuation, estimate_range, fit_g2
+from bunchlidar.estimator import FitError, bin_attenuation, binned_model, estimate_range, fit_g2
 from bunchlidar.photonsim import IDEAL_DETECTOR, ScenarioConfig, simulate_ranging_scenario
 from bunchlidar.quantities import SourceSpec
 
@@ -107,6 +116,29 @@ def bunching_1ns(seed):
             "tau_c_pull": _tau_c_pull(fit, truth)}
 
 
+@functools.cache
+def _synthetic_truth():
+    """long-range-2km's bin centres in seconds, bin width and truth record; at
+    zero duration the simulator returns the truth without sampling."""
+    doc = presets.load_preset("long-range-2km")
+    scenario = dataclasses.replace(presets.scenario_from_document(doc), duration_s=0)
+    settings = presets.correlation_from_document(doc)
+    config = CorrelationConfig(settings.bin_width_ps, *settings.window_ps)
+    _, _, truth = simulate_ranging_scenario(scenario)
+    return config.bin_centers_ps() * 1e-12, settings.bin_width_ps * 1e-12, truth
+
+
+def synthetic(n0, seed):
+    tau_s, bin_width_s, truth = _synthetic_truth()
+    params = (1.0, truth["expected_amplitude"], truth["delay_s"], truth["coherence_time_s"])
+    counts = np.random.default_rng(seed).poisson(n0 * binned_model(tau_s, bin_width_s, params))
+    # g2 and sigma as normalize_g2 forms them, with n0 for T / (n_a n_b w)
+    fit = fit_g2(tau_s, counts / n0, np.sqrt(np.maximum(counts, 1)) / n0, bin_width_s)
+    distance, sigma = estimate_range(fit)
+    error = distance - truth["distance_m"]
+    return {"d_error_m": error, "baseline": fit.baseline, "d_pull": error / sigma, "fit": fit}
+
+
 # FitResult value and sigma fields whose seed scatter is compared with the sigma
 _FIT_PARAMETERS = {
     "baseline": ("baseline", "baseline_err"),
@@ -117,7 +149,8 @@ _FIT_PARAMETERS = {
 _LONG_RANGE_BANDS = {"d_error_m": (0.0, 0.05), "peak_g2": (1.59, 0.03)}
 
 # scenario -> (function, {statistic: acceptance band as (centre, half-width)});
-# a statistic without a band is a pull, and "fit" holds the FitResult
+# a statistic without a band is a pull if its name ends in "pull", else a
+# mean to report, and "fit" holds the FitResult
 SCENARIOS = {
     "ideal-thermal": (ideal_thermal, {"g2(0)": (2.0, 0.05), "tau_c_ns": (23.2, 0.05 * 23.2)}),
     "short-range": (short_range, {"d_error_mm": (0.0, 1.5), "reduced_chi2": (1.05, 0.25)}),
@@ -125,6 +158,8 @@ SCENARIOS = {
     "long-range-2km": (functools.partial(long_range, "long-range-2km"), _LONG_RANGE_BANDS),
     "washout": (washout, {"peak_bin_ratio": (0.958, 0.03)}),
     "bunching-1ns": (bunching_1ns, {"g2(0)_1ns": (2.0, 0.05), "tau_c_1ns_ns": (1.0, 0.05)}),
+    "synthetic-21": (functools.partial(synthetic, 21), {"d_error_m": (0.0, 0.05)}),
+    "synthetic-101": (functools.partial(synthetic, 101), {"d_error_m": (0.0, 0.05)}),
 }
 
 
@@ -166,8 +201,13 @@ def main(argv):
         for key in [key for key in samples if key not in bands]:
             values = np.asarray(samples[key])
             std = values.std(ddof=1) if values.size > 1 else float("nan")
-            print(f"{key:<16} {values.mean():>12.5f} {std / math.sqrt(values.size):>10.5f}"
-                  f"   std dev {std:.3f}; a pull is 0 +/- 1 if unbiased with the right sigma")
+            line = f"{key:<16} {values.mean():>12.5f} {std / math.sqrt(values.size):>10.5f}"
+            if key.endswith("pull"):
+                robust = 1.4826 * np.median(np.abs(values - np.median(values)))
+                wrong = int(np.sum(np.abs(values) > 5))
+                line += (f"   std dev {std:.3f}, robust {robust:.3f}, {wrong} beyond 5 sigma;"
+                         " a pull is 0 +/- 1 if unbiased with the right sigma")
+            print(line)
         if len(fits) > 1:  # the standard error of a standard deviation is ~ sd / sqrt(2 (n - 1))
             for label, (value, error) in _FIT_PARAMETERS.items():
                 ratio = (np.std([getattr(fit, value) for fit in fits], ddof=1)

@@ -120,15 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-hz", type=float, required=True,
                    help="photoevent rate in events per second (geometric mean of the channels)")
     p.add_argument("--v2", type=float, default=None,
-                   help="squared visibility V^2 = g2(0) - 1 (dimensionless; prediction mode)")
+                   help="squared visibility V^2 = g2(0) - 1 (dimensionless; prediction mode "
+                        "only, refused with --in)")
     p.add_argument("--tauc-ns", type=float, default=None,
-                   help="coherence time in nanoseconds (prediction mode)")
+                   help="coherence time in nanoseconds (prediction mode only, refused with --in)")
     p.add_argument("--dt-ms", type=float, required=True, help="integration time in milliseconds")
     p.add_argument("--out", metavar="PATH", default=None, help="SNR report JSON path")
     p.set_defaults(func=cmd_snr)
 
-    p = sub.add_parser("convert", help="convert tag files between binary and text",
-                       description="Lossless conversion between the binary and text tag formats.")
+    p = sub.add_parser("convert", help="convert tag files between binary and text "
+                                       "(times and channels kept, rounded flags dropped)",
+                       description="Convert between the binary and text tag formats, keeping "
+                                   "every time and channel. The rounded flag (binary flag bit "
+                                   "0, set by simulate) is not kept: text has no flag column, "
+                                   "and binary output carries no flags.")
     p.add_argument("--in", dest="input", metavar="PATH", required=True, help="input tag file")
     p.add_argument("--out", metavar="PATH", required=True, help="output tag file")
     p.add_argument("--to", choices=("binary", "text"), required=True, help="output format")
@@ -242,6 +247,9 @@ def cmd_range(args) -> int:
 
 
 def cmd_snr(args) -> int:
+    for flag, value in (("--v2", args.v2), ("--tauc-ns", args.tauc_ns)):
+        if args.input is not None and value is not None:
+            raise UserError(f"{flag} is for prediction mode; with --in the fit gives it")
     _check_outputs(args.out, source=args.input)
     dt_s = args.dt_ms * 1e-3
     if args.input is None:

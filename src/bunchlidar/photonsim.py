@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantities import (
+    DomainError,
     Medium,
     SourceSpec,
     TICKS_PER_SECOND,
     TickOverflowError,
-    UserError,
     VACUUM,
     _TICK_MAX,
     delay_from_range,
@@ -60,14 +60,10 @@ _MAX_SOURCE_RATE_HZ = _CANDIDATE_BLOCK * TICKS_PER_SECOND / DEFAULT_INTENSITY_CA
 _POISSON_MAX = 9.2e18  # numpy refuses Poisson means above ~9.22e18
 
 
-class ConfigurationError(UserError, ValueError):
-    """Simulation configuration violates a precondition."""
-
-
 def _field_ticks(name: str, seconds: float) -> int:
     """A non-negative time field in picosecond ticks; each refusal names the field."""
     if seconds < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {seconds}")
+        raise DomainError(f"{name} must be non-negative, got {seconds}")
     try:
         return seconds_to_ticks(seconds)
     except TickOverflowError as exc:
@@ -91,7 +87,7 @@ class EventStream:
     def __post_init__(self):
         times = np.asarray(self.times)
         if times.size and not np.issubdtype(times.dtype, np.integer):
-            raise ConfigurationError(f"event times must be integer ticks, got dtype {times.dtype}")
+            raise DomainError(f"event times must be integer ticks, got dtype {times.dtype}")
         times = np.ascontiguousarray(times, dtype=np.int64).view()
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -103,9 +99,9 @@ class EventStream:
         object.__setattr__(self, "duration_ticks", duration_ticks)
         if times.size:
             if np.any(times[1:] < times[:-1]):
-                raise ConfigurationError("event times must be nondecreasing")
+                raise DomainError("event times must be nondecreasing")
             if times[0] < 0 or times[-1] > duration_ticks:
-                raise ConfigurationError("event times must lie within [0, duration]")
+                raise DomainError("event times must lie within [0, duration]")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -123,7 +119,7 @@ class DetectorSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigurationError(f"efficiency must be in [0,1], got {self.efficiency}")
+            raise DomainError(f"efficiency must be in [0,1], got {self.efficiency}")
         _field_ticks("jitter_fwhm_s", self.jitter_fwhm_s)
         object.__setattr__(self, "dead_time_ticks", _field_ticks("dead_time_s", self.dead_time_s))
         nonnegative("dark_rate_hz", self.dark_rate_hz)
@@ -161,11 +157,11 @@ class ScenarioConfig:
         for name in ("split_probe", "split_ref", "probe_round_trip_transmission"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0,1], got {value}")
+                raise DomainError(f"{name} must be in [0,1], got {value}")
         if self.split_probe + self.split_ref > 1.0 + 1e-12:
-            raise ConfigurationError("split fractions must sum to at most 1")
+            raise DomainError("split fractions must sum to at most 1")
         if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "duration_ticks", _field_ticks("duration_s", self.duration_s))
         delay_s = delay_from_range(self.distance_m, self.medium)
         object.__setattr__(self, "delay_ticks", _field_ticks("distance_m's round trip", delay_s))

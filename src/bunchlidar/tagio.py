@@ -144,6 +144,9 @@ def _encodable(streams, resolution_ps, rounding: str) -> int:
         raise TagFileError(
             f"version-{VERSION} files carry 1 to {MAX_CHANNELS} channels, got {len(streams)}"
         )
+    for i, s in enumerate(streams):  # a record stores the list index as its channel
+        if s.channel != i:
+            raise TagFileError(f"stream {i} must be channel {i}, got channel {s.channel}")
     if rounding not in ("exact", "round"):
         raise TagFileError(f"rounding must be 'exact' or 'round', got {rounding!r}")
     if rounding == "exact" and resolution_ps != 1:

@@ -558,6 +558,21 @@ class TestSnrCommand:
         record = json.loads(out.read_text())
         assert record["measured_snr"] > 0
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--v2", "0.9"], "--v2"), (["--tauc-ns", "5"], "--tauc-ns"),
+        (["--v2", "0.9", "--tauc-ns", "5"], "--v2"),
+    ])
+    def test_measure_mode_refuses_prediction_flags(self, tmp_path, histogram_csv, flags, name,
+                                                   capsys):
+        # the prediction comes from the fit's amplitude and tau_c, so a flag
+        # that would be ignored is refused instead
+        out = tmp_path / "snr.json"
+        assert cli.main(["snr", "--in", histogram_csv, "--rate-hz", "1e6", "--dt-ms", "50",
+                         *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_measure_mode_rejects_nonuniform_bins(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"
         with open(path, "w", newline="\n") as f:
@@ -659,6 +674,21 @@ class TestConvert:
             csvs.append(csv.read_bytes())
         capsys.readouterr()
         assert csvs[0] == csvs[1]
+
+    def test_binary_round_trip_clears_the_rounded_flag(self, tmp_path, mini_config, capsys):
+        # convert keeps every time and channel, but read_tags returns no flags,
+        # so a record simulate flagged as rounded comes back unflagged
+        binary, back = tmp_path / "t.bin", tmp_path / "back.bin"
+        assert cli.main(["simulate", "--config", mini_config, "--resolution-ps", "25",
+                         "--out", str(binary)]) == 0
+        assert cli.main(["convert", "--in", str(binary), "--out", str(back), "--to", "binary"]) == 0
+        capsys.readouterr()
+        before, after = (np.frombuffer(path.read_bytes()[tagio.HEADER_SIZE:], tagio._RECORD)
+                         for path in (binary, back))
+        assert before["flags"].any()
+        assert np.array_equal(after["time"], before["time"])
+        assert np.array_equal(after["channel"], before["channel"])
+        assert not after["flags"].any()
 
     def test_damaged_magic_is_a_binary_fault(self, tmp_path, capsys):
         from tests.test_tagio import make_streams

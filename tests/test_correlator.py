@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bunchlidar import correlator as co
-from bunchlidar.photonsim import ConfigurationError, EventStream
+from bunchlidar.photonsim import EventStream
+from bunchlidar.quantities import DomainError
 
 
 def stream(times, duration_s=None, channel=0):
@@ -94,7 +95,7 @@ class TestCrossCorrelate:
 
     def test_unsorted_rejected(self):
         # the stream owns the order invariant; the correlator relies on it
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             EventStream(0, np.array([5, 1], dtype=np.int64), 1e-9)
 
     @pytest.mark.parametrize("last", [2**62 + 1, 2**63 - 2, 2**63 - 1])

@@ -603,7 +603,7 @@ class TestSplitEvents:
             assert abs(count - expected) < 5 * sigma
 
     def test_oversubscribed_fractions_rejected(self):
-        with pytest.raises(ps.ConfigurationError):
+        with pytest.raises(DomainError):
             self._counts(1.5, 0.0, seed=0)
 
     def test_bunching_survives_balanced_split(self):
@@ -654,7 +654,7 @@ class TestDelayEvents:
         self._assert_shifted(6439.7e-9 * 299792458.0 / 2, 6_439_700)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ps.ConfigurationError):
+        with pytest.raises(DomainError):
             self._probe(-1e-3)
 
     def test_overflow_raises(self):
@@ -1006,11 +1006,11 @@ class TestScenario:
         assert np.all(np.abs(mean - truth) <= 3 * stderr), (mean, stderr)
 
     def test_split_sum_enforced(self):
-        with pytest.raises(ps.ConfigurationError):
+        with pytest.raises(DomainError):
             self._config(split_probe=0.7, split_ref=0.4)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ps.ConfigurationError, match="seed"):
+        with pytest.raises(DomainError, match="seed"):
             self._config(seed=-1)
 
 
@@ -1032,7 +1032,7 @@ class TestEventStream:
         assert (empty.duration_ticks, empty.duration_s) == (0, 0.0)
 
     def test_non_integer_times_rejected(self):
-        with pytest.raises(ps.ConfigurationError, match="times"):
+        with pytest.raises(DomainError, match="times"):
             ps.EventStream(0, np.array([1.5, 2.7]))
         assert ps.EventStream(0, []).times.tolist() == []
         assert ps.EventStream(0, [1, 2]).times.tolist() == [1, 2]
@@ -1048,5 +1048,38 @@ class TestEventStream:
     ])
     def test_range_invariants_rejected(self, times, duration_s):
         # order is covered by test_correlator's test_unsorted_rejected
-        with pytest.raises(ps.ConfigurationError):
+        with pytest.raises(DomainError):
             ps.EventStream(0, np.array(times, dtype=np.int64), duration_s)
+
+
+def _scenario(**overrides):
+    source = SourceSpec(photon_rate_hz=1e6, coherence_time_s=1e-9)
+    return ps.ScenarioConfig(**{"source": source, "duration_s": 1e-3, "seed": 1, **overrides})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _scenario(split_ref=-0.1), "split_ref must be in [0,1], got -0.1"),
+    (lambda: _scenario(probe_round_trip_transmission=1.5),
+     "probe_round_trip_transmission must be in [0,1], got 1.5"),
+    (lambda: _scenario(split_probe=0.7, split_ref=0.4), "split fractions must sum to at most 1"),
+    (lambda: _scenario(seed=-1), "seed must be non-negative, got -1"),
+    (lambda: _scenario(duration_s=-1), "duration_s must be non-negative, got -1"),
+    # a one-way distance of -c/2 is a round trip of exactly -1 s
+    (lambda: _scenario(distance_m=-299792458.0 / 2),
+     "distance_m's round trip must be non-negative, got -1.0"),
+    (lambda: ps.DetectorSpec(efficiency=2), "efficiency must be in [0,1], got 2"),
+    (lambda: ps.DetectorSpec(dead_time_s=-1), "dead_time_s must be non-negative, got -1"),
+    (lambda: ps.DetectorSpec(jitter_fwhm_s=-1), "jitter_fwhm_s must be non-negative, got -1"),
+    (lambda: ps.EventStream(0, np.array([1.5, 2.7])),
+     "event times must be integer ticks, got dtype float64"),
+    (lambda: ps.EventStream(0, [5, 1], 1e-9), "event times must be nondecreasing"),
+    (lambda: ps.EventStream(0, [1, 2_000], 1e-9), "event times must lie within [0, duration]"),
+], ids=["split", "transmission", "split-sum", "seed", "duration", "distance", "efficiency",
+        "dead-time", "jitter", "float-dtype", "regress", "out-of-range"])
+def test_refused_value_is_domain_error(build, message):
+    # one class for every refused scenario, detector or stream value, so
+    # callers catch DomainError (or ValueError) whichever value was wrong
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)

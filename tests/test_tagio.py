@@ -446,6 +446,13 @@ class TestBinaryRoundTrip:
             tagio.write_tags(streams, resolution, path, rounding="round")
             assert tagio.read_tags(path)[0][0].times.tolist() == [expected]
 
+    def test_stream_channel_must_match_its_index(self, tmp_path):
+        # a record stores the list index, so a swapped pair would read back swapped
+        streams = [EventStream(1, np.array([10, 20, 30])), EventStream(0, np.array([15]))]
+        for write in (tagio.write_tags, tagio.write_text_tags):
+            with pytest.raises(tagio.TagFileError, match="stream 0 must be channel 0, got channel 1"):
+                write(streams, 1, tmp_path / "x")
+
     def test_three_channels_rejected(self, tmp_path):
         streams = make_streams([[1], [2], [3]])
         with pytest.raises(tagio.TagFileError):
@@ -467,8 +474,12 @@ class TestBinaryRoundTrip:
     (tagio.write_tags, [[2000], [4000, 5001]], 2000, "exact", tagio.UnrepresentableTimeError),
     (tagio.write_text_tags, [[2000], [4000, 5001]], 2000, None, tagio.UnrepresentableTimeError),
     (tagio.write_tags, [[0], [2**63 - 1]], 2000, "round", tagio.UnrepresentableTimeError),
+    # a dict gives each stream's channel, in list order
+    (tagio.write_tags, {1: [10, 20, 30], 0: [15]}, 1, "exact", tagio.TagFileError),
+    (tagio.write_text_tags, {1: [10, 20, 30], 0: [15]}, 1, None, tagio.TagFileError),
 ], ids=["resolution", "resolution-text", "three-channels", "three-channels-text",
-        "rounding-mode", "off-grid", "off-grid-text", "rounds-past-2**63-1"])
+        "rounding-mode", "off-grid", "off-grid-text", "rounds-past-2**63-1",
+        "swapped-channels", "swapped-channels-text"])
 @pytest.mark.parametrize("existing", [False, True], ids=["no-file", "existing-file"])
 def test_refusal_leaves_the_path_as_it_was(tmp_path, write, times, resolution, rounding, error,
                                            existing):
@@ -478,9 +489,9 @@ def test_refusal_leaves_the_path_as_it_was(tmp_path, write, times, resolution, r
     if existing:
         path.write_bytes(b"earlier contents")
     args = () if rounding is None else (rounding,)
+    pairs = times.items() if isinstance(times, dict) else enumerate(times)
     with pytest.raises(error):
-        write([EventStream(ch, np.array(t, np.int64)) for ch, t in enumerate(times)],
-              resolution, path, *args)
+        write([EventStream(ch, np.array(t, np.int64)) for ch, t in pairs], resolution, path, *args)
     assert path.read_bytes() == b"earlier contents" if existing else not path.exists()
 
 
