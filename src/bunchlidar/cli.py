@@ -218,6 +218,9 @@ def cmd_correlate(args) -> int:
 def _fit_from_csv(args, doc):
     tau_ps, _, g2, sigma = correlator.read_histogram_csv(args.input)
     spacing = np.diff(tau_ps)
+    if spacing.size and not spacing[0] > 0:  # write_histogram_csv writes tau in increasing order
+        raise UserError(f"histogram CSV tau_ps must increase row by row, "
+                        f"got {float(tau_ps[1])} after {float(tau_ps[0])}")
     if spacing.size and not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise UserError("histogram CSV bins are not uniformly spaced")
     bin_width_s = (spacing[0] if spacing.size else 1.0) * 1e-12

@@ -34,7 +34,6 @@ from .quantities import (
     Medium,
     SourceSpec,
     TICKS_PER_SECOND,
-    TickOverflowError,
     VACUUM,
     _TICK_MAX,
     delay_from_range,
@@ -66,8 +65,8 @@ def _field_ticks(name: str, seconds: float) -> int:
         raise DomainError(f"{name} must be non-negative, got {seconds}")
     try:
         return seconds_to_ticks(seconds)
-    except TickOverflowError as exc:
-        raise TickOverflowError(f"{name} = {exc}") from None
+    except DomainError as exc:
+        raise DomainError(f"{name} = {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -166,8 +165,8 @@ class ScenarioConfig:
         delay_s = delay_from_range(self.distance_m, self.medium)
         object.__setattr__(self, "delay_ticks", _field_ticks("distance_m's round trip", delay_s))
         if self.duration_ticks + self.delay_ticks > _TICK_MAX:  # the delayed probe's last tick
-            raise TickOverflowError("duration_s plus distance_m's round trip does not fit "
-                                    "in 64-bit picosecond ticks")
+            raise DomainError("duration_s plus distance_m's round trip does not fit "
+                              "in 64-bit picosecond ticks")
         nonnegative("photon_rate_hz", self.source.photon_rate_hz, _MAX_SOURCE_RATE_HZ)
         for side in ("ref", "probe"):
             ambient = nonnegative(f"ambient_rate_{side}_hz", getattr(self, f"ambient_rate_{side}_hz"))

@@ -29,12 +29,19 @@ class ConfigError(UserError, ValueError):
     """Malformed run configuration document."""
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing booleans (JSON ``true`` is not 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError("must be a number")
+    return float(value)
+
+
 def _nano(value) -> float:
-    return float(value) * 1e-9
+    return _real(value) * 1e-9
 
 
 def _pico(value) -> float:
-    return float(value) * 1e-12
+    return _real(value) * 1e-12
 
 
 def _integer(value) -> int:
@@ -54,25 +61,25 @@ def _window(value) -> tuple[int, int]:
 # Keys a document omits are not passed, so the dataclass defaults apply.
 _SOURCE_FIELDS = {
     "wavelength_nm": ("wavelength_m", _nano),
-    "source_rate_hz": ("photon_rate_hz", float),
+    "source_rate_hz": ("photon_rate_hz", _real),
     "coherence_time_ns": ("coherence_time_s", _nano),
 }
 _SCENARIO_FIELDS = {
-    "distance_m": ("distance_m", float),
-    "refractive_index": ("medium", lambda value: Medium(float(value))),
-    "split_probe": ("split_probe", float),
-    "split_ref": ("split_ref", float),
-    "probe_round_trip_transmission": ("probe_round_trip_transmission", float),
-    "ambient_rate_probe_hz": ("ambient_rate_probe_hz", float),
-    "ambient_rate_ref_hz": ("ambient_rate_ref_hz", float),
-    "duration_s": ("duration_s", float),
+    "distance_m": ("distance_m", _real),
+    "refractive_index": ("medium", lambda value: Medium(_real(value))),
+    "split_probe": ("split_probe", _real),
+    "split_ref": ("split_ref", _real),
+    "probe_round_trip_transmission": ("probe_round_trip_transmission", _real),
+    "ambient_rate_probe_hz": ("ambient_rate_probe_hz", _real),
+    "ambient_rate_ref_hz": ("ambient_rate_ref_hz", _real),
+    "duration_s": ("duration_s", _real),
     "seed": ("seed", _integer),
 }
 _DETECTOR_FIELDS = {
-    "efficiency": ("efficiency", float),
+    "efficiency": ("efficiency", _real),
     "jitter_fwhm_ps": ("jitter_fwhm_s", _pico),
     "dead_time_ps": ("dead_time_s", _pico),
-    "dark_rate_hz": ("dark_rate_hz", float),
+    "dark_rate_hz": ("dark_rate_hz", _real),
 }
 _CORRELATION_FIELDS = {
     "bin_width_ps": ("bin_width_ps", _integer),
@@ -80,7 +87,7 @@ _CORRELATION_FIELDS = {
 }
 _FIT_FIELDS = {
     "max_iterations": ("max_iterations", _integer),
-    "rel_tol": ("rel_tol", float),
+    "rel_tol": ("rel_tol", _real),
 }
 _OUTPUT_FIELDS = {
     "resolution_ps": ("resolution_ps", _integer),

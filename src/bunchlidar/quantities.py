@@ -27,18 +27,14 @@ class UserError(Exception):
 
 
 class DomainError(UserError, ValueError):
-    """Argument outside the physical domain of an operation."""
-
-
-class TickOverflowError(UserError, OverflowError):
-    """Tick arithmetic left the signed 64-bit range."""
+    """Argument outside the physical domain of an operation or the 64-bit tick range."""
 
 
 def seconds_to_ticks(t_s: float) -> int:
     """Convert seconds to the nearest integer picosecond tick."""
     ticks = t_s * TICKS_PER_SECOND
     if not _TICK_MIN <= ticks <= _TICK_MAX:  # also false for NaN
-        raise TickOverflowError(f"{t_s} s does not fit in 64-bit picosecond ticks")
+        raise DomainError(f"{t_s} s does not fit in 64-bit picosecond ticks")
     return int(round(ticks))
 
 

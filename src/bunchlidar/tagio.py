@@ -31,16 +31,18 @@ chunks of ``_CHUNK_RECORDS`` records: beyond the streams they write or return,
 the writers and the binary reader hold O(chunk) memory (the text reader, a
 debug path, parses its whole file first). A writer makes every refusal before
 it opens the file, then merges the two sorted channels one horizon at a time.
-The decoder checks each chunk, order across chunk boundaries included, and
-raises the file's first fault in this order: a bad channel, flags or padding
-is a ``RecordFieldError``, then a regress a ``TimeOrderError``, then a time
-past 2**63 - 1 ps a ``RecordFieldError``; each names its first record, by byte
-offset in a binary file and by ``line N`` in a text file. The binary reader
-reads one reused chunk at a time and puts the times straight into the
-returned channels, its only copies of them (a pipe is read whole first);
-``read_tags`` decodes text instead when the first byte is '#'. A text field
-that fits no record (not an integer, a time outside 0..2**63 - 1 ps or off
-the resolution grid, a channel outside 0..255) is a ``TextFormatError``.
+Every refusal is a ``TagFileError`` whose message names the fault. The
+decoder checks each chunk, order across chunk boundaries included, and raises
+the file's first fault in this order: ``record channel``, ``record flags`` or
+``record padding``, then ``record times regress``, then ``event time
+overflows`` (past 2**63 - 1 ps); each names its first record, by byte offset
+in a binary file and by ``line N`` in a text file. The binary reader reads
+one reused chunk at a time and puts the times straight into the returned
+channels, its only copies of them (a pipe is read whole first); ``read_tags``
+decodes text instead when the first byte is '#'. A text field that fits no
+record (not an integer, a time outside 0..2**63 - 1 ps or off the resolution
+grid, a channel outside 0..255) is refused before any record rule, naming
+its line.
 """
 
 from __future__ import annotations
@@ -77,34 +79,6 @@ class TagFileError(UserError, ValueError):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} at offset {offset}")
         self.offset = offset
-
-
-class BadMagicError(TagFileError):
-    pass
-
-
-class HeaderFieldError(TagFileError):
-    pass
-
-
-class TruncatedRecordError(TagFileError):
-    pass
-
-
-class RecordFieldError(TagFileError):
-    pass
-
-
-class TimeOrderError(TagFileError):
-    pass
-
-
-class UnrepresentableTimeError(TagFileError):
-    """A time off the resolution grid in exact mode, or past 2**63 - 1 ps once rounded."""
-
-
-class TextFormatError(TagFileError):
-    """Malformed text tag file; message names the line number."""
 
 
 def _rounded(ticks, resolution_ps: int):
@@ -153,17 +127,14 @@ def _encodable(streams, resolution_ps, rounding: str) -> int:
         off_grid = [_first_off_grid(s.times, resolution_ps) for s in streams]
         off_grid = [t for t in off_grid if t is not None]
         if off_grid:
-            raise UnrepresentableTimeError(
-                f"time {min(off_grid)} ps is not a multiple of {resolution_ps} ps "
-                "(use rounding='round')"
-            )
+            raise TagFileError(f"time {min(off_grid)} ps is not a multiple of {resolution_ps} ps "
+                               "(use rounding='round')")
     # rounding is monotone: a stream's last time rounds to its largest tick
     largest = max((_rounded(int(s.times[-1]), resolution_ps)[0] for s in streams if len(s)),
                   default=0)
     if largest > _TICK_MAX // resolution_ps:
-        raise UnrepresentableTimeError(
-            f"a time rounds to {largest * resolution_ps} ps, beyond 64-bit picosecond ticks"
-        )
+        raise TagFileError(f"a time rounds to {largest * resolution_ps} ps, "
+                           "beyond 64-bit picosecond ticks")
     return resolution_ps
 
 
@@ -225,7 +196,7 @@ def _decode(chunks, n: int, resolution_ps: int, channel_count: int, line_of=None
     times_out = np.empty(n, np.int64)
     front, back, done, last = 0, n, 0, 0
     top = np.uint64(_TICK_MAX // resolution_ps)  # a Python int would compare as float64
-    faults = {}  # rank in the order above -> the first (error, message, record, byte) of its kind
+    faults = {}  # rank in the order above -> the first (message, record, byte) of its kind
     order_rank, range_rank = 3, 4  # after channel, flags and padding
     for records in chunks:
         fields, times = records["fields"], records["time"]
@@ -241,16 +212,16 @@ def _decode(chunks, n: int, resolution_ps: int, channel_count: int, line_of=None
                 if rank not in faults and bad.any():
                     i = int(np.argmax(bad))
                     message = message.format(v=int(value[i]), n=channel_count)
-                    faults[rank] = (RecordFieldError, message, done + i, byte)
+                    faults[rank] = (message, done + i, byte)
         if order_rank not in faults:
             regress = times[1:] < times[:-1]  # u64 neighbours: no cast, no wrap
             if times[0] < last or regress.any():  # the chunk before ended at last
                 i = 0 if times[0] < last else int(np.argmax(regress)) + 1
-                faults[order_rank] = (TimeOrderError, "record times regress", done + i, 0)
+                faults[order_rank] = ("record times regress", done + i, 0)
             elif range_rank not in faults and times[-1] > top:
                 i = int(np.searchsorted(times, top, side="right"))
                 message = "event time overflows 64-bit picosecond ticks"
-                faults[range_rank] = (RecordFieldError, message, done + i, 0)
+                faults[range_rank] = (message, done + i, 0)
         last = times[-1]
         if not faults:  # checked: each channel is 0 or 1, each time below 2**63
             ones = records["channel"].view(bool)
@@ -264,10 +235,10 @@ def _decode(chunks, n: int, resolution_ps: int, channel_count: int, line_of=None
             front, back = front + head.size, back - k
         done += times.size
     if faults:
-        error, message, index, byte = faults[min(faults)]
+        message, index, byte = faults[min(faults)]
         if line_of is None:
-            raise error(message, offset=HEADER_SIZE + RECORD_SIZE * index + byte)
-        raise error(f"line {line_of(index)}: {message}")
+            raise TagFileError(message, offset=HEADER_SIZE + RECORD_SIZE * index + byte)
+        raise TagFileError(f"line {line_of(index)}: {message}")
     lo, hi = front, n
     while hi - lo > 1:  # channel 1 came in reversed: turn it round a chunk at a time
         c = min(_CHUNK_RECORDS, (hi - lo) // 2)
@@ -287,8 +258,8 @@ def _read_chunks(f, n: int):
         size = min(n - lo, _CHUNK_RECORDS) * RECORD_SIZE
         got = f.readinto(raw[:size])
         if got != size:
-            raise TruncatedRecordError("file shrank while read",
-                                       offset=HEADER_SIZE + lo * RECORD_SIZE + got)
+            raise TagFileError("file shrank while read",
+                               offset=HEADER_SIZE + lo * RECORD_SIZE + got)
         yield raw[:size].view(_RECORD)
 
 
@@ -312,28 +283,26 @@ def read_tags(path):
         f.seek(0)
         data = f.read(HEADER_SIZE)
         if not MAGIC.startswith(data[:len(MAGIC)]):  # a prefix of the magic is a short header
-            raise BadMagicError("bad magic", offset=0)
+            raise TagFileError("bad magic", offset=0)
         if len(data) < HEADER_SIZE:
-            raise TruncatedRecordError(
-                f"header needs {HEADER_SIZE} bytes, file has {len(data)}", offset=len(data)
-            )
+            raise TagFileError(f"header needs {HEADER_SIZE} bytes, file has {len(data)}",
+                               offset=len(data))
         _, version, resolution_ps, channel_count, reserved = _HEADER.unpack(data)
         if version != VERSION:
-            raise HeaderFieldError(f"unsupported version {version}", offset=8)
+            raise TagFileError(f"unsupported version {version}", offset=8)
         if resolution_ps not in SUPPORTED_RESOLUTIONS:
-            raise HeaderFieldError(f"unsupported resolution {resolution_ps} ps", offset=12)
+            raise TagFileError(f"unsupported resolution {resolution_ps} ps", offset=12)
         if not 1 <= channel_count <= MAX_CHANNELS:
-            raise HeaderFieldError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}",
-                                   offset=20)
+            raise TagFileError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}",
+                               offset=20)
         if any(reserved):
             bad = len(reserved) - len(reserved.lstrip(b"\0"))
-            raise HeaderFieldError("nonzero reserved byte", offset=22 + bad)
+            raise TagFileError("nonzero reserved byte", offset=22 + bad)
 
         n, trailing = divmod(size - HEADER_SIZE, RECORD_SIZE)
         if trailing:
-            raise TruncatedRecordError(
-                f"trailing {trailing} bytes are not a full record", offset=size - trailing
-            )
+            raise TagFileError(f"trailing {trailing} bytes are not a full record",
+                               offset=size - trailing)
         return _decode(_read_chunks(f, n), n, resolution_ps, channel_count)
 
 
@@ -367,7 +336,7 @@ def _text_tags(data: bytes, path):
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise TextFormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+        raise TagFileError(f"{path}: not UTF-8 text", offset=exc.start) from None
     meta = {}
     body_start = 0
     for line in lines:
@@ -384,7 +353,7 @@ def _text_tags(data: bytes, path):
         except (KeyError, ValueError):
             value = None
         if value not in allowed:
-            raise TextFormatError(f"header '# {key}=N' missing or unsupported: {meta.get(key)!r}")
+            raise TagFileError(f"header '# {key}=N' missing or unsupported: {meta.get(key)!r}")
         return value
 
     resolution_ps = header("resolution_ps", SUPPORTED_RESOLUTIONS)
@@ -402,21 +371,21 @@ def _text_tags(data: bytes, path):
                 ticks.append(int(t))
                 channels.append(int(ch))
     except ValueError:
-        raise TextFormatError(
+        raise TagFileError(
             f"line {lineno}: expected integers 'ticks_ps,channel', got {line!r}"
         ) from None
     # each field must fit its record word: a 63-bit picosecond time, a u8 channel
     for name, values, top in (("time", ticks, _TICK_MAX), ("channel", channels, 0xFF)):
         if values and not 0 <= min(values) <= max(values) <= top:
             i = next(i for i, v in enumerate(values) if not 0 <= v <= top)
-            raise TextFormatError(f"line {line_of(i)}: {name} {values[i]} outside 0..{top}")
+            raise TagFileError(f"line {line_of(i)}: {name} {values[i]} outside 0..{top}")
     records = np.zeros(len(ticks), _RECORD)
     records["time"], off_grid = np.divmod(ticks, resolution_ps)
     records["channel"] = channels
     if off_grid.any():
         i = int(np.argmax(off_grid != 0))
-        raise TextFormatError(f"line {line_of(i)}: time {ticks[i]} "
-                              f"is not a multiple of resolution {resolution_ps}")
+        raise TagFileError(f"line {line_of(i)}: time {ticks[i]} "
+                           f"is not a multiple of resolution {resolution_ps}")
     if channel_count is None:
         channel_count = min(max(channels, default=0) + 1, MAX_CHANNELS)
     chunks = (records[lo : lo + _CHUNK_RECORDS] for lo in range(0, records.size, _CHUNK_RECORDS))

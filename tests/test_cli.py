@@ -37,6 +37,14 @@ MINI_CONFIG = {
 }
 
 
+# every document key the presets convert to a float, by the object that holds it
+FLOAT_KEYS = [("scenario", key) for key in (
+    "wavelength_nm", "source_rate_hz", "coherence_time_ns", "distance_m", "refractive_index",
+    "split_probe", "split_ref", "probe_round_trip_transmission", "ambient_rate_probe_hz",
+    "ambient_rate_ref_hz", "duration_s")] + [("detector", key) for key in (
+    "efficiency", "jitter_fwhm_ps", "dead_time_ps", "dark_rate_hz")] + [("fit", "rel_tol")]
+
+
 @pytest.fixture
 def mini_config(tmp_path):
     path = tmp_path / "mini.json"
@@ -120,6 +128,17 @@ class TestConfigHandling:
                  "fit": presets.fit_from_document,
                  "output": presets.output_from_document}[section]
         with pytest.raises(presets.ConfigError, match=key):
+            build(doc)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_bad_float_value_names_key(self, section, key, value):
+        # a JSON boolean is not a number, although float(True) == 1.0
+        doc = presets.load_preset("short-range")
+        {"scenario": doc["scenario"], "detector": doc["scenario"]["detectors"][0],
+         "fit": doc["fit"]}[section][key] = value
+        build = presets.fit_from_document if section == "fit" else presets.scenario_from_document
+        with pytest.raises(presets.ConfigError, match=f"^bad value for '{key}': {value}: "):
             build(doc)
 
     def test_integral_float_is_an_integer(self):
@@ -573,6 +592,23 @@ class TestSnrCommand:
         assert name in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["range"], ["snr", "--rate-hz", "1e6", "--dt-ms", "1"]],
+                             ids=["range", "snr"])
+    @pytest.mark.parametrize("taus, message", [
+        # even steps, so the spacing check alone took the negative step as the bin width
+        (range(200, -1, -10), "tau_ps must increase row by row, got 190.0 after 200.0"),
+        ([100] * 21, "tau_ps must increase row by row, got 100.0 after 100.0"),
+    ], ids=["descending", "repeated"])
+    def test_tau_order_refused(self, tmp_path, command, taus, message, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("tau_ps,counts,g2,sigma\n" + "".join(
+            f"{float(tau)!r},100,{1.0 + 0.5 * math.exp(-abs(tau - 100) / 20)!r},0.01\n"
+            for tau in taus))
+        assert cli.main([command[0], "--in", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert f"histogram CSV {message}" in err
+        assert "bin width" not in err and "Traceback" not in err
+
     def test_measure_mode_rejects_nonuniform_bins(self, tmp_path, capsys):
         path = tmp_path / "uneven.csv"
         with open(path, "w", newline="\n") as f:
@@ -789,6 +825,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "x.bin").exists()
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_boolean_float_is_user_error(self, tmp_path, monkeypatch, section, key, value,
+                                         capsys):
+        def simulate(scenario):
+            raise AssertionError(f"simulated with {key} = {value}")
+
+        monkeypatch.setattr(cli, "simulate_ranging_scenario", simulate)
+        path = {"scenario": f"scenario.{key}", "detector": f"scenario.detectors.0.{key}",
+                "fit": f"fit.{key}"}[section]
+        command = ["simulate", "--out", str(tmp_path / "x.bin")]
+        if section == "fit":  # range reads the histogram first, then the fit section
+            csv = tmp_path / "h.csv"
+            csv.write_text("tau_ps,counts,g2,sigma\n" + "".join(
+                f"{tau}.0,100,{1.0 + 0.5 * math.exp(-abs(tau - 500) / 200)!r},0.01\n"
+                for tau in range(0, 1000, 100)))
+            command = ["range", "--in", str(csv)]
+        code = cli.main([*command, "--preset", "short-range", "--set", f"{path}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"bad value for '{key}'" in err and "Traceback" not in err
+        assert not (tmp_path / "x.bin").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--set", "scenario.seed=1.5"], "seed"),
         (["--set", "scenario.seed=true"], "seed"),
@@ -909,7 +968,14 @@ def _exception_classes():
 def test_every_exception_derives_from_user_error(cls):
     assert issubclass(cls, quantities.UserError)
     # and keeps its builtin base, so callers that catch that still do
-    assert cls is quantities.UserError or issubclass(cls, (ValueError, OverflowError, RuntimeError))
+    assert cls is quantities.UserError or issubclass(cls, (ValueError, RuntimeError))
+
+
+def test_one_exception_class_per_kind_of_fault():
+    # the list README's exit-code paragraph gives; a new class is a new kind of fault
+    assert [cls.__qualname__ for cls in _exception_classes()] == [
+        "ConfigError", "CorrelationError", "DegenerateFitError", "DomainError", "FitError",
+        "FitNotConvergedError", "TagFileError", "UserError"]
 
 
 class TestDependencies:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from bunchlidar import photonsim as ps
 from bunchlidar.correlator import CorrelationConfig, cross_correlate, normalize_g2
 from bunchlidar.estimator import fit_g2
-from bunchlidar.quantities import DomainError, SourceSpec, TickOverflowError
+from bunchlidar.quantities import DomainError, SourceSpec
 from test_correlator import run_child
 
 TAU_C = 23.2e-9
@@ -659,7 +659,7 @@ class TestDelayEvents:
 
     def test_overflow_raises(self):
         # a round trip beyond the 64-bit tick range raises instead of wrapping
-        with pytest.raises(TickOverflowError):
+        with pytest.raises(DomainError, match="does not fit in 64-bit picosecond ticks"):
             self._probe(2e15)
 
     def test_duration_plus_round_trip_overflow_refused(self):
@@ -671,7 +671,7 @@ class TestDelayEvents:
         config = ps.ScenarioConfig(source=source, duration_s=0.9 * half_range_s, seed=1,
                                    distance_m=distance_m)
         assert config.duration_ticks + config.delay_ticks <= 2**63 - 1
-        with pytest.raises(TickOverflowError, match="duration_s plus distance_m's round trip"):
+        with pytest.raises(DomainError, match="duration_s plus distance_m's round trip"):
             ps.ScenarioConfig(source=source, duration_s=1.1 * half_range_s, seed=1,
                               distance_m=distance_m)
 
@@ -1074,8 +1074,19 @@ def _scenario(**overrides):
      "event times must be integer ticks, got dtype float64"),
     (lambda: ps.EventStream(0, [5, 1], 1e-9), "event times must be nondecreasing"),
     (lambda: ps.EventStream(0, [1, 2_000], 1e-9), "event times must lie within [0, duration]"),
+    # past the 64-bit tick range: the same class as a negative value of the field
+    (lambda: _scenario(duration_s=1e8),
+     "duration_s = 100000000.0 s does not fit in 64-bit picosecond ticks"),
+    (lambda: ps.DetectorSpec(dead_time_s=1e8),
+     "dead_time_s = 100000000.0 s does not fit in 64-bit picosecond ticks"),
+    (lambda: ps.DetectorSpec(jitter_fwhm_s=1e8),
+     "jitter_fwhm_s = 100000000.0 s does not fit in 64-bit picosecond ticks"),
+    # 5e18 ticks each fit, their sum does not
+    (lambda: _scenario(duration_s=5e6, distance_m=5e6 * 299792458.0 / 2),
+     "duration_s plus distance_m's round trip does not fit in 64-bit picosecond ticks"),
 ], ids=["split", "transmission", "split-sum", "seed", "duration", "distance", "efficiency",
-        "dead-time", "jitter", "float-dtype", "regress", "out-of-range"])
+        "dead-time", "jitter", "float-dtype", "regress", "out-of-range", "duration-overflow",
+        "dead-time-overflow", "jitter-overflow", "duration-plus-round-trip-overflow"])
 def test_refused_value_is_domain_error(build, message):
     # one class for every refused scenario, detector or stream value, so
     # callers catch DomainError (or ValueError) whichever value was wrong

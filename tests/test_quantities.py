@@ -142,5 +142,5 @@ class TestSourceSpec:
 
 class TestTicks:
     def test_overflow_raises(self):
-        with pytest.raises(q.TickOverflowError):
+        with pytest.raises(q.DomainError, match="^10000000000.0 s does not fit in 64-bit"):
             q.seconds_to_ticks(1e10)
